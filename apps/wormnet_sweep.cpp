@@ -431,15 +431,14 @@ int main(int argc, char** argv) {
         obs::PostmortemReport report =
             obs::cross_reference(*ctx.states, ctx.search, r.postmortems[n],
                                  r.point.topology, r.point.routing);
-        if (r.point.reconfig_plan != "none" && !r.point.reconfig_plan.empty()) {
+        if (r.point.transition) {
           // Transition provenance: classify every lifted edge against the
           // pure pre-switch (base) and post-switch (steady-state) CDGs and
           // flag cycles only the mid-switch union contains.  Deadlocks are
           // rare enough that rebuilding the two graphs per postmortem beats
           // carrying another cache.
           const reconfig::CompiledTransitionPlan plan = reconfig::compile(
-              reconfig::parse_transition_plan(r.point.reconfig_plan),
-              ctx.topo, r.point.routing);
+              *r.point.transition, ctx.topo, r.point.routing);
           const auto steady =
               reconfig::make_union_routing(ctx.topo, plan.steady_state());
           obs::classify_transition_origins(

@@ -37,86 +37,77 @@ SweepResult run_point(const SweepSpec& spec, const SweepPoint& point,
   SweepResult result;
   result.point = point;
 
-  // Fault axis: compile the plan against this point's topology (expand()
-  // already validated it) and certify every degraded epoch before running.
-  // The compiled plan is borrowed by the config, so it must outlive the
-  // sim::run call below.
-  ft::CompiledFaultPlan compiled;
-  if (point.fault_plan != "none" && !point.fault_plan.empty()) {
-    compiled =
-        ft::compile(ft::parse_fault_plan(point.fault_plan), *analysis.topo);
-    if (!compiled.empty()) {
-      cfg.fault_plan = &compiled;
-      const auto masks = compiled.epoch_masks();
-      // masks[0] is the pristine network — that verdict is `analysis`
-      // itself; only the degraded epochs need a re-check.
-      for (std::size_t e = 1; e < masks.size(); ++e) {
-        const AnalysisEntry& epoch =
-            cache.get_degraded(point.topology, point.routing, masks[e]);
-        ++result.fault_epochs;
-        if (!epoch.certified) ++result.uncertified_epochs;
-      }
-      result.epochs_certified = result.uncertified_epochs == 0;
+  // Fault axis: the plan expand() compiled, shared by the points; certify
+  // every degraded epoch before running.
+  if (point.faults) {
+    cfg.fault_plan = point.faults.get();
+    const auto masks = point.faults->epoch_masks();
+    // masks[0] is the pristine network — that verdict is `analysis`
+    // itself; only the degraded epochs need a re-check.
+    for (std::size_t e = 1; e < masks.size(); ++e) {
+      const AnalysisEntry& epoch =
+          cache.get_degraded(point.topology, point.routing, masks[e]);
+      ++result.fault_epochs;
+      if (!epoch.certified) ++result.uncertified_epochs;
     }
+    result.epochs_certified = result.uncertified_epochs == 0;
   }
 
-  // Reconfiguration axis: compile the transition plan against this point's
-  // base routing and certify every cumulative union epoch (plus the steady
-  // state) before running.  Borrowed by the config like the fault plan.
+  // Reconfiguration axis: bind the plan expand() resolved to this point's
+  // topology instance (planner-free, so cheap) and certify every cumulative
+  // union epoch (plus the steady state) before running.  The compiled plan
+  // is borrowed by the config, so it must outlive the simulation below.
   reconfig::CompiledTransitionPlan transition;
   reconfig::TransitionGuard guard;
-  if (point.reconfig_plan != "none" && !point.reconfig_plan.empty()) {
+  if (point.transition) {
     transition =
-        reconfig::compile(reconfig::parse_transition_plan(point.reconfig_plan),
-                          *analysis.topo, point.routing);
-    if (!transition.empty()) {
-      cfg.transition = &transition;
-      for (const reconfig::UnionSpec& spec_epoch :
-           transition.verification_epochs()) {
-        const AnalysisEntry& epoch =
-            cache.get_transition(point.topology, spec_epoch);
-        ++result.transition_epochs;
-        if (!epoch.certified) ++result.uncertified_transition_epochs;
-      }
-      // Composed space (DESIGN 3.13): when both axes are live, walk the
-      // merged fault x transition timeline and certify every composed
-      // epoch — the union relation under the then-current fault mask.
-      // The same walk yields the guard; the cache-backed certifier means
-      // every consulted epoch (rollback unions included) also flows
-      // through the certificate pipeline.
-      const bool composed_point = cfg.fault_plan != nullptr;
-      if (composed_point || options.rollback) {
-        const std::size_t channels = analysis.topo->num_channels();
-        reconfig::GuardCertifier certifier =
-            [&](const reconfig::UnionSpec& epoch_spec,
-                const std::string& mask_hex) {
-              std::vector<bool> mask(channels, false);
-              if (!mask_hex.empty()) {
-                mask = ft::mask_from_hex(mask_hex, channels);
-              }
-              bool pristine = true;
-              for (const bool dead : mask) {
-                if (dead) {
-                  pristine = false;
-                  break;
-                }
-              }
-              const AnalysisEntry& epoch =
-                  cache.get_composed(point.topology, epoch_spec, mask);
-              if (!pristine) {
-                ++result.composed_epochs;
-                if (!epoch.certified) ++result.uncertified_composed_epochs;
-              }
-              return epoch.certified;
-            };
-        guard = reconfig::build_transition_guard(*analysis.topo, transition,
-                                                 cfg.fault_plan, certifier);
-        if (options.rollback) cfg.guard = &guard;
-      }
-      result.epochs_certified = result.uncertified_epochs == 0 &&
-                                result.uncertified_transition_epochs == 0 &&
-                                result.uncertified_composed_epochs == 0;
+        reconfig::compile(*point.transition, *analysis.topo, point.routing);
+    cfg.transition = &transition;
+    for (const reconfig::UnionSpec& spec_epoch :
+         transition.verification_epochs()) {
+      const AnalysisEntry& epoch =
+          cache.get_transition(point.topology, spec_epoch);
+      ++result.transition_epochs;
+      if (!epoch.certified) ++result.uncertified_transition_epochs;
     }
+    // Composed space (DESIGN 3.13): when both axes are live, walk the
+    // merged fault x transition timeline and certify every composed
+    // epoch — the union relation under the then-current fault mask.
+    // The same walk yields the guard; the cache-backed certifier means
+    // every consulted epoch (rollback unions included) also flows
+    // through the certificate pipeline.
+    const bool composed_point = cfg.fault_plan != nullptr;
+    if (composed_point || options.rollback) {
+      const std::size_t channels = analysis.topo->num_channels();
+      reconfig::GuardCertifier certifier =
+          [&](const reconfig::UnionSpec& epoch_spec,
+              const std::string& mask_hex) {
+            std::vector<bool> mask(channels, false);
+            if (!mask_hex.empty()) {
+              mask = ft::mask_from_hex(mask_hex, channels);
+            }
+            bool pristine = true;
+            for (const bool dead : mask) {
+              if (dead) {
+                pristine = false;
+                break;
+              }
+            }
+            const AnalysisEntry& epoch =
+                cache.get_composed(point.topology, epoch_spec, mask);
+            if (!pristine) {
+              ++result.composed_epochs;
+              if (!epoch.certified) ++result.uncertified_composed_epochs;
+            }
+            return epoch.certified;
+          };
+      guard = reconfig::build_transition_guard(*analysis.topo, transition,
+                                               cfg.fault_plan, certifier);
+      if (options.rollback) cfg.guard = &guard;
+    }
+    result.epochs_certified = result.uncertified_epochs == 0 &&
+                              result.uncertified_transition_epochs == 0 &&
+                              result.uncertified_composed_epochs == 0;
   }
 
   {

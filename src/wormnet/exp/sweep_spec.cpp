@@ -73,6 +73,61 @@ std::vector<double> parse_loads(const std::string& clause) {
   return out;
 }
 
+/// One fault-axis value, compiled against one topology.
+struct FaultAxisValue {
+  std::string text;  ///< normalized plan text
+  std::shared_ptr<const ft::CompiledFaultPlan> compiled;  ///< null: no steps
+};
+
+/// Parse + compile eagerly: a malformed plan or one that names links absent
+/// from this topology throws here, not mid-run on a worker.
+std::vector<FaultAxisValue> compile_fault_axis(
+    const std::vector<std::string>& plans, const topology::Topology& topo) {
+  std::vector<FaultAxisValue> out;
+  for (const auto& text : plans) {
+    const ft::FaultPlan plan = ft::parse_fault_plan(text);
+    auto compiled =
+        std::make_shared<const ft::CompiledFaultPlan>(ft::compile(plan, topo));
+    if (compiled->empty()) compiled.reset();
+    out.push_back({plan.empty() ? "none" : plan.to_string(),
+                   std::move(compiled)});
+  }
+  return out;
+}
+
+/// One reconfig-axis value, resolved for one (topology, base routing).
+struct ReconfigAxisValue {
+  std::string text = "none";  ///< normalized plan text
+  std::shared_ptr<const reconfig::TransitionPlan> resolved;  ///< null: none
+  std::vector<reconfig::CompiledCutover> steps;  ///< for the conflict check
+};
+
+/// Same eager discipline for transition plans.  Compiling against the base
+/// routing also normalizes identity plans (zero surviving cutovers) to
+/// "none", making their rows byte-identical to no-plan rows.
+std::vector<ReconfigAxisValue> resolve_reconfig_axis(
+    const std::vector<std::string>& plans, const topology::Topology& topo,
+    const std::string& base) {
+  std::vector<ReconfigAxisValue> out;
+  for (const auto& text : plans) {
+    ReconfigAxisValue value;
+    const reconfig::TransitionPlan plan = reconfig::parse_transition_plan(text);
+    if (!plan.empty()) {
+      auto resolved = std::make_shared<const reconfig::TransitionPlan>(
+          reconfig::resolve(plan, topo, base));
+      reconfig::CompiledTransitionPlan compiled =
+          reconfig::compile(*resolved, topo, base);
+      if (!compiled.is_identity()) {
+        value.text = plan.to_string();
+        value.resolved = std::move(resolved);
+        value.steps = std::move(compiled.steps);
+      }
+    }
+    out.push_back(std::move(value));
+  }
+  return out;
+}
+
 }  // namespace
 
 ExpandedSweep expand(const SweepSpec& spec) {
@@ -101,6 +156,7 @@ ExpandedSweep expand(const SweepSpec& spec) {
   util::Xoshiro256 stream(spec.seed);
   for (const auto& topo_spec : spec.topologies) {
     const topology::Topology topo = core::make_topology(topo_spec);
+    std::vector<FaultAxisValue> faults;
     for (const auto& routing : spec.routings) {
       std::string canonical;
       try {
@@ -123,35 +179,23 @@ ExpandedSweep expand(const SweepSpec& spec) {
         out.skipped.push_back(topo_spec + " × " + routing);
         continue;
       }
-      for (const auto& plan_text : spec.fault_plans) {
-        // Parse + compile eagerly: a malformed plan or one that names links
-        // absent from this topology throws here, not mid-run on a worker.
-        const ft::FaultPlan plan = ft::parse_fault_plan(plan_text);
-        const ft::CompiledFaultPlan compiled_faults = ft::compile(plan, topo);
-        const std::string normalized = plan.empty() ? "none" : plan.to_string();
-        for (const auto& reconfig_text : spec.reconfig_plans) {
-          // Same eager discipline for transition plans; compiling against
-          // this point's base routing also normalizes identity plans (zero
-          // surviving cutovers) to "none", making their rows byte-identical
-          // to no-plan rows.
-          const reconfig::TransitionPlan tplan =
-              reconfig::parse_transition_plan(reconfig_text);
-          std::string reconfig_normalized = "none";
-          reconfig::CompiledTransitionPlan compiled_transition;
-          if (!tplan.empty()) {
-            compiled_transition = reconfig::compile(tplan, topo, canonical);
-            if (!compiled_transition.is_identity()) {
-              reconfig_normalized = tplan.to_string();
-            }
-          }
+      // Fault plans depend on the topology alone, so they are compiled on
+      // its first applicable routing and shared from then on.
+      if (faults.empty()) faults = compile_fault_axis(spec.fault_plans, topo);
+      // Transition plans depend on the base routing too.  Resolving them
+      // here, outside the fault loop, runs the staging planner once per
+      // (topology, routing, plan) however many points share the plan.
+      const std::vector<ReconfigAxisValue> transitions =
+          resolve_reconfig_axis(spec.reconfig_plans, topo, canonical);
+      for (const FaultAxisValue& fault : faults) {
+        for (const ReconfigAxisValue& transition : transitions) {
           // Fault and transition plans compose (DESIGN 3.13) — except when
           // one cycle both kills a channel and cuts its head node's traffic
           // over: the two events would race for the same packets' waiting
           // state with no defined winner.  Stagger either event by a cycle.
-          if (normalized != "none" && reconfig_normalized != "none") {
-            for (const ft::CompiledStep& fs : compiled_faults.steps) {
-              for (const reconfig::CompiledCutover& cs :
-                   compiled_transition.steps) {
+          if (fault.compiled && transition.resolved) {
+            for (const ft::CompiledStep& fs : fault.compiled->steps) {
+              for (const reconfig::CompiledCutover& cs : transition.steps) {
                 if (fs.cycle != cs.cycle) continue;
                 for (const topology::ChannelId c : fs.down) {
                   const topology::NodeId victim = topo.channel(c).dst;
@@ -178,8 +222,10 @@ ExpandedSweep expand(const SweepSpec& spec) {
                 point.index = out.points.size();
                 point.topology = topo_spec;
                 point.routing = canonical;
-                point.fault_plan = normalized;
-                point.reconfig_plan = reconfig_normalized;
+                point.fault_plan = fault.text;
+                point.reconfig_plan = transition.text;
+                point.faults = fault.compiled;
+                point.transition = transition.resolved;
                 point.pattern = pattern;
                 point.load = load;
                 point.replication = rep;

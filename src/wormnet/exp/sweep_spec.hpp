@@ -18,9 +18,12 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "wormnet/ft/fault_plan.hpp"
+#include "wormnet/reconfig/transition_plan.hpp"
 #include "wormnet/sim/simulator.hpp"
 
 namespace wormnet::exp {
@@ -60,6 +63,14 @@ struct SweepPoint {
   /// Normalized transition-plan text ("none" = no transition, including
   /// plans that compile to the identity for this point's base routing).
   std::string reconfig_plan;
+  /// `fault_plan` compiled against `topology`; null when it has no steps.
+  /// Shared by every point of the same (topology, fault plan).
+  std::shared_ptr<const ft::CompiledFaultPlan> faults;
+  /// `reconfig_plan` with its `plan:` events resolved (reconfig::resolve)
+  /// for this base routing; null when the plan is "none".  Shared by every
+  /// point of the same (topology, routing, reconfig plan), so the staging
+  /// planner runs once per combo, not once per point.
+  std::shared_ptr<const reconfig::TransitionPlan> transition;
   sim::Pattern pattern = sim::Pattern::kUniform;
   double load = 0.0;
   std::uint32_t replication = 0;
@@ -77,7 +88,9 @@ struct ExpandedSweep {
 /// Flattens the grid.  Topology specs are parsed (and alias routing names
 /// resolved) eagerly, so malformed specs and unknown routing names throw
 /// std::invalid_argument here rather than mid-run; inapplicable
-/// (topology, routing) combos are skipped and recorded.
+/// (topology, routing) combos are skipped and recorded.  Fault plans are
+/// compiled once per topology and transition plans resolved once per
+/// (topology, routing); the points share the results.
 [[nodiscard]] ExpandedSweep expand(const SweepSpec& spec);
 
 /// Parses a grid string of ';'-separated key=value clauses:

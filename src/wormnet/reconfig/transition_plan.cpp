@@ -313,6 +313,36 @@ std::vector<UnionSpec> CompiledTransitionPlan::verification_epochs() const {
   return epochs;
 }
 
+TransitionPlan resolve(const TransitionPlan& plan, const Topology& topo,
+                       const std::string& base_name) {
+  // Each `plan:NEW@CYCLE` event becomes the certified staging order
+  // plan_certified_transition finds (or a naive switch when none exists
+  // within budget — per-epoch verification then refutes the union, exactly
+  // as if the user had written the switch).  Other events pass through.
+  TransitionPlan out;
+  for (const TransitionEvent& ev : plan.events) {
+    if (ev.kind != TransitionEvent::Kind::kPlan) {
+      out.events.push_back(ev);
+      continue;
+    }
+    PlannerOptions planner_options;
+    planner_options.start_cycle = ev.cycle;
+    const StagedPlan staged = plan_certified_transition(
+        topo, base_name, ev.target, planner_options);
+    if (staged.certified) {
+      out.events.insert(out.events.end(), staged.plan.events.begin(),
+                        staged.plan.events.end());
+    } else {
+      TransitionEvent naive;
+      naive.kind = TransitionEvent::Kind::kSwitch;
+      naive.cycle = ev.cycle;
+      naive.target = ev.target;
+      out.events.push_back(naive);
+    }
+  }
+  return out;
+}
+
 CompiledTransitionPlan compile(const TransitionPlan& plan,
                                const Topology& topo,
                                const std::string& base_name) {
@@ -325,33 +355,8 @@ CompiledTransitionPlan compile(const TransitionPlan& plan,
   if (plan.empty()) return out;
 
   const std::size_t n = out.num_nodes;
-
-  // Expand planner invocations first: each `plan:NEW@CYCLE` event becomes
-  // the certified staging order plan_certified_transition finds (or a naive
-  // switch when none exists within budget — per-epoch verification then
-  // refutes the union, exactly as if the user had written the switch).
-  std::vector<TransitionEvent> events;
-  for (const TransitionEvent& ev : plan.events) {
-    if (ev.kind != TransitionEvent::Kind::kPlan) {
-      events.push_back(ev);
-      continue;
-    }
-    PlannerOptions planner_options;
-    planner_options.start_cycle = ev.cycle;
-    const StagedPlan staged =
-        plan_certified_transition(topo, out.base, ev.target, planner_options);
-    if (staged.certified) {
-      for (const TransitionEvent& sub : staged.plan.events) {
-        events.push_back(sub);
-      }
-    } else {
-      TransitionEvent naive;
-      naive.kind = TransitionEvent::Kind::kSwitch;
-      naive.cycle = ev.cycle;
-      naive.target = ev.target;
-      events.push_back(naive);
-    }
-  }
+  const std::vector<TransitionEvent> events =
+      resolve(plan, topo, out.base).events;
 
   const auto version_of = [&](const std::string& target,
                               const std::string& where) -> std::uint32_t {

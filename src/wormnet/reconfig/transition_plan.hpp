@@ -24,11 +24,14 @@
 //                             is stamped with a stale routing version —
 //                             the union relation *resets* across a barrier
 //                             (only versions still current stay live)
-//   plan:NEW@CYCLE            certified staging-order search: compile runs
-//                             reconfig::plan_certified_transition and
+//   plan:NEW@CYCLE            certified staging-order search: resolve()
+//                             runs reconfig::plan_certified_transition and
 //                             splices the found stages (falling back to a
 //                             naive switch when no certified order exists,
-//                             which per-epoch verification then refutes)
+//                             which per-epoch verification then refutes).
+//                             A sweep resolves each plan once per
+//                             (topology, base routing, plan); its points
+//                             compile the resolved, planner-free plan.
 //
 // Routing names may carry a per-channel migration mask, `NAME%HEXMASK`
 // (lowercase hex over the topology's channels, ft::mask_to_hex layout):
@@ -65,7 +68,7 @@ struct TransitionEvent {
     kStage,    ///< destinations [lo, hi] cut over
     kRamp,     ///< `batches` contiguous batches, stride cycles apart
     kBarrier,  ///< drain-gated cutover (all destinations, or [lo, hi])
-    kPlan,     ///< planner invocation: compile searches a certified order
+    kPlan,     ///< planner invocation: resolve searches a certified order
   };
   Kind kind = Kind::kSwitch;
   std::uint64_t cycle = 0;
@@ -166,10 +169,22 @@ class CompiledTransitionPlan {
   [[nodiscard]] std::vector<UnionSpec> verification_epochs() const;
 };
 
-/// Resolves `plan` against `topo` with base routing `base_name` (aliases
-/// accepted).  Throws std::invalid_argument when a routing name is unknown
-/// or inapplicable, a destination is out of range, a ramp has zero or too
-/// many batches, or two same-cycle events disagree about a destination.
+/// Replaces every `plan:` event with the staging order the planner finds
+/// from `base_name` (aliases accepted) on `topo`, or with the naive switch
+/// when it finds none.  The result holds no kPlan event; a planner-free
+/// plan is returned unchanged.  This is the only expensive stage of
+/// compilation, so callers that compile one plan many times resolve it once
+/// and compile the result.  Throws std::invalid_argument when a `plan:`
+/// names an unknown or inapplicable routing.
+[[nodiscard]] TransitionPlan resolve(const TransitionPlan& plan,
+                                     const Topology& topo,
+                                     const std::string& base_name);
+
+/// Binds `plan` to `topo` with base routing `base_name` (aliases accepted),
+/// running resolve() first.  Throws std::invalid_argument when a routing
+/// name is unknown or inapplicable, a destination is out of range, a ramp
+/// has zero or too many batches, or two same-cycle events disagree about a
+/// destination.
 [[nodiscard]] CompiledTransitionPlan compile(const TransitionPlan& plan,
                                              const Topology& topo,
                                              const std::string& base_name);

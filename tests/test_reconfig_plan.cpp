@@ -326,6 +326,54 @@ TEST(ReconfigMetamorphic, IdentityPlanNormalizesToIdenticalSweepRows) {
   EXPECT_EQ(render(spec), baseline);
 }
 
+TEST(ReconfigSweep, ExpandResolvesEachPlanOncePerCombo) {
+  exp::SweepSpec spec;
+  spec.topologies = {"mesh:2x2:1"};
+  spec.routings = {"e-cube", "negative-first"};
+  spec.fault_plans = {"none", "kill:0-1@900"};
+  spec.reconfig_plans = {"plan:negative-first@300"};
+  spec.patterns = {sim::Pattern::kUniform, sim::Pattern::kTranspose};
+  spec.replications = 3;
+  const exp::ExpandedSweep expanded = exp::expand(spec);
+  ASSERT_EQ(expanded.points.size(), 2u * 2u * 2u * 3u);
+
+  const auto topo = core::make_topology("mesh:2x2:1");
+  const std::string resolved_text =
+      resolve(parse_transition_plan("plan:negative-first@300"), topo,
+              "e-cube")
+          .to_string();
+  const TransitionPlan* shared = nullptr;
+  const ft::CompiledFaultPlan* shared_faults = nullptr;
+  std::size_t planned = 0;
+  for (const exp::SweepPoint& p : expanded.points) {
+    if (p.fault_plan == "none") {
+      EXPECT_EQ(p.faults, nullptr);
+    } else {
+      // One compiled fault plan per topology, whatever the routing.
+      ASSERT_NE(p.faults, nullptr);
+      if (shared_faults == nullptr) shared_faults = p.faults.get();
+      EXPECT_EQ(p.faults.get(), shared_faults);
+    }
+    if (p.routing == "negative-first") {
+      // plan:R@c with R = base is the identity: normalized to "none".
+      EXPECT_EQ(p.reconfig_plan, "none");
+      EXPECT_EQ(p.transition, nullptr);
+      continue;
+    }
+    EXPECT_EQ(p.reconfig_plan, "plan:negative-first@300");
+    ASSERT_NE(p.transition, nullptr);
+    // The same object across fault plans, patterns and reps: the planner
+    // ran once for this (topology, routing, plan).
+    if (shared == nullptr) shared = p.transition.get();
+    EXPECT_EQ(p.transition.get(), shared);
+    EXPECT_EQ(p.transition->to_string(), resolved_text);
+    ++planned;
+  }
+  EXPECT_EQ(planned, 2u * 2u * 3u);
+  EXPECT_NE(resolved_text.find("barrier:"), std::string::npos)
+      << "expected the planner's staged ladder, got " << resolved_text;
+}
+
 TEST(ReconfigMetamorphic, ThereAndBackAgainConservesPackets) {
   // R1 -> R2 -> R1: both relations and both cumulative unions certify
   // (e-cube is a subfunction of duato-mesh), so the round trip must

@@ -264,6 +264,102 @@ TEST(ReconfigPlanner, StagedPlanCertificateChainMatchesGoldenFiles) {
   }
 }
 
+// --- resolve: the planner stage of compilation ---------------------------
+
+bool has_plan_event(const TransitionPlan& plan) {
+  for (const TransitionEvent& ev : plan.events) {
+    if (ev.kind == TransitionEvent::Kind::kPlan) return true;
+  }
+  return false;
+}
+
+TEST(ReconfigResolve, CompilingTheResolvedPlanMatchesCompilingThePlan) {
+  const struct {
+    const char* topo;
+    const char* plan;
+  } kCases[] = {
+      {"mesh:2x2:2", "plan:negative-first@300"},
+      {"mesh:4x4:1", "plan:north-last@300"},
+  };
+  for (const auto& c : kCases) {
+    const topology::Topology topo = core::make_topology(c.topo);
+    const TransitionPlan plan = parse_transition_plan(c.plan);
+    const TransitionPlan resolved = resolve(plan, topo, "e-cube");
+    const CompiledTransitionPlan direct = compile(plan, topo, "e-cube");
+    const CompiledTransitionPlan staged = compile(resolved, topo, "e-cube");
+    ASSERT_FALSE(direct.empty()) << c.topo;
+    EXPECT_EQ(staged.base, direct.base) << c.topo;
+    EXPECT_EQ(staged.target_names, direct.target_names) << c.topo;
+    ASSERT_EQ(staged.steps.size(), direct.steps.size()) << c.topo;
+    for (std::size_t s = 0; s < direct.steps.size(); ++s) {
+      EXPECT_EQ(staged.steps[s].cycle, direct.steps[s].cycle);
+      EXPECT_EQ(staged.steps[s].barrier, direct.steps[s].barrier);
+      ASSERT_EQ(staged.steps[s].assignments.size(),
+                direct.steps[s].assignments.size());
+      for (std::size_t i = 0; i < direct.steps[s].assignments.size(); ++i) {
+        EXPECT_EQ(staged.steps[s].assignments[i].dest,
+                  direct.steps[s].assignments[i].dest);
+        EXPECT_EQ(staged.steps[s].assignments[i].version,
+                  direct.steps[s].assignments[i].version);
+      }
+    }
+    std::vector<std::string> direct_epochs;
+    std::vector<std::string> staged_epochs;
+    for (const UnionSpec& e : direct.verification_epochs()) {
+      direct_epochs.push_back(e.to_string());
+    }
+    for (const UnionSpec& e : staged.verification_epochs()) {
+      staged_epochs.push_back(e.to_string());
+    }
+    EXPECT_FALSE(direct_epochs.empty()) << c.topo;
+    EXPECT_EQ(staged_epochs, direct_epochs) << c.topo;
+  }
+}
+
+TEST(ReconfigResolve, BudgetExhaustedPlanResolvesToTheNaiveSwitch) {
+  // On mesh:5x2:2 the ladder runs out of its default budget among the
+  // per-channel masks, cheaply: the naive union is the fallback.
+  const topology::Topology topo = core::make_topology("mesh:5x2:2");
+  PlannerOptions options;
+  options.start_cycle = 300;
+  const StagedPlan staged = plan_certified_transition(
+      topo, "e-cube", "negative-first-nonmin", options);
+  ASSERT_EQ(staged.strategy, "budget-exhausted");
+  const TransitionPlan resolved = resolve(
+      parse_transition_plan("plan:negative-first-nonmin@300"), topo, "e-cube");
+  EXPECT_EQ(resolved.to_string(), "switch:negative-first-nonmin@300");
+}
+
+TEST(ReconfigResolve, IsTheIdentityOnPlannerFreePlans) {
+  const topology::Topology topo = core::make_topology("mesh:4x4:2");
+  for (const char* text :
+       {"none", "switch:duato-mesh@100", "stage:west-first/0-7@50",
+        "ramp:negative-first/4/25@10+barrier:duato-mesh/3-9@400",
+        "switch:e-cube@100"}) {
+    const TransitionPlan plan = parse_transition_plan(text);
+    EXPECT_EQ(resolve(plan, topo, "e-cube").to_string(), plan.to_string())
+        << text;
+  }
+}
+
+TEST(ReconfigResolve, OutputHoldsNoPlanEventAndRoundTrips) {
+  const topology::Topology topo = core::make_topology("mesh:2x2:1");
+  for (const char* text :
+       {"plan:negative-first@300", "plan:e-cube@300",
+        "switch:west-first@100+plan:negative-first@300",
+        "plan:negative-first@300+stage:e-cube/0-1@900"}) {
+    const TransitionPlan resolved =
+        resolve(parse_transition_plan(text), topo, "e-cube");
+    EXPECT_FALSE(has_plan_event(resolved)) << text;
+    const std::string printed = resolved.to_string();
+    EXPECT_EQ(parse_transition_plan(printed).to_string(), printed) << text;
+  }
+  // The identity plan resolves to nothing at all.
+  EXPECT_TRUE(
+      resolve(parse_transition_plan("plan:e-cube@300"), topo, "e-cube")
+          .empty());
+}
+
 TEST(ReconfigPlanner, EmittedPlansUseOnlySwitchAndBarrierEvents) {
   const StagedPlan plan = plan_for("mesh:2x2:1", "e-cube", "negative-first");
   ASSERT_TRUE(plan.certified);
