@@ -5,6 +5,13 @@
 // canonical escape class, the full subfunction search, and CWG construction.
 // Expected: polynomial growth for the graph builders; the subfunction search
 // is dominated by its (constant-count) VC-class candidates on these inputs.
+//
+// StateGraph, ExtendedCdg and the Duato searches report items_per_second in
+// reachable (channel, destination) states, the unit every checker kernel
+// scales with.  BENCH_checker.json at the repository root is the committed
+// baseline; CI's perf-smoke job writes a fresh run to
+// BENCH_checker_current.json and compares the two with
+// scripts/check_bench_regression.py on items_per_second, tolerance 0.20.
 #include <benchmark/benchmark.h>
 
 #include "wormnet/wormnet.hpp"
@@ -21,10 +28,14 @@ topology::Topology mesh_for(std::int64_t k) {
 void BM_StateGraph(benchmark::State& state) {
   const auto topo = mesh_for(state.range(0));
   const auto routing = routing::make_duato_mesh(topo);
+  std::size_t reachable = 0;
   for (auto _ : state) {
     cdg::StateGraph states(topo, *routing);
-    benchmark::DoNotOptimize(states.num_reachable_states());
+    reachable = states.num_reachable_states();
+    benchmark::DoNotOptimize(reachable);
   }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(reachable));
   state.SetComplexityN(topo.num_nodes());
 }
 BENCHMARK(BM_StateGraph)->Arg(4)->Arg(6)->Arg(8)->Arg(10)->Complexity();
@@ -54,21 +65,54 @@ void BM_ExtendedCdg(benchmark::State& state) {
     auto ecdg = cdg::build_extended_cdg(sub);
     benchmark::DoNotOptimize(ecdg.graph.num_edges());
   }
+  state.SetItemsProcessed(
+      state.iterations() *
+      static_cast<std::int64_t>(states.num_reachable_states()));
   state.SetComplexityN(topo.num_nodes());
 }
 BENCHMARK(BM_ExtendedCdg)->Arg(4)->Arg(6)->Arg(8)->Complexity();
 
+/// One Duato verification as a fault campaign runs it per epoch: state
+/// graph plus subfunction search, items = reachable states.
+void run_search(benchmark::State& state, const topology::Topology& topo,
+                const routing::RoutingFunction& routing) {
+  std::size_t reachable = 0;
+  for (auto _ : state) {
+    const cdg::StateGraph states(topo, routing);
+    auto result = cdg::search(states);
+    benchmark::DoNotOptimize(result.found);
+    reachable = states.num_reachable_states();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(reachable));
+}
+
 void BM_DuatoSearch(benchmark::State& state) {
   const auto topo = mesh_for(state.range(0));
   const auto routing = routing::make_duato_mesh(topo);
-  for (auto _ : state) {
-    const cdg::StateGraph states(topo, *routing);
-    auto result = cdg::search(states);
-    benchmark::DoNotOptimize(result.found);
-  }
+  run_search(state, topo, *routing);
   state.SetComplexityN(topo.num_nodes());
 }
 BENCHMARK(BM_DuatoSearch)->Arg(4)->Arg(6)->Arg(8)->Complexity();
+
+/// A faulted epoch: mesh:8x8:2 under duato-mesh with one adaptive (vc1)
+/// channel dead, the shape of a fault campaign's first kill.  The escape
+/// layer survives, so the search certifies at the vc0 candidate.
+void BM_DuatoSearchFaultedEpoch(benchmark::State& state) {
+  const auto topo = mesh_for(8);
+  std::vector<bool> dead(topo.num_channels(), false);
+  for (topology::ChannelId c = topo.num_channels() / 2;
+       c < topo.num_channels(); ++c) {
+    if (topo.channel(c).vc == 1) {
+      dead[c] = true;
+      break;
+    }
+  }
+  const routing::FaultAwareRouting routing(
+      topo, routing::make_duato_mesh(topo), std::move(dead));
+  run_search(state, topo, routing);
+}
+BENCHMARK(BM_DuatoSearchFaultedEpoch);
 
 void BM_CwgBuild(benchmark::State& state) {
   const auto topo = mesh_for(state.range(0));

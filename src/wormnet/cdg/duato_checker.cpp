@@ -1,22 +1,17 @@
 #include "wormnet/cdg/duato_checker.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "wormnet/obs/probe.hpp"
 
 namespace wormnet::cdg {
 
-DuatoReport check(const Subfunction& sub) {
-  DuatoReport report;
-  report.subfunction_label = sub.label();
-  const SubfunctionWitness connectivity = sub.connectivity_witness();
-  report.connected = connectivity.ok();
-  if (!report.connected) report.connectivity_witness = connectivity;
-  const SubfunctionWitness escape = sub.escape_witness();
-  report.escape_everywhere = escape.ok();
-  if (report.connected && !report.escape_everywhere) {
-    report.connectivity_witness = escape;
-  }
+namespace {
+
+/// The extended-CDG half of check(): edge counts and, when cyclic, the
+/// witness cycle with the kind of each of its edges.
+void check_acyclic(const Subfunction& sub, DuatoReport& report) {
   const ExtendedCdg ecdg = build_extended_cdg(sub);
   report.direct_edges = ecdg.direct_edges;
   report.indirect_edges = ecdg.indirect_edges;
@@ -33,6 +28,35 @@ DuatoReport check(const Subfunction& sub) {
       report.witness_cycle_kinds.push_back(ecdg.kind(from, to));
     }
   }
+}
+
+/// check() for a search candidate: runs the cheap gates (connectivity and
+/// escape-everywhere, much faster than the ECDG) once each, and builds the
+/// ECDG only when both pass.  nullopt when either gate fails.
+std::optional<DuatoReport> check_gated(const Subfunction& sub) {
+  if (!sub.connected() || !sub.escape_everywhere()) return std::nullopt;
+  DuatoReport report;
+  report.subfunction_label = sub.label();
+  report.connected = true;
+  report.escape_everywhere = true;
+  check_acyclic(sub, report);
+  return report;
+}
+
+}  // namespace
+
+DuatoReport check(const Subfunction& sub) {
+  DuatoReport report;
+  report.subfunction_label = sub.label();
+  const SubfunctionWitness connectivity = sub.connectivity_witness();
+  report.connected = connectivity.ok();
+  if (!report.connected) report.connectivity_witness = connectivity;
+  const SubfunctionWitness escape = sub.escape_witness();
+  report.escape_everywhere = escape.ok();
+  if (report.connected && !report.escape_everywhere) {
+    report.connectivity_witness = escape;
+  }
+  check_acyclic(sub, report);
   return report;
 }
 
@@ -44,13 +68,11 @@ bool try_candidate(const StateGraph& states, std::vector<bool> c1,
   ++result.candidates_tried;
   if (auto* probe = obs::checker_probe()) ++probe->subfunction_candidates;
   Subfunction sub(states, c1, label);
-  // Cheap gates first: connectivity checks are much faster than the ECDG.
-  if (!sub.connected() || !sub.escape_everywhere()) return false;
-  DuatoReport report = check(sub);
-  if (!report.holds()) return false;
+  std::optional<DuatoReport> report = check_gated(sub);
+  if (!report || !report->holds()) return false;
   result.found = true;
   result.c1 = std::move(c1);
-  result.report = std::move(report);
+  result.report = std::move(*report);
   return true;
 }
 
@@ -78,16 +100,15 @@ bool greedy_search(const StateGraph& states, SearchResult& result,
         ++probe->subfunction_candidates;
       }
       Subfunction sub(states, frame.c1, "greedy");
-      if (sub.connected() && sub.escape_everywhere()) {
-        DuatoReport report = check(sub);
-        if (report.holds()) {
+      if (std::optional<DuatoReport> report = check_gated(sub)) {
+        if (report->holds()) {
           result.found = true;
           result.c1 = frame.c1;
-          result.report = std::move(report);
+          result.report = std::move(*report);
           result.report.subfunction_label = "greedy-derived escape set";
           return true;
         }
-        frame.cycle = std::move(report.witness_cycle);
+        frame.cycle = std::move(report->witness_cycle);
         if (frame.cycle.empty()) {
           // Cyclic report must carry a cycle; defensive.
           stack.pop_back();

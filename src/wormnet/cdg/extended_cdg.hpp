@@ -14,6 +14,10 @@
 // Cross dependencies only arise for per-destination subfunctions — they are
 // exactly the coupling between different pairs' escape sets that the ICPP'94
 // condition adds over the 1993 sufficient condition.
+//
+// The builder computes, per destination, one escape-target closure over the
+// non-escape states instead of one excursion walk per escape state; DESIGN
+// 3.2 gives the algorithm and the first-discovery rule behind the counts.
 #pragma once
 
 #include <cstddef>
@@ -40,6 +44,8 @@ enum class DepKind : std::uint8_t {
 struct ExtendedCdg {
   graph::Digraph graph;        ///< all dependency edges
   graph::Digraph direct_only;  ///< direct (+ direct cross) edges only
+  // Each edge counts once, by first discovery: destinations ascending, a
+  // state's direct edges before its indirect ones.
   std::size_t direct_edges = 0;
   std::size_t indirect_edges = 0;        ///< indirect edges not already direct
   std::size_t cross_edges = 0;           ///< edges whose target is escape only

@@ -1,5 +1,6 @@
 #include "wormnet/cdg/states.hpp"
 
+#include <algorithm>
 #include <deque>
 
 namespace wormnet::cdg {
@@ -17,21 +18,22 @@ StateGraph::StateGraph(const Topology& topo, const RoutingFunction& routing)
 
   // Forward fixpoint per destination.
   std::deque<ChannelId> frontier;
+  ChannelSet route;
   for (NodeId dest = 0; dest < nodes; ++dest) {
     frontier.clear();
     for (NodeId src = 0; src < nodes; ++src) {
       if (src == dest) continue;
-      ChannelSet first =
-          routing.route(topology::kInvalidChannel, src, dest);
+      const std::size_t pair = static_cast<std::size_t>(src) * nodes + dest;
+      ChannelSet& first = inject_[pair];
+      routing.route_into(topology::kInvalidChannel, src, dest, first);
       for (ChannelId c : first) {
         if (!reachable_[index(c, dest)]) {
           reachable_[index(c, dest)] = true;
           frontier.push_back(c);
         }
       }
-      inject_wait_[static_cast<std::size_t>(src) * nodes + dest] =
+      inject_wait_[pair] =
           routing.waiting(topology::kInvalidChannel, src, dest);
-      inject_[static_cast<std::size_t>(src) * nodes + dest] = std::move(first);
     }
     while (!frontier.empty()) {
       const ChannelId c = frontier.front();
@@ -39,9 +41,13 @@ StateGraph::StateGraph(const Topology& topo, const RoutingFunction& routing)
       const NodeId head = topo.channel(c).dst;
       const std::size_t idx = index(c, dest);
       if (head == dest) continue;  // sink state: consumed
-      succ_[idx] = routing.route(c, head, dest);
-      wait_[idx] = routing.waiting(c, head, dest);
-      for (ChannelId next : succ_[idx]) {
+      route.clear();
+      routing.route_into(c, head, dest, route);
+      succ_[idx] = append(route);
+      const ChannelSet waits = routing.waiting(c, head, dest);
+      wait_[idx] = std::ranges::equal(waits, route) ? succ_[idx]
+                                                     : append(waits);
+      for (ChannelId next : route) {
         if (!reachable_[index(next, dest)]) {
           reachable_[index(next, dest)] = true;
           frontier.push_back(next);
@@ -50,6 +56,13 @@ StateGraph::StateGraph(const Topology& topo, const RoutingFunction& routing)
     }
   }
   for (bool r : reachable_) num_reachable_ += r ? 1 : 0;
+}
+
+StateGraph::Slice StateGraph::append(std::span<const ChannelId> channels) {
+  const Slice slice{static_cast<std::uint32_t>(lists_.size()),
+                    static_cast<std::uint32_t>(channels.size())};
+  lists_.insert(lists_.end(), channels.begin(), channels.end());
+  return slice;
 }
 
 void StateGraph::ensure_closure(NodeId dest) const {
@@ -69,7 +82,7 @@ void StateGraph::ensure_closure(NodeId dest) const {
     while (!stack.empty()) {
       const ChannelId u = stack.back();
       stack.pop_back();
-      for (ChannelId v : succ_[index(u, dest)]) {
+      for (ChannelId v : successors(u, dest)) {
         if (!(row[v / 64] & (1ULL << (v % 64)))) {
           row[v / 64] |= 1ULL << (v % 64);
           stack.push_back(v);

@@ -42,14 +42,14 @@ class StateGraph {
   /// head of c with input channel c.  Empty if the head is the destination.
   [[nodiscard]] std::span<const ChannelId> successors(ChannelId c,
                                                       NodeId dest) const {
-    return succ_[index(c, dest)];
+    return list(succ_[index(c, dest)]);
   }
 
   /// Waiting channels of state (c, dest) — the subset of successors the
   /// message may wait for when blocked.
   [[nodiscard]] std::span<const ChannelId> waiting(ChannelId c,
                                                    NodeId dest) const {
-    return wait_[index(c, dest)];
+    return list(wait_[index(c, dest)]);
   }
 
   /// First-hop channels available at source `src` for destination `dest`
@@ -77,16 +77,30 @@ class StateGraph {
   }
 
  private:
+  /// A state's successor or waiting list: a slice of `lists_`.
+  struct Slice {
+    std::uint32_t begin = 0;
+    std::uint32_t size = 0;
+  };
+
   [[nodiscard]] std::size_t index(ChannelId c, NodeId dest) const {
     return static_cast<std::size_t>(dest) * topo_->num_channels() + c;
   }
+  [[nodiscard]] std::span<const ChannelId> list(Slice slice) const {
+    return {lists_.data() + slice.begin, slice.size};
+  }
+  /// Appends `channels` to `lists_` and returns their slice.
+  Slice append(std::span<const ChannelId> channels);
   void ensure_closure(NodeId dest) const;
 
   const Topology* topo_;
   const RoutingFunction* routing_;
   std::vector<bool> reachable_;
-  std::vector<ChannelSet> succ_;
-  std::vector<ChannelSet> wait_;
+  // Successor and waiting lists of every state, flat: a state's waiting
+  // slice aliases its successor slice when the two lists are equal.
+  std::vector<ChannelId> lists_;
+  std::vector<Slice> succ_;
+  std::vector<Slice> wait_;
   std::vector<ChannelSet> inject_;
   std::vector<ChannelSet> inject_wait_;
   std::size_t num_reachable_ = 0;

@@ -1,5 +1,6 @@
 #include "wormnet/cdg/subfunction.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace wormnet::cdg {
@@ -82,14 +83,8 @@ SubfunctionWitness Subfunction::connectivity_witness() const {
         if (!in_c1(c, dest)) continue;
         // The hop must actually be supplied by R at u for dest (wildcard
         // injection input keeps this conservative for C x N x N relations).
-        bool supplied = false;
-        for (ChannelId r : states_->routing().route(topology::kInvalidChannel,
-                                                    u, dest)) {
-          if (r == c) {
-            supplied = true;
-            break;
-          }
-        }
+        const ChannelSet& first_hops = states_->injection(u, dest);
+        bool supplied = std::ranges::find(first_hops, c) != first_hops.end();
         // Also accept hops supplied mid-route (reachable state with this
         // successor) — needed for relations whose first hop differs.
         if (!supplied && states_->reachable(c, dest)) supplied = true;

@@ -34,7 +34,12 @@ struct CheckerStats {
   std::uint64_t ecdg_direct_edges = 0;
   std::uint64_t ecdg_indirect_edges = 0;
   std::uint64_t ecdg_cross_edges = 0;
-  std::uint64_t ecdg_excursion_visits = 0;  ///< DFS pushes on indirect walks
+  /// Successor scans by the ECDG builder's excursion closure: one per
+  /// non-escape state an excursion reaches, per destination.  A state that
+  /// several escape states reach is scanned once, so wormbench's
+  /// `cdg.excursion_visits` reads lower than under the earlier per-escape-
+  /// state walks, which counted it once per walk.
+  std::uint64_t ecdg_excursion_visits = 0;
   std::uint64_t cwg_builds = 0;
   std::uint64_t cwg_edges = 0;
 

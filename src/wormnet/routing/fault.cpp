@@ -1,9 +1,23 @@
 #include "wormnet/routing/fault.hpp"
 
+#include <algorithm>
 #include <set>
 #include <stdexcept>
 
 namespace wormnet::routing {
+namespace {
+
+/// Removes the masked channels of `out` from index `first` on, keeping the
+/// survivors in order.
+void drop_masked(ChannelSet& out, std::size_t first,
+                 const std::vector<bool>& mask) {
+  const auto from = out.begin() + static_cast<std::ptrdiff_t>(first);
+  out.erase(std::remove_if(from, out.end(),
+                           [&mask](ChannelId c) { return mask[c]; }),
+            out.end());
+}
+
+}  // namespace
 
 FaultAwareRouting::FaultAwareRouting(const Topology& topo,
                                      std::unique_ptr<RoutingFunction> base,
@@ -19,19 +33,25 @@ std::string FaultAwareRouting::name() const {
   return base_->name() + "+faults(" + std::to_string(count_) + ")";
 }
 
-ChannelSet FaultAwareRouting::filter(ChannelSet set) const {
-  std::erase_if(set, [this](ChannelId c) { return faulty_[c]; });
-  return set;
-}
-
 ChannelSet FaultAwareRouting::route(ChannelId input, NodeId current,
                                     NodeId dest) const {
-  return filter(base_->route(input, current, dest));
+  ChannelSet out;
+  route_into(input, current, dest, out);
+  return out;
+}
+
+void FaultAwareRouting::route_into(ChannelId input, NodeId current,
+                                   NodeId dest, ChannelSet& out) const {
+  const std::size_t first = out.size();
+  base_->route_into(input, current, dest, out);
+  drop_masked(out, first, faulty_);
 }
 
 ChannelSet FaultAwareRouting::waiting(ChannelId input, NodeId current,
                                       NodeId dest) const {
-  return filter(base_->waiting(input, current, dest));
+  ChannelSet set = base_->waiting(input, current, dest);
+  drop_masked(set, 0, faulty_);
+  return set;
 }
 
 DynamicFaultRouting::DynamicFaultRouting(const Topology& topo,
@@ -47,19 +67,25 @@ std::string DynamicFaultRouting::name() const {
   return base_->name() + "+overlay";
 }
 
-ChannelSet DynamicFaultRouting::filter(ChannelSet set) const {
-  std::erase_if(set, [this](ChannelId c) { return (*mask_)[c]; });
-  return set;
-}
-
 ChannelSet DynamicFaultRouting::route(ChannelId input, NodeId current,
                                       NodeId dest) const {
-  return filter(base_->route(input, current, dest));
+  ChannelSet out;
+  route_into(input, current, dest, out);
+  return out;
+}
+
+void DynamicFaultRouting::route_into(ChannelId input, NodeId current,
+                                     NodeId dest, ChannelSet& out) const {
+  const std::size_t first = out.size();
+  base_->route_into(input, current, dest, out);
+  drop_masked(out, first, *mask_);
 }
 
 ChannelSet DynamicFaultRouting::waiting(ChannelId input, NodeId current,
                                         NodeId dest) const {
-  return filter(base_->waiting(input, current, dest));
+  ChannelSet set = base_->waiting(input, current, dest);
+  drop_masked(set, 0, *mask_);
+  return set;
 }
 
 std::size_t mark_link_faulty(const Topology& topo, NodeId src, NodeId dst,

@@ -34,6 +34,8 @@ class FaultAwareRouting final : public RoutingFunction {
 
   [[nodiscard]] ChannelSet route(ChannelId input, NodeId current,
                                  NodeId dest) const override;
+  void route_into(ChannelId input, NodeId current, NodeId dest,
+                  ChannelSet& out) const override;
   [[nodiscard]] ChannelSet waiting(ChannelId input, NodeId current,
                                    NodeId dest) const override;
 
@@ -41,8 +43,6 @@ class FaultAwareRouting final : public RoutingFunction {
   [[nodiscard]] bool is_faulty(ChannelId c) const { return faulty_[c]; }
 
  private:
-  [[nodiscard]] ChannelSet filter(ChannelSet set) const;
-
   std::unique_ptr<RoutingFunction> base_;
   std::vector<bool> faulty_;
   std::size_t count_ = 0;
@@ -68,12 +68,12 @@ class DynamicFaultRouting final : public RoutingFunction {
 
   [[nodiscard]] ChannelSet route(ChannelId input, NodeId current,
                                  NodeId dest) const override;
+  void route_into(ChannelId input, NodeId current, NodeId dest,
+                  ChannelSet& out) const override;
   [[nodiscard]] ChannelSet waiting(ChannelId input, NodeId current,
                                    NodeId dest) const override;
 
  private:
-  [[nodiscard]] ChannelSet filter(ChannelSet set) const;
-
   const RoutingFunction* base_;
   const std::vector<bool>* mask_;
 };

@@ -155,5 +155,64 @@ TEST(Fault, NonminimalHplRoutesAroundFaults) {
   EXPECT_FALSE(out.empty());
 }
 
+TEST(Fault, RouteIntoMatchesRouteForBothWrappers) {
+  // Property: for seeded random fault masks, both wrappers' route() and
+  // route_into() give the base relation's route() minus the dead channels,
+  // in the base's order; route_into appends after whatever the caller's
+  // vector already holds.  The simulator's hot path relies on route_into;
+  // the checkers and the certificate auditor on route().
+  std::size_t calls = 0;
+  std::vector<std::string> mismatches;
+  for (const char* spec : {"mesh:4x4:2", "torus:4x4:3", "hypercube:3:2"}) {
+    const Topology topo = core::make_topology(spec);
+    for (const core::AlgorithmEntry* alg : core::algorithms_for(topo)) {
+      const auto base = alg->make(topo);
+      for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+        util::Xoshiro256 rng(seed);
+        std::vector<bool> mask(topo.num_channels(), false);
+        for (ChannelId c = 0; c < topo.num_channels(); ++c) {
+          mask[c] = rng.chance(0.2);
+        }
+        const FaultAwareRouting owned(topo, alg->make(topo), mask);
+        const DynamicFaultRouting live(topo, *base, mask);
+        for (const RoutingFunction* wrapper :
+             {static_cast<const RoutingFunction*>(&owned),
+              static_cast<const RoutingFunction*>(&live)}) {
+          for (NodeId at = 0; at < topo.num_nodes(); ++at) {
+            const auto in = topo.in_channels(at);
+            for (NodeId dest = 0; dest < topo.num_nodes(); ++dest) {
+              if (at == dest) continue;
+              // The injection input plus one seeded arrival channel.
+              const ChannelId arrival = in[rng.below(in.size())];
+              for (ChannelId input : {topology::kInvalidChannel, arrival}) {
+                ChannelSet want;
+                for (ChannelId c : base->route(input, at, dest)) {
+                  if (!mask[c]) want.push_back(c);
+                }
+                ChannelSet got{topology::kInvalidChannel};
+                wrapper->route_into(input, at, dest, got);
+                ++calls;
+                if (wrapper->route(input, at, dest) != want ||
+                    got.front() != topology::kInvalidChannel ||
+                    !std::equal(want.begin(), want.end(), got.begin() + 1,
+                                got.end())) {
+                  mismatches.push_back(std::string(spec) + " " + alg->name +
+                                       " " + wrapper->name() + " seed " +
+                                       std::to_string(seed) + " at " +
+                                       std::to_string(at) + " dest " +
+                                       std::to_string(dest));
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(calls, 5000u);
+  EXPECT_TRUE(mismatches.empty()) << mismatches.size() << " mismatches, first: "
+                                  << (mismatches.empty() ? "" : mismatches[0]);
+}
+
 }  // namespace
 }  // namespace wormnet::routing
