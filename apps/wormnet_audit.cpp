@@ -28,10 +28,7 @@
 #include "wormnet/audit/certificate.hpp"
 #include "wormnet/audit/check.hpp"
 #include "wormnet/core/registry.hpp"
-#include "wormnet/ft/fault_plan.hpp"
-#include "wormnet/reconfig/transition_plan.hpp"
 #include "wormnet/reconfig/union_routing.hpp"
-#include "wormnet/routing/fault.hpp"
 
 namespace {
 
@@ -93,27 +90,11 @@ int audit_file(const char* argv0, const std::string& path,
   std::unique_ptr<topology::Topology> topo;
   try {
     topo = std::make_unique<topology::Topology>(core::make_topology(topo_spec));
-    if (!transition.empty()) {
-      // The certificate speaks about a reconfiguration epoch's union
-      // relation; the persisted UnionSpec rebuilds it member by member.
-      // A composed certificate (fault x reconfig, DESIGN 3.13) carries a
-      // fault mask as well — the bound relation is the union degraded by
-      // that mask, in that order.
-      routing = reconfig::make_union_routing(
-          *topo, reconfig::parse_union_spec(transition, topo->num_nodes()));
-      if (!fault_mask.empty()) {
-        routing = std::make_unique<routing::FaultAwareRouting>(
-            *topo, std::move(routing),
-            ft::mask_from_hex(fault_mask, topo->num_channels()));
-      }
-    } else {
-      routing = core::make_algorithm(routing_name, *topo);
-      if (!fault_mask.empty()) {
-        routing = std::make_unique<routing::FaultAwareRouting>(
-            *topo, std::move(routing),
-            ft::mask_from_hex(fault_mask, topo->num_channels()));
-      }
-    }
+    // A transition binding names a reconfiguration epoch's union relation
+    // (the routing name is then informative only); a fault mask degrades
+    // the relation, composed certificates (DESIGN 3.13) carrying both.
+    routing = reconfig::RelationExpr(routing_name, transition, fault_mask)
+                  .build(*topo);
   } catch (const std::invalid_argument& e) {
     std::cerr << argv0 << ": " << path << ": cannot construct binding "
               << topo_spec << " / " << routing_name << ": " << e.what()

@@ -35,8 +35,6 @@
 #include "wormnet/cdg/duato_checker.hpp"
 #include "wormnet/cdg/states.hpp"
 #include "wormnet/core/registry.hpp"
-#include "wormnet/ft/fault_plan.hpp"
-#include "wormnet/routing/fault.hpp"
 #include "wormnet/exp/sweep_io.hpp"
 #include "wormnet/exp/sweep_runner.hpp"
 #include "wormnet/ft/recovery.hpp"
@@ -170,30 +168,9 @@ std::size_t write_certificates(const char* argv0, const std::string& dir,
                .first;
     }
     const topology::Topology& topo = it->second;
-    std::unique_ptr<routing::RoutingFunction> routing;
-    if (!cert.transition.empty()) {
-      // Transition-epoch certificates speak about the union relation; the
-      // persisted UnionSpec rebuilds it exactly (the base relation is the
-      // spec's first member, so cert.routing is informative only).  A
-      // composed certificate (DESIGN 3.13) additionally carries the fault
-      // mask the epoch ran under — the relation is the union degraded by
-      // that mask, in that order.
-      routing = reconfig::make_union_routing(
-          topo, reconfig::parse_union_spec(cert.transition,
-                                           topo.num_nodes()));
-      if (!cert.fault_mask.empty()) {
-        routing = std::make_unique<routing::FaultAwareRouting>(
-            topo, std::move(routing),
-            ft::mask_from_hex(cert.fault_mask, topo.num_channels()));
-      }
-    } else {
-      routing = core::make_algorithm(cert.routing, topo);
-      if (!cert.fault_mask.empty()) {
-        routing = std::make_unique<routing::FaultAwareRouting>(
-            topo, std::move(routing),
-            ft::mask_from_hex(cert.fault_mask, topo.num_channels()));
-      }
-    }
+    const auto routing =
+        reconfig::RelationExpr(cert.routing, cert.transition, cert.fault_mask)
+            .build(topo);
     const audit::AuditResult audit = audit::check(topo, *routing, cert);
     if (!audit.ok()) {
       std::cerr << argv0 << ": AUDIT CONTRADICTION for " << record.key << ": "

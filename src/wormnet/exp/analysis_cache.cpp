@@ -2,19 +2,15 @@
 
 #include "wormnet/core/registry.hpp"
 #include "wormnet/core/verifier.hpp"
-#include "wormnet/ft/fault_plan.hpp"
-#include "wormnet/reconfig/union_routing.hpp"
-#include "wormnet/routing/fault.hpp"
 
 namespace wormnet::exp {
 
-const AnalysisEntry& AnalysisCache::get(const std::string& topo_spec,
-                                        const std::string& routing) {
-  const std::string key = topo_spec + "|" + routing;
+const AnalysisEntry& AnalysisCache::get(
+    const std::string& topo_spec, const reconfig::RelationExpr& relation) {
   Slot* slot = nullptr;
   {
     std::lock_guard lock(registry_mutex_);
-    auto& owned = slots_[key];
+    auto& owned = slots_[relation.key(topo_spec)];
     if (!owned) owned = std::make_unique<Slot>();
     slot = owned.get();
   }
@@ -29,13 +25,33 @@ const AnalysisEntry& AnalysisCache::get(const std::string& topo_spec,
     return slot->entry;
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
-  obs::Profiler::Scope miss_timer(profiler_, "sweep.analysis");
+
+  // Every epoch but a pristine registry relation shares the topology and
+  // canonical name of its base relation's entry.  The nested get() is
+  // lock-safe: it only ever takes registry_mutex_ and its own slot's fill
+  // mutex, never this one.
+  const bool pristine_registry =
+      relation.transition.empty() && relation.fault_mask.empty();
+  const AnalysisEntry* base =
+      pristine_registry
+          ? nullptr
+          : &get(topo_spec, reconfig::RelationExpr(relation.routing));
+  obs::Profiler::Scope miss_timer(
+      profiler_, pristine_registry ? "sweep.analysis" : "sweep.epoch_reverify");
 
   AnalysisEntry entry;
-  entry.topo = std::make_shared<const topology::Topology>(
-      core::make_topology(topo_spec));
-  entry.routing = core::canonical_algorithm_name(routing, *entry.topo);
-  const auto algorithm = core::make_algorithm(entry.routing, *entry.topo);
+  if (base != nullptr) {
+    entry.topo = base->topo;
+    entry.routing = base->routing;
+  } else {
+    entry.topo = std::make_shared<const topology::Topology>(
+        core::make_topology(topo_spec));
+    entry.routing =
+        core::canonical_algorithm_name(relation.routing, *entry.topo);
+  }
+  const reconfig::RelationExpr canonical(entry.routing, relation.transition,
+                                         relation.fault_mask);
+  const auto algorithm = canonical.build(*entry.topo);
 
   core::VerifyOptions options;
   options.method = core::Method::kDuato;
@@ -46,10 +62,11 @@ const AnalysisEntry& AnalysisCache::get(const std::string& topo_spec,
     entry.duato = std::move(certified.verdict);
     if (certified.certificate) {
       // Rebind the labels to the registry coordinates so the certificate
-      // names the exact spec + canonical algorithm it was emitted for.
+      // names the exact relation it was emitted for.
       certified.certificate->topology = topo_spec;
-      certified.certificate->routing = entry.routing;
-      certified.certificate->fault_mask.clear();
+      certified.certificate->routing = canonical.routing;
+      certified.certificate->transition = canonical.transition;
+      certified.certificate->fault_mask = canonical.fault_mask;
       entry.certificate = std::make_shared<const audit::Certificate>(
           std::move(*certified.certificate));
     }
@@ -58,198 +75,10 @@ const AnalysisEntry& AnalysisCache::get(const std::string& topo_spec,
   }
   entry.certified =
       entry.duato.conclusion == core::Conclusion::kDeadlockFree;
-  if (with_cwg_) {
+  if (with_cwg_ && pristine_registry) {
     options.method = core::Method::kCwg;
     entry.cwg = core::verify(*entry.topo, *algorithm, options);
   }
-
-  slot->entry = std::move(entry);
-  slot->ready.store(true, std::memory_order_release);
-  return slot->entry;
-}
-
-const AnalysisEntry& AnalysisCache::get_degraded(
-    const std::string& topo_spec, const std::string& routing,
-    const std::vector<bool>& mask) {
-  const std::string key =
-      topo_spec + "|" + routing + "|" + ft::mask_to_hex(mask);
-  Slot* slot = nullptr;
-  {
-    std::lock_guard lock(registry_mutex_);
-    auto& owned = slots_[key];
-    if (!owned) owned = std::make_unique<Slot>();
-    slot = owned.get();
-  }
-  if (slot->ready.load(std::memory_order_acquire)) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return slot->entry;
-  }
-  std::lock_guard fill_lock(slot->fill);
-  if (slot->ready.load(std::memory_order_acquire)) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return slot->entry;
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-
-  // The pristine entry shares the topology and resolves the canonical name;
-  // get() is safe to call here (it only ever takes registry_mutex_ and its
-  // own slot's fill mutex, never this one).
-  const AnalysisEntry& base = get(topo_spec, routing);
-  obs::Profiler::Scope miss_timer(profiler_, "sweep.epoch_reverify");
-
-  AnalysisEntry entry;
-  entry.topo = base.topo;
-  entry.routing = base.routing;
-  routing::FaultAwareRouting degraded(
-      *entry.topo, core::make_algorithm(entry.routing, *entry.topo), mask);
-
-  core::VerifyOptions options;
-  options.method = core::Method::kDuato;
-  options.profiler = profiler_;
-  if (certify_) {
-    core::CertifiedVerdict certified =
-        core::verify_certified(*entry.topo, degraded, options);
-    entry.duato = std::move(certified.verdict);
-    if (certified.certificate) {
-      certified.certificate->topology = topo_spec;
-      certified.certificate->routing = entry.routing;
-      certified.certificate->fault_mask = ft::mask_to_hex(mask);
-      entry.certificate = std::make_shared<const audit::Certificate>(
-          std::move(*certified.certificate));
-    }
-  } else {
-    entry.duato = core::verify(*entry.topo, degraded, options);
-  }
-  entry.certified =
-      entry.duato.conclusion == core::Conclusion::kDeadlockFree;
-
-  slot->entry = std::move(entry);
-  slot->ready.store(true, std::memory_order_release);
-  return slot->entry;
-}
-
-const AnalysisEntry& AnalysisCache::get_transition(
-    const std::string& topo_spec, const reconfig::UnionSpec& spec) {
-  const std::string key = topo_spec + "|transition|" + spec.to_string();
-  Slot* slot = nullptr;
-  {
-    std::lock_guard lock(registry_mutex_);
-    auto& owned = slots_[key];
-    if (!owned) owned = std::make_unique<Slot>();
-    slot = owned.get();
-  }
-  if (slot->ready.load(std::memory_order_acquire)) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return slot->entry;
-  }
-  std::lock_guard fill_lock(slot->fill);
-  if (slot->ready.load(std::memory_order_acquire)) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return slot->entry;
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-
-  // Shares the topology with the base pair's entry (see get_degraded for
-  // why the nested get() is lock-safe).
-  const AnalysisEntry& base = get(topo_spec, spec.names.front());
-  obs::Profiler::Scope miss_timer(profiler_, "sweep.epoch_reverify");
-
-  AnalysisEntry entry;
-  entry.topo = base.topo;
-  entry.routing = base.routing;
-  const std::unique_ptr<reconfig::UnionRouting> relation =
-      reconfig::make_union_routing(*entry.topo, spec);
-
-  core::VerifyOptions options;
-  options.method = core::Method::kDuato;
-  options.profiler = profiler_;
-  if (certify_) {
-    core::CertifiedVerdict certified =
-        core::verify_certified(*entry.topo, *relation, options);
-    entry.duato = std::move(certified.verdict);
-    if (certified.certificate) {
-      certified.certificate->topology = topo_spec;
-      certified.certificate->routing = entry.routing;
-      certified.certificate->fault_mask.clear();
-      certified.certificate->transition = spec.to_string();
-      entry.certificate = std::make_shared<const audit::Certificate>(
-          std::move(*certified.certificate));
-    }
-  } else {
-    entry.duato = core::verify(*entry.topo, *relation, options);
-  }
-  entry.certified =
-      entry.duato.conclusion == core::Conclusion::kDeadlockFree;
-
-  slot->entry = std::move(entry);
-  slot->ready.store(true, std::memory_order_release);
-  return slot->entry;
-}
-
-const AnalysisEntry& AnalysisCache::get_composed(
-    const std::string& topo_spec, const reconfig::UnionSpec& spec,
-    const std::vector<bool>& mask) {
-  bool pristine = true;
-  for (const bool dead : mask) {
-    if (dead) {
-      pristine = false;
-      break;
-    }
-  }
-  if (pristine) return get_transition(topo_spec, spec);
-
-  const std::string hex = ft::mask_to_hex(mask);
-  const std::string key =
-      topo_spec + "|transition|" + spec.to_string() + "|" + hex;
-  Slot* slot = nullptr;
-  {
-    std::lock_guard lock(registry_mutex_);
-    auto& owned = slots_[key];
-    if (!owned) owned = std::make_unique<Slot>();
-    slot = owned.get();
-  }
-  if (slot->ready.load(std::memory_order_acquire)) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return slot->entry;
-  }
-  std::lock_guard fill_lock(slot->fill);
-  if (slot->ready.load(std::memory_order_acquire)) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return slot->entry;
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-
-  // Shares the topology with the base pair's entry (see get_degraded for
-  // why the nested get() is lock-safe).
-  const AnalysisEntry& base = get(topo_spec, spec.names.front());
-  obs::Profiler::Scope miss_timer(profiler_, "sweep.epoch_reverify");
-
-  AnalysisEntry entry;
-  entry.topo = base.topo;
-  entry.routing = base.routing;
-  routing::FaultAwareRouting composed(
-      *entry.topo, reconfig::make_union_routing(*entry.topo, spec), mask);
-
-  core::VerifyOptions options;
-  options.method = core::Method::kDuato;
-  options.profiler = profiler_;
-  if (certify_) {
-    core::CertifiedVerdict certified =
-        core::verify_certified(*entry.topo, composed, options);
-    entry.duato = std::move(certified.verdict);
-    if (certified.certificate) {
-      certified.certificate->topology = topo_spec;
-      certified.certificate->routing = entry.routing;
-      certified.certificate->fault_mask = hex;
-      certified.certificate->transition = spec.to_string();
-      entry.certificate = std::make_shared<const audit::Certificate>(
-          std::move(*certified.certificate));
-    }
-  } else {
-    entry.duato = core::verify(*entry.topo, composed, options);
-  }
-  entry.certified =
-      entry.duato.conclusion == core::Conclusion::kDeadlockFree;
 
   slot->entry = std::move(entry);
   slot->ready.store(true, std::memory_order_release);

@@ -22,7 +22,7 @@
 #include "wormnet/audit/certificate.hpp"
 #include "wormnet/core/verdict.hpp"
 #include "wormnet/obs/profiler.hpp"
-#include "wormnet/reconfig/transition_plan.hpp"
+#include "wormnet/reconfig/union_routing.hpp"
 #include "wormnet/topology/topology.hpp"
 
 namespace wormnet::exp {
@@ -38,17 +38,16 @@ struct AnalysisEntry {
   /// far more likely, the implementation).
   bool certified = false;
   /// Proof-carrying certificate for the decisive verdict, when emission is
-  /// on and the verdict admits one.  Its topology/routing fields carry the
-  /// registry spec + canonical name, fault_mask the epoch's hex mask, so
-  /// `wormnet-audit` can rebuild the exact relation it speaks about.
+  /// on and the verdict admits one.  Its topology field carries the
+  /// registry spec and its routing/transition/fault_mask fields the epoch's
+  /// RelationExpr, so `wormnet-audit` can rebuild the exact relation it
+  /// speaks about.
   std::shared_ptr<const audit::Certificate> certificate;
 };
 
 /// One persisted certificate, in deterministic (cache-key) order.
 struct CertificateRecord {
-  std::string key;  ///< "topo|routing", "topo|routing|mask",
-                    ///< "topo|transition|spec" or
-                    ///< "topo|transition|spec|mask"
+  std::string key;  ///< reconfig::RelationExpr::key
   std::shared_ptr<const audit::Certificate> certificate;
 };
 
@@ -67,43 +66,17 @@ class AnalysisCache {
                          bool certify = false)
       : with_cwg_(with_cwg), certify_(certify), profiler_(profiler) {}
 
-  /// Returns the entry for (topology spec, canonical routing name),
-  /// computing it on first use.  The reference stays valid for the cache's
+  /// Returns the entry for one epoch relation on a topology spec, computing
+  /// it on first use.  Keyed by `relation.key(topo_spec)`, so a sweep
+  /// verifies each distinct pristine, faulted, transition or composed epoch
+  /// exactly once no matter how many points — or threads — pass through
+  /// it.  CWG analysis only ever runs for pristine registry relations.  An
+  /// emitted certificate's binding is the expression itself, with the
+  /// canonical routing name.  The reference stays valid for the cache's
   /// lifetime.  Throws std::invalid_argument for specs/names that do not
   /// resolve (expand() normally filters these out beforehand).
   const AnalysisEntry& get(const std::string& topo_spec,
-                           const std::string& routing);
-
-  /// Like get(), but for the relation degraded by a fault mask (`mask[c]`
-  /// marks channel c dead): the verdict of FaultAwareRouting over the base
-  /// algorithm.  Keyed by (topo spec, routing, mask), so a sweep re-verifies
-  /// each distinct fault epoch exactly once no matter how many points —
-  /// or threads — pass through it.  CWG analysis is never run for degraded
-  /// relations (epoch certification only needs the Duato verdict).
-  const AnalysisEntry& get_degraded(const std::string& topo_spec,
-                                    const std::string& routing,
-                                    const std::vector<bool>& mask);
-
-  /// Like get(), but for the union relation of one reconfiguration epoch
-  /// (reconfig::UnionSpec, serialized into the key): the verdict of
-  /// UnionRouting over the spec's member relations.  Keyed by
-  /// (topo spec, spec.to_string()), so a sweep re-verifies each distinct
-  /// transition epoch exactly once no matter how many points — or threads —
-  /// pass through it.  Emitted certificates carry the spec in their
-  /// `transition` binding and the base relation as `routing`.
-  const AnalysisEntry& get_transition(const std::string& topo_spec,
-                                      const reconfig::UnionSpec& spec);
-
-  /// Like get_transition(), but for a *composed* epoch: the union relation
-  /// additionally degraded by a live fault mask (DESIGN 3.13) — the relation
-  /// a fault x reconfig point actually runs between two of its steps.
-  /// Keyed by (topo spec, spec.to_string(), mask hex); a pristine mask
-  /// delegates to get_transition so the pure epoch owns a single slot.
-  /// Emitted certificates carry the spec in `transition` AND the mask in
-  /// `fault_mask`, so the auditor rebuilds FaultAwareRouting(UnionRouting).
-  const AnalysisEntry& get_composed(const std::string& topo_spec,
-                                    const reconfig::UnionSpec& spec,
-                                    const std::vector<bool>& mask);
+                           const reconfig::RelationExpr& relation);
 
   [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
   [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }

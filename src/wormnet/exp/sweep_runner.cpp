@@ -22,7 +22,8 @@ SweepResult run_point(const SweepSpec& spec, const SweepPoint& point,
   obs::Profiler* profiler = options.profiler;
   const auto point_start = std::chrono::steady_clock::now();
   obs::Profiler::Scope point_timer(profiler, "sweep.point");
-  const AnalysisEntry& analysis = cache.get(point.topology, point.routing);
+  const AnalysisEntry& analysis =
+      cache.get(point.topology, reconfig::RelationExpr(point.routing));
   // Routing functions are rebuilt per point: construction is cheap and it
   // sidesteps any question of sharing virtual dispatch state across threads.
   const auto routing = core::make_algorithm(point.routing, *analysis.topo);
@@ -45,8 +46,9 @@ SweepResult run_point(const SweepSpec& spec, const SweepPoint& point,
     // masks[0] is the pristine network — that verdict is `analysis`
     // itself; only the degraded epochs need a re-check.
     for (std::size_t e = 1; e < masks.size(); ++e) {
-      const AnalysisEntry& epoch =
-          cache.get_degraded(point.topology, point.routing, masks[e]);
+      const AnalysisEntry& epoch = cache.get(
+          point.topology, reconfig::RelationExpr(point.routing, "",
+                                                 ft::mask_to_hex(masks[e])));
       ++result.fault_epochs;
       if (!epoch.certified) ++result.uncertified_epochs;
     }
@@ -65,8 +67,9 @@ SweepResult run_point(const SweepSpec& spec, const SweepPoint& point,
     cfg.transition = &transition;
     for (const reconfig::UnionSpec& spec_epoch :
          transition.verification_epochs()) {
-      const AnalysisEntry& epoch =
-          cache.get_transition(point.topology, spec_epoch);
+      const AnalysisEntry& epoch = cache.get(
+          point.topology,
+          reconfig::RelationExpr(point.routing, spec_epoch.to_string()));
       ++result.transition_epochs;
       if (!epoch.certified) ++result.uncertified_transition_epochs;
     }
@@ -78,24 +81,10 @@ SweepResult run_point(const SweepSpec& spec, const SweepPoint& point,
     // through the certificate pipeline.
     const bool composed_point = cfg.fault_plan != nullptr;
     if (composed_point || options.rollback) {
-      const std::size_t channels = analysis.topo->num_channels();
-      reconfig::GuardCertifier certifier =
-          [&](const reconfig::UnionSpec& epoch_spec,
-              const std::string& mask_hex) {
-            std::vector<bool> mask(channels, false);
-            if (!mask_hex.empty()) {
-              mask = ft::mask_from_hex(mask_hex, channels);
-            }
-            bool pristine = true;
-            for (const bool dead : mask) {
-              if (dead) {
-                pristine = false;
-                break;
-              }
-            }
-            const AnalysisEntry& epoch =
-                cache.get_composed(point.topology, epoch_spec, mask);
-            if (!pristine) {
+      const reconfig::GuardCertifier certifier =
+          [&](const reconfig::RelationExpr& relation) {
+            const AnalysisEntry& epoch = cache.get(point.topology, relation);
+            if (!relation.fault_mask.empty()) {
               ++result.composed_epochs;
               if (!epoch.certified) ++result.uncertified_composed_epochs;
             }

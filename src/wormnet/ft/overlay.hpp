@@ -1,10 +1,10 @@
 // The live fault mask of a running simulation.
 //
 // FaultOverlay owns the mutable per-channel fault vector a simulation routes
-// around: the Simulator applies CompiledSteps between cycles, and a
-// routing::DynamicFaultRouting wrapper (plus the allocator's own filter)
-// reads the mask by reference — so every consumer sees the new epoch the
-// cycle after an event fires, with no rebuild of the routing function.
+// around: the Simulator applies CompiledSteps between cycles, and the
+// sim::RouteAllocator reads the mask by reference, filtering every candidate
+// set through it — so every consumer sees the new epoch the cycle after an
+// event fires, with no rebuild of the routing function.
 //
 // apply() reports the channels that actually changed state; killing a dead
 // channel (e.g. a random campaign overlapping a scheduled kill) is idempotent

@@ -5,8 +5,6 @@
 #include <utility>
 
 #include "wormnet/core/verifier.hpp"
-#include "wormnet/reconfig/union_routing.hpp"
-#include "wormnet/routing/fault.hpp"
 
 namespace wormnet::reconfig {
 
@@ -32,17 +30,9 @@ bool TransitionGuard::all_proceed() const {
 
 namespace {
 
-bool default_certify(const Topology& topo, const UnionSpec& spec,
-                     const std::string& mask_hex) {
+bool default_certify(const Topology& topo, const RelationExpr& relation) {
   try {
-    std::unique_ptr<routing::RoutingFunction> relation =
-        make_union_routing(topo, spec);
-    if (!mask_hex.empty()) {
-      relation = std::make_unique<routing::FaultAwareRouting>(
-          topo, std::move(relation),
-          ft::mask_from_hex(mask_hex, topo.num_channels()));
-    }
-    return core::verify(topo, *relation).conclusion ==
+    return core::verify(topo, *relation.build(topo)).conclusion ==
            core::Conclusion::kDeadlockFree;
   } catch (const std::exception&) {
     return false;
@@ -57,8 +47,8 @@ TransitionGuard build_transition_guard(const Topology& topo,
                                        const GuardCertifier& certifier) {
   const GuardCertifier certify =
       certifier ? certifier
-                : [&topo](const UnionSpec& spec, const std::string& mask_hex) {
-                    return default_certify(topo, spec, mask_hex);
+                : [&topo](const RelationExpr& relation) {
+                    return default_certify(topo, relation);
                   };
 
   const std::size_t n = plan.num_nodes;
@@ -118,6 +108,11 @@ TransitionGuard build_transition_guard(const Topology& topo,
     return spec;
   };
 
+  // The composed epoch a union spec denotes under the live fault mask.
+  const auto epoch_of = [&](const std::string& spec) {
+    return RelationExpr(plan.base, spec, mask_hex);
+  };
+
   const auto pure_base = [&]() {
     for (std::size_t v = 1; v < versions; ++v) {
       for (const bool live : active[v]) {
@@ -131,10 +126,10 @@ TransitionGuard build_transition_guard(const Topology& topo,
   const auto repair = [&](GuardDecision& decision) {
     std::vector<std::vector<bool>> rb = active;
     rb[0].assign(n, true);
-    const UnionSpec rollback_union = spec_from(rb);
-    if (certify(rollback_union, mask_hex)) {
+    const std::string rollback_epoch = spec_from(rb).to_string();
+    if (certify(epoch_of(rollback_epoch))) {
       decision.action = GuardAction::kRollback;
-      decision.rollback_epoch = rollback_union.to_string();
+      decision.rollback_epoch = rollback_epoch;
       for (std::size_t d = 0; d < n; ++d) {
         if (current[d] != 0) {
           decision.cutover.assignments.push_back(
@@ -160,9 +155,8 @@ TransitionGuard build_transition_guard(const Topology& topo,
       // pure base relation; the ordinary per-fault-epoch verification
       // covers that, so the guard has nothing to add.
       if (aborted || pure_base()) continue;
-      const UnionSpec candidate = spec_from(active);
-      decision.epoch = candidate.to_string();
-      if (certify(candidate, mask_hex)) continue;
+      decision.epoch = spec_from(active).to_string();
+      if (certify(epoch_of(decision.epoch))) continue;
       repair(decision);
     } else {
       GuardDecision& decision = guard.step[item.index];
@@ -179,9 +173,8 @@ TransitionGuard build_transition_guard(const Topology& topo,
         next_active[a.version][a.dest] = true;
         next_current[a.dest] = a.version;
       }
-      const UnionSpec candidate = spec_from(next_active);
-      decision.epoch = candidate.to_string();
-      if (certify(candidate, mask_hex)) {
+      decision.epoch = spec_from(next_active).to_string();
+      if (certify(epoch_of(decision.epoch))) {
         active = std::move(next_active);
         current = std::move(next_current);
         continue;

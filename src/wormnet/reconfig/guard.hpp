@@ -33,6 +33,7 @@
 
 #include "wormnet/ft/fault_plan.hpp"
 #include "wormnet/reconfig/transition_plan.hpp"
+#include "wormnet/reconfig/union_routing.hpp"
 #include "wormnet/topology/topology.hpp"
 
 namespace wormnet::reconfig {
@@ -67,16 +68,15 @@ struct TransitionGuard {
   [[nodiscard]] bool all_proceed() const;
 };
 
-/// Certifies one composed epoch: the union relation under a fault mask
-/// (empty hex = pristine network).  exp backs this with AnalysisCache
-/// lookups so every consulted epoch — rollback epochs included — also
-/// flows through the certificate pipeline.
-using GuardCertifier =
-    std::function<bool(const UnionSpec&, const std::string& mask_hex)>;
+/// Certifies one composed epoch: the union relation (its `transition`)
+/// under the live fault mask.  exp backs this with AnalysisCache lookups so
+/// every consulted epoch — rollback epochs included — also flows through
+/// the certificate pipeline.
+using GuardCertifier = std::function<bool(const RelationExpr&)>;
 
 /// Walks the merged fault x transition timeline and pre-computes every
 /// decision.  `faults` may be null (transition-only run); `certifier`
-/// empty means Duato over FaultAwareRouting(UnionRouting).
+/// empty means Duato over RelationExpr::build.
 [[nodiscard]] TransitionGuard build_transition_guard(
     const Topology& topo, const CompiledTransitionPlan& plan,
     const ft::CompiledFaultPlan* faults, const GuardCertifier& certifier = {});

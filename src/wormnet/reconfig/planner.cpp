@@ -33,22 +33,15 @@ std::string canonical_member(const Topology& topo, const std::string& name) {
   return algo + '%' + ft::mask_to_hex(mask);
 }
 
-/// Budget-counted, memoized wrapper around the stage certifier.  Duplicate
-/// epochs (to_string-identical specs) are free, which is what makes found
-/// plans monotone in the budget.
+/// Budget-counted, memoized Duato certifier for candidate stage unions.
+/// Duplicate epochs (to_string-identical specs) are free, which is what
+/// makes found plans monotone in the budget.  A relation that cannot be
+/// built or verified (e.g. a mask disconnecting the network) counts as a
+/// refutation.
 class BudgetedCertifier {
  public:
   BudgetedCertifier(const Topology& topo, const PlannerOptions& options)
-      : budget_(options.budget) {
-    if (options.certifier) {
-      certify_ = options.certifier;
-    } else {
-      certify_ = [&topo](const UnionSpec& spec) {
-        const auto relation = make_union_routing(topo, spec);
-        return core::verify(topo, *relation);
-      };
-    }
-  }
+      : topo_(&topo), budget_(options.budget) {}
 
   bool ok(const UnionSpec& spec) {
     const std::string key = spec.to_string();
@@ -62,7 +55,8 @@ class BudgetedCertifier {
     core::Verdict verdict;
     bool good = false;
     try {
-      verdict = certify_(spec);
+      verdict = core::verify(
+          *topo_, *RelationExpr(spec.names.front(), key).build(*topo_));
       good = verdict.conclusion == core::Conclusion::kDeadlockFree;
     } catch (const std::exception& e) {
       // A mask or intermediate that disconnects the network surfaces as a
@@ -83,7 +77,7 @@ class BudgetedCertifier {
   [[nodiscard]] bool exhausted() const noexcept { return exhausted_; }
 
  private:
-  StageCertifier certify_;
+  const Topology* topo_;
   std::size_t budget_;
   std::size_t calls_ = 0;
   bool exhausted_ = false;

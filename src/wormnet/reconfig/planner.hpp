@@ -28,28 +28,18 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "wormnet/core/verdict.hpp"
 #include "wormnet/reconfig/transition_plan.hpp"
 #include "wormnet/topology/topology.hpp"
 
 namespace wormnet::reconfig {
 
-/// Certifies one candidate stage union.  Defaults to the Duato verifier
-/// over make_union_routing; exp substitutes an AnalysisCache-backed
-/// certifier so planner work is memoized across sweep points.  Exceptions
-/// thrown by the certifier (e.g. a mask disconnecting the network) count
-/// as refutations.
-using StageCertifier = std::function<core::Verdict(const UnionSpec&)>;
-
 struct PlannerOptions {
   std::size_t budget = 64;         ///< max certifier invocations
   std::uint64_t start_cycle = 0;   ///< cycle of the first emitted event
   std::uint64_t stage_stride = 1;  ///< cycles between emitted stages (>= 1)
-  StageCertifier certifier;        ///< empty = Duato over make_union_routing
 };
 
 /// The planner's result.  When `certified`, `plan` contains only

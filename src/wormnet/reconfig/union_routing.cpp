@@ -167,13 +167,12 @@ std::unique_ptr<routing::RoutingFunction> make_member_routing(
     const Topology& topo, const std::string& name) {
   const std::size_t pct = name.find('%');
   if (pct == std::string::npos) return core::make_algorithm(name, topo);
-  auto base = core::make_algorithm(name.substr(0, pct), topo);
   const std::vector<bool> allowed =
       ft::mask_from_hex(name.substr(pct + 1), topo.num_channels());
   std::vector<bool> faulty(allowed.size());
   for (std::size_t c = 0; c < allowed.size(); ++c) faulty[c] = !allowed[c];
-  auto masked = std::make_unique<routing::FaultAwareRouting>(
-      topo, std::move(base), std::move(faulty));
+  auto masked = RelationExpr(name.substr(0, pct), "", ft::mask_to_hex(faulty))
+                    .build(topo);
   require_connected(topo, *masked, name);
   return masked;
 }
@@ -191,6 +190,35 @@ std::unique_ptr<UnionRouting> make_union_routing(const Topology& topo,
     members.push_back(make_member_routing(topo, name));
   }
   return std::make_unique<UnionRouting>(topo, spec, std::move(members));
+}
+
+RelationExpr::RelationExpr(std::string routing, std::string transition,
+                           std::string fault_mask)
+    : routing(std::move(routing)), transition(std::move(transition)),
+      fault_mask(std::move(fault_mask)) {
+  if (this->fault_mask.find_first_not_of('0') == std::string::npos) {
+    this->fault_mask.clear();
+  }
+}
+
+std::string RelationExpr::key(const std::string& topo_spec) const {
+  std::string out = topo_spec + "|" +
+                    (transition.empty() ? routing : "transition|" + transition);
+  if (!fault_mask.empty()) out += "|" + fault_mask;
+  return out;
+}
+
+std::unique_ptr<routing::RoutingFunction> RelationExpr::build(
+    const Topology& topo) const {
+  std::unique_ptr<routing::RoutingFunction> relation =
+      transition.empty()
+          ? core::make_algorithm(routing, topo)
+          : make_union_routing(
+                topo, parse_union_spec(transition, topo.num_nodes()));
+  if (fault_mask.empty()) return relation;
+  return std::make_unique<routing::FaultAwareRouting>(
+      topo, std::move(relation),
+      ft::mask_from_hex(fault_mask, topo.num_channels()));
 }
 
 }  // namespace wormnet::reconfig

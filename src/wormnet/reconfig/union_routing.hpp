@@ -16,6 +16,7 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "wormnet/reconfig/transition_plan.hpp"
@@ -50,8 +51,8 @@ class UnionRouting : public routing::RoutingFunction {
 };
 
 /// Instantiates one transition member relation by name.  Plain names come
-/// from the core registry; `NAME%HEXMASK` names wrap the registry relation
-/// in routing::FaultAwareRouting with every channel *outside* the mask
+/// from the core registry; `NAME%HEXMASK` names degrade the registry
+/// relation (RelationExpr::build) with every channel *outside* the mask
 /// marked faulty — the per-channel migration restriction the planner
 /// searches over.  Throws std::invalid_argument for unknown or
 /// inapplicable names and malformed masks.
@@ -65,5 +66,34 @@ class UnionRouting : public routing::RoutingFunction {
 /// inapplicable names, or when the spec's node count mismatches `topo`.
 [[nodiscard]] std::unique_ptr<UnionRouting> make_union_routing(
     const Topology& topo, const UnionSpec& spec);
+
+/// The one value every certified epoch is (DESIGN 3.7): a registry relation
+/// or a transition union, degraded by a fault mask — pristine, faulted,
+/// transition and composed epochs alike.  Its fields are the certificate's
+/// `routing` / `transition` / `fault_mask` binding, its key() the
+/// AnalysisCache key, and build() the only code that rebuilds the relation.
+struct RelationExpr {
+  std::string routing;     ///< registry name (a union's base relation)
+  std::string transition;  ///< UnionSpec::to_string(), "" = plain relation
+  std::string fault_mask;  ///< ft::mask_to_hex of dead channels, "" = pristine
+
+  /// An all-healthy mask (every hex digit '0') normalises to "", so each
+  /// epoch has exactly one spelling.
+  explicit RelationExpr(std::string routing, std::string transition = {},
+                        std::string fault_mask = {});
+
+  [[nodiscard]] bool operator==(const RelationExpr&) const = default;
+
+  /// "TOPO|ROUTING", "TOPO|ROUTING|MASK", "TOPO|transition|SPEC" or
+  /// "TOPO|transition|SPEC|MASK".
+  [[nodiscard]] std::string key(const std::string& topo_spec) const;
+
+  /// The relation against `topo`: the registry relation (or the union the
+  /// transition spec describes), wrapped in routing::FaultAwareRouting when
+  /// a fault mask is set.  Throws std::invalid_argument for unknown or
+  /// inapplicable names and malformed specs or masks.
+  [[nodiscard]] std::unique_ptr<routing::RoutingFunction> build(
+      const Topology& topo) const;
+};
 
 }  // namespace wormnet::reconfig

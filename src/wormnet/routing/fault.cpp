@@ -54,40 +54,6 @@ ChannelSet FaultAwareRouting::waiting(ChannelId input, NodeId current,
   return set;
 }
 
-DynamicFaultRouting::DynamicFaultRouting(const Topology& topo,
-                                         const RoutingFunction& base,
-                                         const std::vector<bool>& mask)
-    : RoutingFunction(topo), base_(&base), mask_(&mask) {
-  if (mask.size() != topo.num_channels()) {
-    throw std::invalid_argument("fault mask size mismatch");
-  }
-}
-
-std::string DynamicFaultRouting::name() const {
-  return base_->name() + "+overlay";
-}
-
-ChannelSet DynamicFaultRouting::route(ChannelId input, NodeId current,
-                                      NodeId dest) const {
-  ChannelSet out;
-  route_into(input, current, dest, out);
-  return out;
-}
-
-void DynamicFaultRouting::route_into(ChannelId input, NodeId current,
-                                     NodeId dest, ChannelSet& out) const {
-  const std::size_t first = out.size();
-  base_->route_into(input, current, dest, out);
-  drop_masked(out, first, *mask_);
-}
-
-ChannelSet DynamicFaultRouting::waiting(ChannelId input, NodeId current,
-                                        NodeId dest) const {
-  ChannelSet set = base_->waiting(input, current, dest);
-  drop_masked(set, 0, *mask_);
-  return set;
-}
-
 std::size_t mark_link_faulty(const Topology& topo, NodeId src, NodeId dst,
                              std::vector<bool>& faulty) {
   faulty.resize(topo.num_channels(), false);

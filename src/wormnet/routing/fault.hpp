@@ -48,36 +48,6 @@ class FaultAwareRouting final : public RoutingFunction {
   std::size_t count_ = 0;
 };
 
-/// A fault wrapper over a *borrowed* mutable mask: the live counterpart of
-/// FaultAwareRouting, used by the simulator's fault overlay.  The wrapper
-/// borrows both the base relation and the mask; the mask's contents may
-/// change between calls (fault epochs) and every route()/waiting() call
-/// filters through the mask's current state.  Callers keep base and mask
-/// alive for the wrapper's lifetime.
-class DynamicFaultRouting final : public RoutingFunction {
- public:
-  DynamicFaultRouting(const Topology& topo, const RoutingFunction& base,
-                      const std::vector<bool>& mask);
-
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] RelationForm form() const override { return base_->form(); }
-  [[nodiscard]] WaitMode wait_mode() const override {
-    return base_->wait_mode();
-  }
-  [[nodiscard]] bool minimal() const override { return base_->minimal(); }
-
-  [[nodiscard]] ChannelSet route(ChannelId input, NodeId current,
-                                 NodeId dest) const override;
-  void route_into(ChannelId input, NodeId current, NodeId dest,
-                  ChannelSet& out) const override;
-  [[nodiscard]] ChannelSet waiting(ChannelId input, NodeId current,
-                                   NodeId dest) const override;
-
- private:
-  const RoutingFunction* base_;
-  const std::vector<bool>* mask_;
-};
-
 /// Marks every virtual channel of `links` randomly chosen physical links
 /// (both directions) faulty.  Deterministic given the seed.
 [[nodiscard]] std::vector<bool> random_link_faults(const Topology& topo,

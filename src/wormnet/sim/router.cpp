@@ -104,11 +104,15 @@ std::optional<ChannelId> RouteAllocator::attempt(Packet& pkt, ChannelId input,
   // Blocked: commit under wait-specific discipline.
   if (effective_wait_mode() == WaitMode::kSpecific &&
       pkt.committed_wait == kInvalidChannel && pkt.forced_path.empty()) {
-    const routing::ChannelSet waits =
-        relation_for(pkt).waiting(input, current, pkt.dst);
-    if (!waits.empty()) {
-      // The relation's preferred waiting channel; deterministic commitment.
-      pkt.committed_wait = waits.front();
+    // The relation's preferred live waiting channel; deterministic
+    // commitment.  A dead channel is never committed to: it could never be
+    // granted.
+    for (const ChannelId c :
+         relation_for(pkt).waiting(input, current, pkt.dst)) {
+      if (faulty_ == nullptr || !(*faulty_)[c]) {
+        pkt.committed_wait = c;
+        break;
+      }
     }
   }
   return std::nullopt;

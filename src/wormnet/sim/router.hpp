@@ -33,8 +33,9 @@ class RouteAllocator {
   /// stamped with `*clock` (the simulator's cycle counter).  Tracing never
   /// alters allocation behaviour or RNG state.  `faulty`, when set, is a
   /// borrowed live fault mask (the simulator's ft overlay): faulty channels
-  /// are removed from every candidate set — including forced paths and
-  /// wait commitments, which bypass the routing relation's own filter.
+  /// are removed from every candidate set — relation candidates, forced
+  /// paths and wait commitments alike — and a blocked header only ever
+  /// commits to a live waiting channel.
   /// `transition`, when set, is the simulator's borrowed reconfig overlay:
   /// injected packets route by the pure relation of their stamped
   /// `route_version`, source-queued packets by the destination's current

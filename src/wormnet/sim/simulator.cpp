@@ -10,16 +10,12 @@ Simulator::Simulator(const Topology& topo,
                      const routing::RoutingFunction& routing, SimConfig config)
     : topo_(&topo), routing_(&routing), config_(std::move(config)),
       overlay_(topo.num_channels()),
-      degraded_(config_.fault_plan != nullptr
-                    ? std::make_unique<routing::DynamicFaultRouting>(
-                          topo, routing, overlay_.mask())
-                    : nullptr),
       transition_(routing, config_.transition),
       net_(topo),
-      allocator_(topo, degraded_ ? *degraded_ : routing, config_.selection,
-                 config_.wait_override, config_.buffer_depth,
-                 config_.seed ^ 0xa5a5a5a5ULL, config_.trace, &cycle_,
-                 degraded_ ? &overlay_.mask() : nullptr,
+      allocator_(topo, routing, config_.selection, config_.wait_override,
+                 config_.buffer_depth, config_.seed ^ 0xa5a5a5a5ULL,
+                 config_.trace, &cycle_,
+                 config_.fault_plan != nullptr ? &overlay_.mask() : nullptr,
                  transition_.active() ? &transition_ : nullptr),
       traffic_(topo, config_.pattern, config_.seed, config_.hotspot_fraction,
                config_.hotspots),

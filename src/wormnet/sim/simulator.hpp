@@ -40,7 +40,6 @@
 #include "wormnet/reconfig/guard.hpp"
 #include "wormnet/reconfig/overlay.hpp"
 #include "wormnet/reconfig/transition_plan.hpp"
-#include "wormnet/routing/fault.hpp"
 #include "wormnet/routing/routing_function.hpp"
 #include "wormnet/sim/active_set.hpp"
 #include "wormnet/sim/deadlock_detector.hpp"
@@ -257,12 +256,10 @@ class Simulator {
   const Topology* topo_;
   const routing::RoutingFunction* routing_;  ///< base relation (borrowed)
   SimConfig config_;
-  // Fault overlay state.  `degraded_` wraps the base relation over the
-  // overlay's live mask when a fault plan is present; it is declared before
-  // allocator_ so the allocator can bind to the effective relation in the
-  // member-init list.
+  // Fault overlay state: the live mask the allocator borrows (when a fault
+  // plan is present) to drop dead channels.  Declared before allocator_ so
+  // the allocator can borrow it in the member-init list.
   ft::FaultOverlay overlay_;
-  std::unique_ptr<routing::DynamicFaultRouting> degraded_;
   // Reconfig overlay state: current routing version per destination plus
   // the pure relation for every version.  Declared before allocator_ so the
   // allocator can borrow it in the member-init list; inert without a plan.

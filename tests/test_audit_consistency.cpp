@@ -8,6 +8,8 @@
 // release-blocking.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "test_helpers.hpp"
 
 namespace wormnet::audit {
@@ -94,7 +96,7 @@ TEST(AuditConsistency, FaultEpochCertificatesAuditDegradedRelation) {
   const std::string spec = "mesh:4x4:2";
   exp::AnalysisCache cache(/*with_cwg=*/false, /*profiler=*/nullptr,
                            /*certify=*/true);
-  const exp::AnalysisEntry& pristine = cache.get(spec, "duato");
+  const exp::AnalysisEntry& pristine = cache.get(spec, reconfig::RelationExpr("duato"));
   ASSERT_TRUE(pristine.certified) << pristine.duato.detail;
   ASSERT_TRUE(pristine.certificate != nullptr);
   EXPECT_EQ(pristine.certificate->topology, spec);
@@ -109,8 +111,8 @@ TEST(AuditConsistency, FaultEpochCertificatesAuditDegradedRelation) {
     const ChannelId victim = topo.find_channel(src, dst, /*vc=*/1);
     ASSERT_NE(victim, topology::kInvalidChannel);
     mask[victim] = true;
-    const exp::AnalysisEntry& epoch =
-        cache.get_degraded(spec, "duato", mask);
+    const exp::AnalysisEntry& epoch = cache.get(
+        spec, reconfig::RelationExpr("duato", "", ft::mask_to_hex(mask)));
     ASSERT_TRUE(epoch.certificate != nullptr) << epoch.duato.detail;
     EXPECT_EQ(epoch.certificate->fault_mask, ft::mask_to_hex(mask));
 
@@ -137,6 +139,85 @@ TEST(AuditConsistency, FaultEpochCertificatesAuditDegradedRelation) {
     EXPECT_FALSE(record.key.empty());
     ASSERT_TRUE(record.certificate != nullptr);
   }
+}
+
+TEST(AuditConsistency, EveryEpochKindIsOneRelationExpr) {
+  // The four epoch kinds a composed sweep point certifies (e-cube ramping to
+  // west-first on mesh:4x4:2 while channel 3 is dead), each one
+  // RelationExpr: its key() is the cache key, its fields are the emitted
+  // certificate's binding, and its build() is the relation that audits it.
+  const std::string spec = "mesh:4x4:2";
+  const std::string mask = "000000000000000000000008";
+  const std::string epoch = "e-cube>west-first/ffff.00ff";
+  struct Row {
+    const char* kind;
+    reconfig::RelationExpr relation;
+    const char* key;
+  };
+  const std::vector<Row> table = {
+      {"pristine", reconfig::RelationExpr("e-cube"), "mesh:4x4:2|e-cube"},
+      {"faulted", reconfig::RelationExpr("e-cube", "", mask),
+       "mesh:4x4:2|e-cube|000000000000000000000008"},
+      {"transition", reconfig::RelationExpr("e-cube", epoch),
+       "mesh:4x4:2|transition|e-cube>west-first/ffff.00ff"},
+      {"composed", reconfig::RelationExpr("e-cube", epoch, mask),
+       "mesh:4x4:2|transition|e-cube>west-first/ffff.00ff|"
+       "000000000000000000000008"},
+  };
+  exp::AnalysisCache cache(/*with_cwg=*/false, /*profiler=*/nullptr,
+                           /*certify=*/true);
+  std::vector<std::string> keys;
+  for (const Row& row : table) {
+    EXPECT_EQ(row.relation.key(spec), row.key) << row.kind;
+    keys.push_back(row.key);
+    const exp::AnalysisEntry& entry = cache.get(spec, row.relation);
+    ASSERT_TRUE(entry.certificate != nullptr)
+        << row.kind << ": " << entry.duato.detail;
+    const audit::Certificate& cert = *entry.certificate;
+    EXPECT_EQ(reconfig::RelationExpr(cert.routing, cert.transition,
+                                     cert.fault_mask),
+              row.relation)
+        << row.kind;
+    const audit::AuditResult result =
+        audit::check(*entry.topo, *row.relation.build(*entry.topo), cert);
+    EXPECT_TRUE(result.ok()) << row.kind << ": " << result.detail;
+  }
+  std::sort(keys.begin(), keys.end());
+  std::vector<std::string> recorded;
+  for (const exp::CertificateRecord& record : cache.certificates()) {
+    recorded.push_back(record.key);
+  }
+  EXPECT_EQ(recorded, keys);
+
+  // One pristine spelling: an all-healthy mask is no mask at all.
+  EXPECT_EQ(reconfig::RelationExpr("e-cube", "", "000000000000000000000000"),
+            reconfig::RelationExpr("e-cube"));
+  EXPECT_EQ(reconfig::RelationExpr("e-cube", epoch, "0000"),
+            reconfig::RelationExpr("e-cube", epoch));
+}
+
+TEST(AuditConsistency, RepairedEpochIsThePristineRelation) {
+  // kill:5-6 then repair:5-6 returns the network to an all-healthy mask:
+  // that epoch is the pristine relation itself, so it is a cache hit rather
+  // than a second verification, and no all-zero-mask certificate appears.
+  exp::SweepSpec spec;
+  spec.topologies = {"mesh:4x4:2"};
+  spec.routings = {"duato"};
+  spec.fault_plans = {"kill:5-6@100+repair:5-6@200"};
+  spec.base.warmup_cycles = 50;
+  spec.base.measure_cycles = 200;
+  spec.base.drain_cycles = 2000;
+  exp::RunnerOptions options;
+  options.threads = 1;
+  options.certify = true;
+  const exp::SweepOutcome outcome = exp::run_sweep(spec, options);
+  ASSERT_EQ(outcome.results.size(), 1u);
+  EXPECT_EQ(outcome.results[0].fault_epochs, 2u);
+  // Misses: the pristine relation and the killed-link epoch, nothing more.
+  EXPECT_EQ(outcome.cache_misses, 2u);
+  ASSERT_EQ(outcome.certificates.size(), 1u);
+  EXPECT_EQ(outcome.certificates[0].key, "mesh:4x4:2|duato-mesh");
+  EXPECT_EQ(outcome.certificates[0].certificate->fault_mask, "");
 }
 
 TEST(AuditConsistency, MaskHexRoundTrips) {

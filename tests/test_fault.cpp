@@ -107,24 +107,60 @@ TEST(Fault, MarkLinkFaultyReportsNonAdjacentPairs) {
   EXPECT_EQ(mark_link_faulty(topo, 0, 1, faulty), 0u);
 }
 
-TEST(Fault, DynamicOverlayTracksMaskMutation) {
+TEST(Fault, AllocatorFollowsLiveMask) {
+  // The simulator routes a fault run by the pure relation; the allocator
+  // filters it through the overlay's live mask.  hpl-minimal from (0,1) to
+  // (0,0) routes — and waits, wait-specific — on both VCs of the one
+  // southward link, so the mask alone decides candidates and commitment.
   const Topology topo = make_mesh({4, 4}, 2);
-  UnrestrictedMinimal base(topo);
+  const auto base = core::make_algorithm("hpl-minimal", topo);
+  const NodeId at = topo.node_at(std::vector<std::uint32_t>{0, 1});
+  const NodeId dest = topo.node_at(std::vector<std::uint32_t>{0, 0});
+  const ChannelId vc0 = topo.find_channel(at, dest, 0);
+  const ChannelId vc1 = topo.find_channel(at, dest, 1);
+  ASSERT_EQ(base->route(topology::kInvalidChannel, at, dest),
+            (ChannelSet{vc0, vc1}));
+  ASSERT_EQ(base->waiting(topology::kInvalidChannel, at, dest),
+            (ChannelSet{vc0, vc1}));
+
   std::vector<bool> mask(topo.num_channels(), false);
-  DynamicFaultRouting routing(topo, base, mask);
+  sim::RouteAllocator allocator(topo, *base, SelectionPolicy::kInOrder,
+                                sim::WaitOverride::kFollowRouting,
+                                /*buffer_depth=*/4, /*seed=*/1, nullptr,
+                                nullptr, &mask);
+  sim::NetworkState net(topo);
+  sim::Packet pkt;
+  pkt.id = 1;
+  pkt.src = at;
+  pkt.dst = dest;
+  const auto candidates = [&] {
+    return allocator.blocked_on(pkt, topology::kInvalidChannel, at);
+  };
+  EXPECT_EQ(candidates(), (ChannelSet{vc0, vc1}));
 
-  const auto before = routing.route(topology::kInvalidChannel, 0, 1);
-  EXPECT_EQ(before, base.route(topology::kInvalidChannel, 0, 1));
+  // Kill vc0 mid-lifetime: the candidates follow with no rebuild.
+  mask[vc0] = true;
+  EXPECT_EQ(candidates(), (ChannelSet{vc1}));
 
-  // Kill the direct link mid-lifetime: the wrapper sees the new epoch with
-  // no rebuild, exactly what the simulator's fault overlay relies on.
-  EXPECT_EQ(mark_link_faulty(topo, 0, 1, mask), 2u);
-  EXPECT_TRUE(routing.route(topology::kInvalidChannel, 0, 1).empty());
-  EXPECT_TRUE(routing.waiting(topology::kInvalidChannel, 0, 1).empty());
+  // Blocked on the busy survivor, the header commits to the first *live*
+  // waiting channel, never to the dead front of waiting().
+  net.owner(vc1) = 2;
+  EXPECT_FALSE(allocator.attempt(pkt, topology::kInvalidChannel, at, net));
+  EXPECT_EQ(pkt.committed_wait, vc1);
+  EXPECT_EQ(candidates(), (ChannelSet{vc1}));
 
-  // And a repair restores the original candidates.
+  // A commitment to a channel that dies later is filtered out too (the
+  // simulator voids it at the fault step).
+  mask[vc1] = true;
+  EXPECT_TRUE(candidates().empty());
+
+  // With every waiting channel dead there is nothing to commit to, and a
+  // repair restores the full candidate set.
+  pkt.committed_wait = topology::kInvalidChannel;
+  EXPECT_FALSE(allocator.attempt(pkt, topology::kInvalidChannel, at, net));
+  EXPECT_EQ(pkt.committed_wait, topology::kInvalidChannel);
   std::fill(mask.begin(), mask.end(), false);
-  EXPECT_EQ(routing.route(topology::kInvalidChannel, 0, 1), before);
+  EXPECT_EQ(candidates(), (ChannelSet{vc0, vc1}));
 }
 
 TEST(Fault, MaskSizeMismatchThrows) {
@@ -155,8 +191,8 @@ TEST(Fault, NonminimalHplRoutesAroundFaults) {
   EXPECT_FALSE(out.empty());
 }
 
-TEST(Fault, RouteIntoMatchesRouteForBothWrappers) {
-  // Property: for seeded random fault masks, both wrappers' route() and
+TEST(Fault, RouteIntoMatchesRouteUnderFaultMask) {
+  // Property: for seeded random fault masks, the wrapper's route() and
   // route_into() give the base relation's route() minus the dead channels,
   // in the base's order; route_into appends after whatever the caller's
   // vector already holds.  The simulator's hot path relies on route_into;
@@ -173,35 +209,29 @@ TEST(Fault, RouteIntoMatchesRouteForBothWrappers) {
         for (ChannelId c = 0; c < topo.num_channels(); ++c) {
           mask[c] = rng.chance(0.2);
         }
-        const FaultAwareRouting owned(topo, alg->make(topo), mask);
-        const DynamicFaultRouting live(topo, *base, mask);
-        for (const RoutingFunction* wrapper :
-             {static_cast<const RoutingFunction*>(&owned),
-              static_cast<const RoutingFunction*>(&live)}) {
-          for (NodeId at = 0; at < topo.num_nodes(); ++at) {
-            const auto in = topo.in_channels(at);
-            for (NodeId dest = 0; dest < topo.num_nodes(); ++dest) {
-              if (at == dest) continue;
-              // The injection input plus one seeded arrival channel.
-              const ChannelId arrival = in[rng.below(in.size())];
-              for (ChannelId input : {topology::kInvalidChannel, arrival}) {
-                ChannelSet want;
-                for (ChannelId c : base->route(input, at, dest)) {
-                  if (!mask[c]) want.push_back(c);
-                }
-                ChannelSet got{topology::kInvalidChannel};
-                wrapper->route_into(input, at, dest, got);
-                ++calls;
-                if (wrapper->route(input, at, dest) != want ||
-                    got.front() != topology::kInvalidChannel ||
-                    !std::equal(want.begin(), want.end(), got.begin() + 1,
-                                got.end())) {
-                  mismatches.push_back(std::string(spec) + " " + alg->name +
-                                       " " + wrapper->name() + " seed " +
-                                       std::to_string(seed) + " at " +
-                                       std::to_string(at) + " dest " +
-                                       std::to_string(dest));
-                }
+        const FaultAwareRouting wrapper(topo, alg->make(topo), mask);
+        for (NodeId at = 0; at < topo.num_nodes(); ++at) {
+          const auto in = topo.in_channels(at);
+          for (NodeId dest = 0; dest < topo.num_nodes(); ++dest) {
+            if (at == dest) continue;
+            // The injection input plus one seeded arrival channel.
+            const ChannelId arrival = in[rng.below(in.size())];
+            for (ChannelId input : {topology::kInvalidChannel, arrival}) {
+              ChannelSet want;
+              for (ChannelId c : base->route(input, at, dest)) {
+                if (!mask[c]) want.push_back(c);
+              }
+              ChannelSet got{topology::kInvalidChannel};
+              wrapper.route_into(input, at, dest, got);
+              ++calls;
+              if (wrapper.route(input, at, dest) != want ||
+                  got.front() != topology::kInvalidChannel ||
+                  !std::equal(want.begin(), want.end(), got.begin() + 1,
+                              got.end())) {
+                mismatches.push_back(std::string(spec) + " " + alg->name +
+                                     " seed " + std::to_string(seed) +
+                                     " at " + std::to_string(at) + " dest " +
+                                     std::to_string(dest));
               }
             }
           }

@@ -89,6 +89,43 @@ TEST(FtRecovery, HaltStillHaltsOnRealDeadlock) {
   EXPECT_EQ(stats.packets_dropped, 0u);
 }
 
+TEST(FtRecovery, ComposedRunCommitsToLiveWaitingChannel) {
+  // Fault plan x transition plan on a wait-specific relation.  hpl-minimal
+  // from (0,1) to (0,0) routes and waits on both VCs of the southward link.
+  // A forced blocker holds vc1, a fault kills vc0, then the victim arrives:
+  // it blocks and must commit to vc1, the first *live* waiting channel.
+  // Under a transition the allocator routes by the pure stamped relation,
+  // whose waiting() still lists the dead vc0 first; committing to it would
+  // strand the victim with no candidate until some later fault step.
+  const topology::Topology topo = core::make_topology("mesh:4x4:2");
+  const auto routing = core::make_algorithm("hpl-minimal", topo);
+  const NodeId at = topo.node_at(std::vector<std::uint32_t>{0, 1});
+  const NodeId dest = topo.node_at(std::vector<std::uint32_t>{0, 0});
+  const ChannelId vc0 = topo.find_channel(at, dest, 0);
+  const ChannelId vc1 = topo.find_channel(at, dest, 1);
+
+  const ft::CompiledFaultPlan faults = ft::compile(
+      ft::parse_fault_plan("killch:" + std::to_string(vc0) + "@2"), topo);
+  const reconfig::CompiledTransitionPlan plan = reconfig::compile(
+      reconfig::parse_transition_plan("switch:hpl@100000"), topo,
+      "hpl-minimal");
+  ASSERT_FALSE(plan.empty());
+
+  SimConfig cfg;
+  cfg.injection_rate = 0.0;
+  cfg.warmup_cycles = 0;
+  cfg.measure_cycles = 100;
+  cfg.drain_cycles = 2000;
+  cfg.fault_plan = &faults;
+  cfg.transition = &plan;
+  cfg.script = {{at, dest, 64, 0, {vc1}},  // blocker
+                {at, dest, 8, 10, {}}};    // victim
+  const SimStats stats = run(topo, *routing, cfg);
+  EXPECT_FALSE(stats.deadlocked);
+  EXPECT_EQ(stats.packets_created, 2u);
+  EXPECT_EQ(stats.packets_delivered, 2u);
+}
+
 TEST(FtRecovery, SameSeedSamePlanIsBitIdentical) {
   const DuatoMesh m;
   const ft::CompiledFaultPlan plan = ft::compile(

@@ -137,9 +137,9 @@ TEST(TransitionGuard, MidPlanRefutationRollsBackMigratedDests) {
   // Accept any epoch touching at most four destinations: stage one (4)
   // certifies, stage two (9) is refuted, and the rollback union (the four
   // already-migrated destinations plus base) certifies again.
-  const GuardCertifier accept_small = [](const UnionSpec& spec,
-                                         const std::string&) {
-    return non_base_dests(spec) <= 4;
+  const GuardCertifier accept_small = [&topo](const RelationExpr& relation) {
+    return non_base_dests(parse_union_spec(relation.transition,
+                                           topo.num_nodes())) <= 4;
   };
   const TransitionGuard guard =
       build_transition_guard(topo, plan, nullptr, accept_small);
@@ -179,8 +179,7 @@ TEST(TransitionGuard, UncertifiableRollbackFallsBackToDrainThenSwitch) {
   // the rollback union (refused) — leaving drain-then-switch as the only
   // repair.  This also pins the walk's consultation order.
   std::size_t calls = 0;
-  const GuardCertifier accept_first = [&calls](const UnionSpec&,
-                                               const std::string&) {
+  const GuardCertifier accept_first = [&calls](const RelationExpr&) {
     return ++calls == 1;
   };
   const TransitionGuard guard =
