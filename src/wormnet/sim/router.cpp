@@ -111,6 +111,7 @@ std::optional<ChannelId> RouteAllocator::attempt(Packet& pkt, ChannelId input,
          relation_for(pkt).waiting(input, current, pkt.dst)) {
       if (faulty_ == nullptr || !(*faulty_)[c]) {
         pkt.committed_wait = c;
+        cands_.assign(1, c);  // the next attempt evaluates only this one
         break;
       }
     }

@@ -56,6 +56,14 @@ class RouteAllocator {
                                                  NodeId current,
                                                  NetworkState& net);
 
+  /// After a failed attempt: the live channels the packet's next attempt
+  /// will evaluate (the relation's candidates, or just the wait-specific
+  /// commitment the failure made).  All are owned; only a release of one of
+  /// them, or a change of the candidate space, can turn the outcome.
+  [[nodiscard]] const routing::ChannelSet& last_candidates() const noexcept {
+    return cands_;
+  }
+
   /// Candidate channels the blocked packet is currently waiting on — used by
   /// the deadlock detector.  Empty result means the packet is not blocked on
   /// channel acquisition.

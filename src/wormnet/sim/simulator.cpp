@@ -102,10 +102,9 @@ Simulator::Simulator(const Topology& topo,
   link_cands_.resize(net_.links().size() * link_stride_);
   link_cand_count_.assign(net_.links().size(), 0);
   eject_count_.assign(nodes, 0);
-  alloc_fresh_.assign(channels, 0);
-  alloc_seen_.assign(channels, 0);
-  src_fresh_.assign(nodes, 0);
-  src_seen_.assign(nodes, 0);
+  alloc_fresh_.reset(channels);
+  src_fresh_.reset(nodes);
+  waiters_.resize(channels);
   src_front_.assign(nodes, kNoPacket);
   chan_len_.assign(channels, 0);
   // Per-packet no-progress stamps are only ever read by the recovery
@@ -135,9 +134,9 @@ void Simulator::touch_channel(ChannelId c) {
   if (pending) {
     // A channel (re)entering the pending set has a newly arrived header:
     // its first allocation attempt at this hop is still outstanding.
-    if (alloc_pending_.insert(c)) alloc_fresh_[c] = 1;
-  } else {
-    alloc_pending_.erase(c);
+    if (alloc_pending_.insert(c)) alloc_fresh_.insert(c);
+  } else if (alloc_pending_.erase(c)) {
+    alloc_fresh_.erase(c);
   }
 
   const bool mv = nonempty && assigned && !net_.out_eject(c);
@@ -164,24 +163,28 @@ void Simulator::touch_source(NodeId n) {
   const auto& queue = sources_[n].queue;
   if (queue.empty()) {
     ready_src_.erase(n);
+    src_fresh_.erase(n);
     inject_srcs_.erase(n);
     src_front_[n] = kNoPacket;
     return;
   }
   const PacketId front = queue.front();
-  if (front != src_front_[n]) {
-    src_front_[n] = front;
-    src_fresh_[n] = 1;
-  }
+  const bool new_front = front != src_front_[n];
+  src_front_[n] = front;
   const Packet& pkt = packets_[front];
   if (!pkt.injecting) {
+    // A front only turns ready when it is new (a packet leaves the ready
+    // state by injecting or by leaving the queue), so this is its arrival.
     ready_src_.insert(n);
+    if (new_front) src_fresh_.insert(n);
     inject_srcs_.erase(n);
-  } else if (pkt.flits_injected < pkt.length) {
-    ready_src_.erase(n);
+    return;
+  }
+  ready_src_.erase(n);
+  src_fresh_.erase(n);
+  if (pkt.flits_injected < pkt.length) {
     inject_srcs_.insert(n);
   } else {
-    ready_src_.erase(n);
     inject_srcs_.erase(n);
   }
 }
@@ -251,25 +254,55 @@ void Simulator::generate_traffic() {
   }
 }
 
+void Simulator::wake_blocked() {
+  alloc_pending_.for_each([this](std::uint32_t c) { alloc_fresh_.insert(c); });
+  ready_src_.for_each([this](std::uint32_t n) { src_fresh_.insert(n); });
+}
+
+void Simulator::wake_waiters(ChannelId c) {
+  std::vector<std::uint32_t>& list = waiters_[c];
+  const std::uint32_t channels = net_.num_channels();
+  for (const std::uint32_t w : list) {
+    if (w < channels) {
+      if (alloc_pending_.contains(w)) alloc_fresh_.insert(w);
+    } else if (ready_src_.contains(w - channels)) {
+      src_fresh_.insert(w - channels);
+    }
+  }
+  list.clear();
+}
+
+void Simulator::add_waiter(std::uint32_t waiter) {
+  for (const ChannelId c : allocator_.last_candidates()) {
+    std::vector<std::uint32_t>& list = waiters_[c];
+    if (std::find(list.begin(), list.end(), waiter) == list.end()) {
+      list.push_back(waiter);
+    }
+  }
+}
+
 void Simulator::allocate_outputs() {
   // Rotating start offsets keep allocation order from starving anyone
-  // (Assumption 5 of the system model).  Only pending entries are visited,
-  // and a pending entry is skipped while stale: a failed attempt is pure
-  // (no RNG, no state change after the first at a hop), so its outcome can
-  // only change when a release or fault epoch bumps wake_epoch_.
+  // (Assumption 5 of the system model).  Only fresh pending entries are
+  // visited: a failed attempt is pure (no RNG, no state change after the
+  // first at a hop), so a blocked header sits out until a release of a
+  // channel it waits on (or wake_blocked) makes it fresh again.  Skipped
+  // entries are exactly the certain failures, so the visit order, winners
+  // and RNG draws match attempting every pending entry every cycle.
   const std::size_t nodes = topo_->num_nodes();
+  const std::uint32_t channels = net_.num_channels();
 
   // Source (injection) allocation.
-  if (!ready_src_.empty()) {
+  if (!src_fresh_.empty()) {
     scratch_nodes_.clear();
-    ready_src_.collect_rotated(nodes ? cycle_ % nodes : 0, scratch_nodes_);
+    src_fresh_.collect_rotated(nodes ? cycle_ % nodes : 0, scratch_nodes_);
     for (const std::uint32_t node : scratch_nodes_) {
-      if (src_fresh_[node] == 0 && src_seen_[node] == wake_epoch_) continue;
-      src_fresh_[node] = 0;
-      src_seen_[node] = wake_epoch_;
+      src_fresh_.erase(node);
       ++activity_;
+      ++alloc_attempts_;
       Packet& pkt = packets_[sources_[node].queue.front()];
       if (allocator_.attempt(pkt, kInvalidChannel, node, net_)) {
+        ++alloc_grants_;
         // Stamp the routing version the packet injects under: it keeps this
         // pure relation for its whole flight (in-flight coherence rule).
         pkt.route_version = transition_.current(pkt.dst);
@@ -282,21 +315,19 @@ void Simulator::allocate_outputs() {
         note_block_transition(pkt, kInvalidChannel, node, /*acquired=*/true);
         touch_source(node);
       } else {
+        add_waiter(channels + node);
         note_block_transition(pkt, kInvalidChannel, node, /*acquired=*/false);
       }
     }
   }
 
   // Header VC allocation at router inputs.
-  if (!alloc_pending_.empty()) {
-    const std::size_t channels = net_.num_channels();
+  if (!alloc_fresh_.empty()) {
     scratch_channels_.clear();
-    alloc_pending_.collect_rotated(channels ? cycle_ % channels : 0,
-                                   scratch_channels_);
+    alloc_fresh_.collect_rotated(channels ? cycle_ % channels : 0,
+                                 scratch_channels_);
     for (const std::uint32_t c : scratch_channels_) {
-      if (alloc_fresh_[c] == 0 && alloc_seen_[c] == wake_epoch_) continue;
-      alloc_fresh_[c] = 0;
-      alloc_seen_[c] = wake_epoch_;
+      alloc_fresh_.erase(c);
       ++activity_;
       Packet& pkt = packets_[net_.owner(c)];
       const NodeId here = topo_->channel(c).dst;
@@ -305,7 +336,9 @@ void Simulator::allocate_outputs() {
         touch_channel(c);
         continue;
       }
+      ++alloc_attempts_;
       if (auto acquired = allocator_.attempt(pkt, c, here, net_)) {
+        ++alloc_grants_;
         net_.assign_output(c, *acquired);
         if (track_progress_) pkt.last_progress = cycle_;
         chan_len_[*acquired] = pkt.length;
@@ -314,6 +347,7 @@ void Simulator::allocate_outputs() {
         note_block_transition(pkt, c, here, /*acquired=*/true);
         touch_channel(c);
       } else {
+        add_waiter(c);
         note_block_transition(pkt, c, here, /*acquired=*/false);
       }
     }
@@ -456,7 +490,7 @@ void Simulator::move_flits() {
           net_.release(m.from);
           flight_.record({cycle_, obs::FlightKind::kRelease, owner, m.from,
                           obs::FlightEvent::kNone});
-          wake_blocked();
+          wake_waiters(m.from);
         }
         if (trace_) {
           obs::TraceEvent ev;
@@ -529,7 +563,7 @@ void Simulator::move_flits() {
         net_.release(c);
         flight_.record({cycle_, obs::FlightKind::kRelease, pkt.id, c,
                         obs::FlightEvent::kNone});
-        wake_blocked();
+        wake_waiters(c);
         finish_packet(pkt);
       }
       if (tail) {
@@ -1182,6 +1216,10 @@ void Simulator::export_final_metrics() {
   m.gauge("avg_channel_utilization").set(stats_.avg_channel_utilization);
   m.gauge("max_channel_utilization").set(stats_.max_channel_utilization);
   m.gauge("max_hops").set(static_cast<double>(stats_.max_hops));
+  // Allocation work units: attempts per grant measures how many futile
+  // re-arbitrations the waiter lists let through.
+  m.counter("alloc_attempts").set(alloc_attempts_);
+  m.counter("alloc_grants").set(alloc_grants_);
   // Resilience counters only exist for runs that could have used them, so
   // pre-ft metric dumps stay byte-identical.
   if (fault_active() ||
@@ -1357,6 +1395,40 @@ void Simulator::validate_invariants() const {
         net_.occupancy(c) > 0 && net_.out_assigned(c) && net_.out_eject(c);
     if (ej != eject_ready_.contains(c)) fail("eject-ready set out of sync");
   }
+  // No lost wakeup: a pending header the next allocation phase skips must
+  // be a certain failure (every live candidate owned), and each of those
+  // owners' releases must reach it through the waiter lists.
+  const std::uint32_t channels = net_.num_channels();
+  auto check_waits = [&](const Packet& pkt, ChannelId input, NodeId node,
+                         std::uint32_t waiter) {
+    for (const ChannelId c : allocator_.blocked_on(pkt, input, node)) {
+      if (net_.owner(c) == kNoPacket) {
+        fail("lost wakeup: skipped header has a free candidate");
+      }
+      const std::vector<std::uint32_t>& list = waiters_[c];
+      if (std::find(list.begin(), list.end(), waiter) == list.end()) {
+        fail("lost wakeup: skipped header missing from a waiter list");
+      }
+    }
+  };
+  alloc_pending_.for_each([&](std::uint32_t c) {
+    if (alloc_fresh_.contains(c)) return;
+    const Packet& pkt = packets_[net_.owner(c)];
+    const NodeId here = topo_->channel(c).dst;
+    if (here == pkt.dst) fail("header at its destination left unassigned");
+    check_waits(pkt, c, here, c);
+  });
+  alloc_fresh_.for_each([&](std::uint32_t c) {
+    if (!alloc_pending_.contains(c)) fail("fresh channel not pending");
+  });
+  ready_src_.for_each([&](std::uint32_t n) {
+    if (src_fresh_.contains(n)) return;
+    check_waits(packets_[sources_[n].queue.front()], kInvalidChannel, n,
+                channels + n);
+  });
+  src_fresh_.for_each([&](std::uint32_t n) {
+    if (!ready_src_.contains(n)) fail("fresh source front not ready");
+  });
   for (const Packet& pkt : packets_) {
     if (pkt.flits_injected > pkt.length || pkt.flits_ejected > pkt.length) {
       fail("flit counters exceed packet length");

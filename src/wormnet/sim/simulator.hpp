@@ -14,13 +14,14 @@
 //     wait-specific), overridable per run.
 //
 // The core is event-driven (DESIGN 3.11): each phase iterates index sets of
-// pending work instead of polling every channel and node, blocked headers
-// re-arbitrate only when a channel release (or fault epoch) could have
-// changed the answer, timed work (fault steps, abort retries) sits in a
-// cycle-stamped event queue, and run() jumps quiescent spans directly to the
-// next scheduled event.  All of it is bit-exact with per-cycle polling: the
-// visit orders reproduce the polled scan orders, and skipped attempts are
-// provably side-effect-free (failed allocation attempts consume no RNG).
+// pending work instead of polling every channel and node, a blocked header
+// re-arbitrates only when one of the channels it waits on is released (or an
+// epoch change reshapes every candidate set), timed work (fault steps, abort
+// retries) sits in a cycle-stamped event queue, and run() jumps quiescent
+// spans directly to the next scheduled event.  All of it is bit-exact with
+// per-cycle polling: the visit orders reproduce the polled scan orders, and
+// skipped attempts are provably side-effect-free (failed allocation attempts
+// consume no RNG).
 //
 // Determinism: a single seed drives traffic and selection; identical configs
 // produce identical cycle-by-cycle behaviour.
@@ -211,9 +212,15 @@ class Simulator {
   /// any mutation of the node's source queue (or its front packet's
   /// injection state).
   void touch_source(NodeId n);
-  /// A channel was released (or the candidate space changed): every blocked
-  /// header becomes eligible for one fresh allocation attempt.
-  void wake_blocked() noexcept { ++wake_epoch_; }
+  /// The candidate space changed (fault step, cutover, guard repair, drain
+  /// switch, abort): every blocked header gets one fresh allocation attempt.
+  void wake_blocked();
+  /// Channel `c` was released: the headers waiting on it get one fresh
+  /// attempt each, and its waiter list empties.
+  void wake_waiters(ChannelId c);
+  /// A failed attempt: files `waiter` (an input channel, or num_channels +
+  /// node for a source front) under each channel the attempt found owned.
+  void add_waiter(std::uint32_t waiter);
   /// True when nothing can change before the next scheduled event: no flits
   /// can move, no stochastic window is open, no metrics stall counting is
   /// pending.  Only valid right after a cycle with zero activity.
@@ -302,18 +309,22 @@ class Simulator {
   std::vector<std::uint32_t> eject_count_;  ///< per-node eject_ready_ count
   IndexSet live_packets_;   ///< created, not finished/dropped
 
-  // Wake-on-release: a blocked header's allocation attempt is pure and
-  // RNG-free, so its outcome can only change when some channel is released
-  // or the candidate space itself changes (fault epoch, voided wait).  Each
-  // such event bumps wake_epoch_; a pending header is re-attempted only if
-  // it is fresh (never tried at this hop) or the epoch moved since its last
-  // attempt.
-  std::uint64_t wake_epoch_ = 1;
-  std::vector<std::uint8_t> alloc_fresh_;   ///< per-channel: attempt pending
-  std::vector<std::uint64_t> alloc_seen_;   ///< per-channel: epoch at attempt
-  std::vector<std::uint8_t> src_fresh_;     ///< per-node: attempt pending
-  std::vector<std::uint64_t> src_seen_;     ///< per-node: epoch at attempt
-  std::vector<PacketId> src_front_;         ///< per-node: last-seen front
+  // Per-channel waiter lists (DESIGN 3.11).  A failed allocation attempt is
+  // pure and RNG-free, and it fails only because every live candidate is
+  // owned; so its outcome can only change when one of those candidates is
+  // released, or when the candidate space itself changes.  A failed header
+  // files its input channel (a source front: num_channels + node) under
+  // each candidate; a tail release marks just that channel's waiters fresh.
+  // Only fresh entries are attempted: a header is fresh on arrival, on a
+  // release of a channel it waits on, and on wake_blocked().  Lists hold no
+  // duplicates, so each is bounded by the inputs that can route to it;
+  // stale entries (a header that left) cost at most one spurious attempt.
+  IndexSet alloc_fresh_;  ///< channels: subset of alloc_pending_ to attempt
+  IndexSet src_fresh_;    ///< nodes: subset of ready_src_ to attempt
+  std::vector<std::vector<std::uint32_t>> waiters_;  ///< per channel
+  std::vector<PacketId> src_front_;  ///< per-node: last-seen front
+  std::uint64_t alloc_attempts_ = 0;  ///< allocator calls (work units)
+  std::uint64_t alloc_grants_ = 0;    ///< of which acquired a channel
 
   // Owner packet length per channel, stamped at acquire: lets mid-worm
   // forwarding derive head/tail bits without touching the Packet structs.

@@ -15,6 +15,10 @@
 //      WORMNET_UPDATE_GOLDEN=1 ./test_sim_event_core);
 //   3. a fault-campaign round (fault epochs + abort-retry recovery) is
 //      deterministic across repeated runs and across the fast-forward knob.
+//
+// Part 1 also covers saturated runs whose blocked headers wait into the
+// drain window, where a cycle of pure waiting does no work (a blocked header
+// is only re-attempted when a channel it waits on is released).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -143,6 +147,26 @@ TEST(SimEventCore, FastForwardParityOnRegistryExamples) {
     EXPECT_EQ(skip.stats_json, step.stats_json) << w.name;
     EXPECT_EQ(skip.trace_jsonl, step.trace_jsonl) << w.name;
     EXPECT_TRUE(flight_equal(skip.flight, step.flight)) << w.name;
+  }
+}
+
+TEST(SimEventCore, FastForwardParityWithBlockedHeadersIntoDrain) {
+  // Past saturation, blocked headers outlive the 250-cycle generation
+  // window.  They re-attempt only when a channel they wait on is released,
+  // so a drain-window cycle whose only pending work is blocked headers does
+  // no work at all and may fast-forward.  The second run kills every link
+  // into node 5: worms bound there wedge their neighbours, abort, back off
+  // and retry, leaving long spans of pure waiting.
+  const Workload saturated = {"mesh4x4_saturated", "mesh:4x4:2",
+                              "duato-mesh", 0.8};
+  for (const char* plan :
+       {"none", "kill:1-5@120+kill:4-5@120+kill:6-5@120+kill:9-5@120"}) {
+    SCOPED_TRACE(plan);
+    const RunArtifacts skip = run_workload(saturated, true, plan);
+    const RunArtifacts step = run_workload(saturated, false, plan);
+    EXPECT_EQ(skip.stats_json, step.stats_json);
+    EXPECT_EQ(skip.trace_jsonl, step.trace_jsonl);
+    EXPECT_TRUE(flight_equal(skip.flight, step.flight));
   }
 }
 
