@@ -2,8 +2,9 @@
 // blame report.
 //
 //   wormnet-explain postmortem_3_0.json
-//   wormnet-sweep --grid "topo=ring:8;routing=unrestricted;load=0.4" \
-//                 --postmortem-dir pm && wormnet-explain pm/postmortem_*.json
+//   G="topo=ring:8;routing=unrestricted;load=0.4"
+//   wormnet-sweep --grid "$G" --postmortem-dir pm
+//   wormnet-explain pm/postmortem_*.json
 //
 // The artifact is self-contained (channel names are embedded by
 // write_postmortem_json), so this tool deliberately does NOT link the

@@ -2,8 +2,8 @@
 //
 //   wormnet-lint --topology mesh:4x4:2 --routing duato
 //   wormnet-lint --topology ring:8 --routing minimal-noescape --format json
-//   wormnet-lint --topology torus:4x4:3 --routing duato --format sarif \
-//                --fail-on warning > lint.sarif
+//   T="--topology torus:4x4:3 --routing duato"
+//   wormnet-lint $T --format sarif --fail-on warning > lint.sarif
 //   wormnet-lint --all-examples
 //
 // Exit status: 0 = no finding at or above the --fail-on threshold,

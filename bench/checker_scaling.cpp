@@ -6,9 +6,9 @@
 // Expected: polynomial growth for the graph builders; the subfunction search
 // is dominated by its (constant-count) VC-class candidates on these inputs.
 //
-// StateGraph, ExtendedCdg and the Duato searches report items_per_second in
-// reachable (channel, destination) states, the unit every checker kernel
-// scales with.  BENCH_checker.json at the repository root is the committed
+// StateGraph (fresh and derived), ExtendedCdg and the Duato searches report
+// items_per_second in reachable (channel, destination) states, the unit
+// every checker kernel scales with.  BENCH_checker.json at the repository root is the committed
 // baseline; CI's perf-smoke job writes a fresh run to
 // BENCH_checker_current.json and compares the two with
 // scripts/check_bench_regression.py on items_per_second, tolerance 0.20.
@@ -95,11 +95,9 @@ void BM_DuatoSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_DuatoSearch)->Arg(4)->Arg(6)->Arg(8)->Complexity();
 
-/// A faulted epoch: mesh:8x8:2 under duato-mesh with one adaptive (vc1)
-/// channel dead, the shape of a fault campaign's first kill.  The escape
-/// layer survives, so the search certifies at the vc0 candidate.
-void BM_DuatoSearchFaultedEpoch(benchmark::State& state) {
-  const auto topo = mesh_for(8);
+/// The faulted-epoch mask: one adaptive (vc1) channel dead, the shape of a
+/// fault campaign's first kill.  The escape layer survives.
+std::vector<bool> one_vc1_dead(const topology::Topology& topo) {
   std::vector<bool> dead(topo.num_channels(), false);
   for (topology::ChannelId c = topo.num_channels() / 2;
        c < topo.num_channels(); ++c) {
@@ -108,11 +106,38 @@ void BM_DuatoSearchFaultedEpoch(benchmark::State& state) {
       break;
     }
   }
+  return dead;
+}
+
+/// A faulted epoch: mesh:8x8:2 under duato-mesh with one vc1 channel dead.
+/// The search certifies at the vc0 candidate.
+void BM_DuatoSearchFaultedEpoch(benchmark::State& state) {
+  const auto topo = mesh_for(8);
   const routing::FaultAwareRouting routing(
-      topo, routing::make_duato_mesh(topo), std::move(dead));
+      topo, routing::make_duato_mesh(topo), one_vc1_dead(topo));
   run_search(state, topo, routing);
 }
 BENCHMARK(BM_DuatoSearchFaultedEpoch);
+
+/// The same faulted epoch's state graph derived from the pristine graph, as
+/// AnalysisCache builds every masked epoch's: no relation calls.
+void BM_StateGraphDerived(benchmark::State& state) {
+  const auto topo = mesh_for(8);
+  const auto pristine = routing::make_duato_mesh(topo);
+  const cdg::StateGraph parent(topo, *pristine);
+  const std::vector<bool> dead = one_vc1_dead(topo);
+  const routing::FaultAwareRouting routing(
+      topo, routing::make_duato_mesh(topo), dead);
+  std::size_t reachable = 0;
+  for (auto _ : state) {
+    const cdg::StateGraph states(parent, routing, dead);
+    reachable = states.num_reachable_states();
+    benchmark::DoNotOptimize(reachable);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(reachable));
+}
+BENCHMARK(BM_StateGraphDerived);
 
 void BM_CwgBuild(benchmark::State& state) {
   const auto topo = mesh_for(state.range(0));

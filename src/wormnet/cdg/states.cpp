@@ -2,16 +2,52 @@
 
 #include <algorithm>
 #include <deque>
+#include <stdexcept>
 
 namespace wormnet::cdg {
 
 StateGraph::StateGraph(const Topology& topo, const RoutingFunction& routing)
     : topo_(&topo), routing_(&routing) {
-  const std::size_t channels = topo.num_channels();
-  const NodeId nodes = topo.num_nodes();
+  explore([&routing](ChannelId input, NodeId at, NodeId dest,
+                     ChannelSet& route, ChannelSet& waits) {
+    route.clear();
+    routing.route_into(input, at, dest, route);
+    waits = routing.waiting(input, at, dest);
+  });
+}
+
+StateGraph::StateGraph(const StateGraph& parent,
+                       const RoutingFunction& relation,
+                       const std::vector<bool>& dead)
+    : topo_(parent.topo_), routing_(&relation) {
+  if (dead.size() != topo_->num_channels()) {
+    throw std::invalid_argument("dead mask size mismatch");
+  }
+  const auto keep = [&dead](std::span<const ChannelId> row, ChannelSet& out) {
+    out.clear();
+    for (ChannelId c : row) {
+      if (!dead[c]) out.push_back(c);
+    }
+  };
+  lists_.reserve(parent.lists_.size());
+  explore([&](ChannelId input, NodeId at, NodeId dest, ChannelSet& route,
+              ChannelSet& waits) {
+    if (input == topology::kInvalidChannel) {
+      keep(parent.injection(at, dest), route);
+      keep(parent.injection_waiting(at, dest), waits);
+    } else {
+      keep(parent.successors(input, dest), route);
+      keep(parent.waiting(input, dest), waits);
+    }
+  });
+}
+
+template <class Row>
+void StateGraph::explore(Row&& row) {
+  const std::size_t channels = topo_->num_channels();
+  const NodeId nodes = topo_->num_nodes();
   reachable_.assign(channels * nodes, false);
   succ_.assign(channels * nodes, {});
-  wait_.assign(channels * nodes, {});
   inject_.assign(static_cast<std::size_t>(nodes) * nodes, {});
   inject_wait_.assign(static_cast<std::size_t>(nodes) * nodes, {});
   closure_.resize(nodes);
@@ -19,40 +55,42 @@ StateGraph::StateGraph(const Topology& topo, const RoutingFunction& routing)
   // Forward fixpoint per destination.
   std::deque<ChannelId> frontier;
   ChannelSet route;
+  ChannelSet waits;
+  const auto enqueue = [&](NodeId dest) {
+    for (ChannelId next : route) {
+      if (!reachable_[index(next, dest)]) {
+        reachable_[index(next, dest)] = true;
+        frontier.push_back(next);
+      }
+    }
+  };
   for (NodeId dest = 0; dest < nodes; ++dest) {
     frontier.clear();
     for (NodeId src = 0; src < nodes; ++src) {
       if (src == dest) continue;
-      const std::size_t pair = static_cast<std::size_t>(src) * nodes + dest;
-      ChannelSet& first = inject_[pair];
-      routing.route_into(topology::kInvalidChannel, src, dest, first);
-      for (ChannelId c : first) {
-        if (!reachable_[index(c, dest)]) {
-          reachable_[index(c, dest)] = true;
-          frontier.push_back(c);
-        }
-      }
-      inject_wait_[pair] =
-          routing.waiting(topology::kInvalidChannel, src, dest);
+      row(topology::kInvalidChannel, src, dest, route, waits);
+      const Slice first = append(route);
+      inject_[pair(src, dest)] = first;
+      inject_wait_[pair(src, dest)] =
+          std::ranges::equal(waits, route) ? first : append(waits);
+      enqueue(dest);
     }
     while (!frontier.empty()) {
       const ChannelId c = frontier.front();
       frontier.pop_front();
-      const NodeId head = topo.channel(c).dst;
-      const std::size_t idx = index(c, dest);
+      const NodeId head = topo_->channel(c).dst;
       if (head == dest) continue;  // sink state: consumed
-      route.clear();
-      routing.route_into(c, head, dest, route);
+      row(c, head, dest, route, waits);
+      const std::size_t idx = index(c, dest);
       succ_[idx] = append(route);
-      const ChannelSet waits = routing.waiting(c, head, dest);
-      wait_[idx] = std::ranges::equal(waits, route) ? succ_[idx]
-                                                     : append(waits);
-      for (ChannelId next : route) {
-        if (!reachable_[index(next, dest)]) {
-          reachable_[index(next, dest)] = true;
-          frontier.push_back(next);
-        }
+      if (!std::ranges::equal(waits, route)) {
+        // First state whose waiting list differs: every earlier one aliased.
+        if (wait_.empty()) wait_ = succ_;
+        wait_[idx] = append(waits);
+      } else if (!wait_.empty()) {
+        wait_[idx] = succ_[idx];
       }
+      enqueue(dest);
     }
   }
   for (bool r : reachable_) num_reachable_ += r ? 1 : 0;

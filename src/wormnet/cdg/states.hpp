@@ -28,6 +28,18 @@ class StateGraph {
  public:
   StateGraph(const Topology& topo, const RoutingFunction& routing);
 
+  /// The state graph of `relation`, derived from `parent` without calling
+  /// the relation.  `relation` must be `parent.routing()` minus the channels
+  /// `dead` marks, in every route and waiting row (FaultAwareRouting over
+  /// the parent's relation).  The parent's rows are filtered by `dead` and
+  /// the same per-destination fixpoint re-runs over them: a state the
+  /// derived relation reaches is one the parent reaches, and its row is the
+  /// parent's row minus the dead channels, so reachable set and every list
+  /// equal a fresh build's, in contents and order.  The derived graph keeps
+  /// no reference to `parent` beyond their shared topology.
+  StateGraph(const StateGraph& parent, const RoutingFunction& relation,
+             const std::vector<bool>& dead);
+
   [[nodiscard]] const Topology& topo() const noexcept { return *topo_; }
   [[nodiscard]] const RoutingFunction& routing() const noexcept {
     return *routing_;
@@ -49,19 +61,21 @@ class StateGraph {
   /// message may wait for when blocked.
   [[nodiscard]] std::span<const ChannelId> waiting(ChannelId c,
                                                    NodeId dest) const {
-    return list(wait_[index(c, dest)]);
+    const std::size_t i = index(c, dest);
+    return list(wait_.empty() ? succ_[i] : wait_[i]);
   }
 
   /// First-hop channels available at source `src` for destination `dest`
   /// (relation evaluated with the injection input).
-  [[nodiscard]] const ChannelSet& injection(NodeId src, NodeId dest) const {
-    return inject_[src * topo_->num_nodes() + dest];
+  [[nodiscard]] std::span<const ChannelId> injection(NodeId src,
+                                                     NodeId dest) const {
+    return list(inject_[pair(src, dest)]);
   }
 
   /// Waiting channels for a message still at its source.
-  [[nodiscard]] const ChannelSet& injection_waiting(NodeId src,
-                                                    NodeId dest) const {
-    return inject_wait_[src * topo_->num_nodes() + dest];
+  [[nodiscard]] std::span<const ChannelId> injection_waiting(
+      NodeId src, NodeId dest) const {
+    return list(inject_wait_[pair(src, dest)]);
   }
 
   /// True iff state (from, dest) can reach state (to, dest) along successor
@@ -86,23 +100,33 @@ class StateGraph {
   [[nodiscard]] std::size_t index(ChannelId c, NodeId dest) const {
     return static_cast<std::size_t>(dest) * topo_->num_channels() + c;
   }
+  [[nodiscard]] std::size_t pair(NodeId src, NodeId dest) const {
+    return static_cast<std::size_t>(src) * topo_->num_nodes() + dest;
+  }
   [[nodiscard]] std::span<const ChannelId> list(Slice slice) const {
     return {lists_.data() + slice.begin, slice.size};
   }
   /// Appends `channels` to `lists_` and returns their slice.
   Slice append(std::span<const ChannelId> channels);
+  /// The per-destination forward fixpoint from the injection states.
+  /// `row(input, at, dest, route, waits)` fills the relation's route and
+  /// waiting lists at `at` for a message arriving on `input`
+  /// (kInvalidChannel = injection).
+  template <class Row>
+  void explore(Row&& row);
   void ensure_closure(NodeId dest) const;
 
   const Topology* topo_;
   const RoutingFunction* routing_;
   std::vector<bool> reachable_;
-  // Successor and waiting lists of every state, flat: a state's waiting
-  // slice aliases its successor slice when the two lists are equal.
+  // Successor, waiting and injection lists, flat: a waiting slice aliases
+  // its successor (injection) slice when the two lists are equal, and
+  // `wait_` stays empty while every state's does.
   std::vector<ChannelId> lists_;
   std::vector<Slice> succ_;
   std::vector<Slice> wait_;
-  std::vector<ChannelSet> inject_;
-  std::vector<ChannelSet> inject_wait_;
+  std::vector<Slice> inject_;
+  std::vector<Slice> inject_wait_;
   std::size_t num_reachable_ = 0;
 
   // Per-destination transitive closure over channels, built lazily.

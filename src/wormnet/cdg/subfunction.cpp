@@ -83,7 +83,7 @@ SubfunctionWitness Subfunction::connectivity_witness() const {
         if (!in_c1(c, dest)) continue;
         // The hop must actually be supplied by R at u for dest (wildcard
         // injection input keeps this conservative for C x N x N relations).
-        const ChannelSet& first_hops = states_->injection(u, dest);
+        const auto first_hops = states_->injection(u, dest);
         bool supplied = std::ranges::find(first_hops, c) != first_hops.end();
         // Also accept hops supplied mid-route (reachable state with this
         // successor) — needed for relations whose first hop differs.

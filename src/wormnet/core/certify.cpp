@@ -44,16 +44,10 @@ std::vector<ChannelId> escape_next_hops(const StateGraph& states,
     for (ChannelId c : topo.in_channels(v)) {
       const NodeId u = topo.channel(c).src;
       if (done[u] || u == dest || !c1[c]) continue;
-      bool supplied = states.reachable(c, dest);
-      if (!supplied) {
-        for (ChannelId r :
-             states.routing().route(topology::kInvalidChannel, u, dest)) {
-          if (r == c) {
-            supplied = true;
-            break;
-          }
-        }
-      }
+      const auto first_hops = states.injection(u, dest);
+      const bool supplied =
+          states.reachable(c, dest) ||
+          std::ranges::find(first_hops, c) != first_hops.end();
       if (supplied) {
         done[u] = true;
         next[u] = c;

@@ -251,15 +251,21 @@ Verdict verify_sim(const topology::Topology& topo,
   return verdict;
 }
 
-Verdict verify_impl(const topology::Topology& topo,
-                    const routing::RoutingFunction& routing,
-                    const VerifyOptions& options, CertSink cert) {
+/// kSimulation, timed as "verify.simulation"; it needs no state graph.
+Verdict verify_sim_timed(const topology::Topology& topo,
+                         const routing::RoutingFunction& routing,
+                         const VerifyOptions& options) {
+  obs::Profiler::Scope timer(options.profiler, "verify.simulation");
+  return verify_sim(topo, routing, options.sim);
+}
+
+Verdict verify_states(const cdg::StateGraph& states,
+                      const VerifyOptions& options, CertSink cert) {
+  if (options.method == Method::kSimulation) {
+    return verify_sim_timed(states.topo(), states.routing(), options);
+  }
   const std::string method_phase =
       std::string("verify.") + to_string(options.method);
-  if (options.method == Method::kSimulation) {
-    obs::Profiler::Scope timer(options.profiler, method_phase.c_str());
-    return verify_sim(topo, routing, options.sim);
-  }
   // With a profiler attached, also install a checker probe for the duration
   // so the static pipeline's fine-grained phases (cdg_build, search stages,
   // cycle_enumeration, ...) surface as "checker.<phase>" samples.
@@ -269,26 +275,22 @@ Verdict verify_impl(const topology::Topology& topo,
     probe_stats.emplace();
     probe.emplace(*probe_stats);
   }
-  std::optional<cdg::StateGraph> states;
-  {
-    obs::Profiler::Scope timer(options.profiler, "verify.state_graph");
-    states.emplace(topo, routing);
-  }
+  const routing::RoutingFunction& routing = states.routing();
   Verdict verdict;
   {
     obs::Profiler::Scope timer(options.profiler, method_phase.c_str());
     switch (options.method) {
       case Method::kCdgAcyclic:
-        verdict = verify_cdg(*states, cert);
+        verdict = verify_cdg(states, cert);
         break;
       case Method::kDuato:
-        verdict = verify_duato(*states, options.duato, routing, cert);
+        verdict = verify_duato(states, options.duato, routing, cert);
         break;
       case Method::kCwg:
-        verdict = verify_cwg(*states, options.cwg, routing, cert);
+        verdict = verify_cwg(states, options.cwg, routing, cert);
         break;
       case Method::kMessageFlow:
-        verdict = verify_message_flow(*states);
+        verdict = verify_message_flow(states);
         break;
       default:
         break;
@@ -301,6 +303,20 @@ Verdict verify_impl(const topology::Topology& topo,
     }
   }
   return verdict;
+}
+
+Verdict verify_impl(const topology::Topology& topo,
+                    const routing::RoutingFunction& routing,
+                    const VerifyOptions& options, CertSink cert) {
+  if (options.method == Method::kSimulation) {
+    return verify_sim_timed(topo, routing, options);
+  }
+  std::optional<cdg::StateGraph> states;
+  {
+    obs::Profiler::Scope timer(options.profiler, "verify.state_graph");
+    states.emplace(topo, routing);
+  }
+  return verify_states(*states, options, cert);
 }
 
 }  // namespace
@@ -332,6 +348,17 @@ CertifiedVerdict verify_certified(const topology::Topology& topo,
                                   const VerifyOptions& options) {
   CertifiedVerdict result;
   result.verdict = verify_impl(topo, routing, options, &result.certificate);
+  return result;
+}
+
+Verdict verify(const cdg::StateGraph& states, const VerifyOptions& options) {
+  return verify_states(states, options, nullptr);
+}
+
+CertifiedVerdict verify_certified(const cdg::StateGraph& states,
+                                  const VerifyOptions& options) {
+  CertifiedVerdict result;
+  result.verdict = verify_states(states, options, &result.certificate);
   return result;
 }
 

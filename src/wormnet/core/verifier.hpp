@@ -87,6 +87,14 @@ struct CertifiedVerdict {
     const topology::Topology& topo, const routing::RoutingFunction& routing,
     const VerifyOptions& options = {});
 
+/// verify() / verify_certified() over a prebuilt state graph: the relation
+/// is `states.routing()` and no "verify.state_graph" sample is taken, so a
+/// caller that builds (or derives) the graph times it itself.
+[[nodiscard]] Verdict verify(const cdg::StateGraph& states,
+                             const VerifyOptions& options = {});
+[[nodiscard]] CertifiedVerdict verify_certified(
+    const cdg::StateGraph& states, const VerifyOptions& options = {});
+
 /// Runs all four methods and checks they never contradict each other
 /// (a "deadlock-free" proof alongside an observed deadlock is a library bug).
 struct FullReport {

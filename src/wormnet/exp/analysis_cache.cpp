@@ -1,7 +1,10 @@
 #include "wormnet/exp/analysis_cache.hpp"
 
+#include <optional>
+
 #include "wormnet/core/registry.hpp"
 #include "wormnet/core/verifier.hpp"
+#include "wormnet/ft/fault_plan.hpp"
 
 namespace wormnet::exp {
 
@@ -53,12 +56,31 @@ const AnalysisEntry& AnalysisCache::get(
                                          relation.fault_mask);
   const auto algorithm = canonical.build(*entry.topo);
 
+  // A masked epoch's graph is its parent's minus the dead channels; the
+  // parent is built (once) before the derivation is timed.
+  const cdg::StateGraph* parent =
+      canonical.fault_mask.empty()
+          ? nullptr
+          : &parent_states(topo_spec, *entry.topo,
+                           reconfig::RelationExpr(canonical.routing,
+                                                  canonical.transition));
+  std::optional<cdg::StateGraph> states;
+  {
+    obs::Profiler::Scope timer(profiler_, "verify.state_graph");
+    if (parent != nullptr) {
+      states.emplace(*parent, *algorithm,
+                     ft::mask_from_hex(canonical.fault_mask,
+                                       entry.topo->num_channels()));
+    } else {
+      states.emplace(*entry.topo, *algorithm);
+    }
+  }
+
   core::VerifyOptions options;
   options.method = core::Method::kDuato;
   options.profiler = profiler_;
   if (certify_) {
-    core::CertifiedVerdict certified =
-        core::verify_certified(*entry.topo, *algorithm, options);
+    core::CertifiedVerdict certified = core::verify_certified(*states, options);
     entry.duato = std::move(certified.verdict);
     if (certified.certificate) {
       // Rebind the labels to the registry coordinates so the certificate
@@ -71,18 +93,38 @@ const AnalysisEntry& AnalysisCache::get(
           std::move(*certified.certificate));
     }
   } else {
-    entry.duato = core::verify(*entry.topo, *algorithm, options);
+    entry.duato = core::verify(*states, options);
   }
   entry.certified =
       entry.duato.conclusion == core::Conclusion::kDeadlockFree;
   if (with_cwg_ && pristine_registry) {
     options.method = core::Method::kCwg;
-    entry.cwg = core::verify(*entry.topo, *algorithm, options);
+    entry.cwg = core::verify(*states, options);
   }
 
   slot->entry = std::move(entry);
   slot->ready.store(true, std::memory_order_release);
   return slot->entry;
+}
+
+const cdg::StateGraph& AnalysisCache::parent_states(
+    const std::string& topo_spec, const topology::Topology& topo,
+    const reconfig::RelationExpr& parent) {
+  Parent* kept = nullptr;
+  {
+    std::lock_guard lock(registry_mutex_);
+    auto& owned = parents_[parent.key(topo_spec)];
+    if (!owned) owned = std::make_unique<Parent>();
+    kept = owned.get();
+  }
+  std::lock_guard fill_lock(kept->fill);
+  if (!kept->states) {
+    kept->relation = parent.build(topo);
+    obs::Profiler::Scope timer(profiler_, "verify.state_graph");
+    kept->states = std::make_unique<const cdg::StateGraph>(topo,
+                                                           *kept->relation);
+  }
+  return *kept->states;
 }
 
 std::vector<CertificateRecord> AnalysisCache::certificates() {

@@ -6,10 +6,17 @@
 // the result across every point and every worker thread; on the reference
 // grids this turns thousands of checker invocations into a handful.
 //
+// A masked epoch's reachable-state graph is derived from its unmasked
+// parent's (cdg::StateGraph's derive constructor) rather than built through
+// the relation.  The cache keeps each parent's relation and graph for its
+// lifetime, built on the first masked request for that parent; unmasked
+// epochs build a transient graph and keep nothing.
+//
 // Thread safety: keyed slots are created under a registry mutex, then each
 // slot is filled under its own mutex — so two workers asking for the same
 // uncached key block on that key only, while different keys compute
-// concurrently.  Results are immutable once published.
+// concurrently.  Parent graphs follow the same discipline.  Results are
+// immutable once published.
 #pragma once
 
 #include <atomic>
@@ -20,6 +27,7 @@
 #include <vector>
 
 #include "wormnet/audit/certificate.hpp"
+#include "wormnet/cdg/states.hpp"
 #include "wormnet/core/verdict.hpp"
 #include "wormnet/obs/profiler.hpp"
 #include "wormnet/reconfig/union_routing.hpp"
@@ -93,11 +101,26 @@ class AnalysisCache {
     AnalysisEntry entry;
   };
 
+  /// An unmasked relation kept for deriving its masked epochs' graphs.
+  struct Parent {
+    std::mutex fill;
+    std::unique_ptr<routing::RoutingFunction> relation;
+    std::unique_ptr<const cdg::StateGraph> states;
+  };
+
+  /// The kept state graph of `parent` (an unmasked expression with its
+  /// canonical routing name) on `topo`, built on first use under the
+  /// "verify.state_graph" phase.
+  const cdg::StateGraph& parent_states(const std::string& topo_spec,
+                                       const topology::Topology& topo,
+                                       const reconfig::RelationExpr& parent);
+
   bool with_cwg_;
   bool certify_;
   obs::Profiler* profiler_;
   std::mutex registry_mutex_;
   std::map<std::string, std::unique_ptr<Slot>> slots_;
+  std::map<std::string, std::unique_ptr<Parent>> parents_;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
 };

@@ -105,9 +105,9 @@ TEST(AuditConsistency, FaultEpochCertificatesAuditDegradedRelation) {
   const Topology& topo = *pristine.topo;
   std::vector<bool> mask(topo.num_channels(), false);
   std::size_t epochs = 0;
-  for (const auto [src, dst] : {std::pair<NodeId, NodeId>{5, 6},
-                                {9, 10},
-                                {1, 2}}) {
+  for (const auto& [src, dst] : {std::pair<NodeId, NodeId>{5, 6},
+                                 {9, 10},
+                                 {1, 2}}) {
     const ChannelId victim = topo.find_channel(src, dst, /*vc=*/1);
     ASSERT_NE(victim, topology::kInvalidChannel);
     mask[victim] = true;
