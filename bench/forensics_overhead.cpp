@@ -2,10 +2,13 @@
 //
 // The flight recorder ships ON by default (SimConfig::flight_capacity =
 // 1024), so the headline number is FlightOn vs FlightOff on a healthy
-// workload: two counter bumps and a 24-byte store per channel event, which
-// should be noise next to the allocator sweep.  The rest prices the pieces
-// that only run on the failure path — postmortem capture at deadlock and the
-// static cross-reference — plus the profiler scope the analysis layers use.
+// workload: the recorder's projection of each event, then a 24-byte store
+// and a counter bump per kept record, which should be noise next to the
+// allocator sweep.  The rest prices the pieces that only run on the failure
+// path — postmortem capture at deadlock and the static cross-reference —
+// plus the profiler scope the analysis layers use.
+// The whole-run benches report flits_per_sec (flit moves per wall-second, as
+// sim_throughput counts them), which CI gates against BENCH_obs.json.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -16,6 +19,11 @@
 namespace {
 
 using namespace wormnet;
+
+void report_flits(benchmark::State& state, std::uint64_t flits) {
+  state.counters["flits_per_sec"] = benchmark::Counter(
+      static_cast<double>(flits), benchmark::Counter::kIsRate);
+}
 
 sim::SimConfig healthy_workload() {
   sim::SimConfig cfg;
@@ -47,33 +55,41 @@ sim::SimConfig wedge_workload() {
 void BM_SimulateFlightOff(benchmark::State& state) {
   const auto topo = topology::make_mesh({8, 8}, 2);
   const auto routing = core::make_algorithm("duato-mesh", topo);
+  sim::SimConfig cfg = healthy_workload();
+  cfg.flight_capacity = 0;
+  std::uint64_t flits = 0;
   for (auto _ : state) {
-    sim::SimConfig cfg = healthy_workload();
-    cfg.flight_capacity = 0;
-    const sim::SimStats stats = sim::run(topo, *routing, cfg);
+    sim::Simulator simulator(topo, *routing, cfg);
+    const sim::SimStats stats = simulator.run();
     benchmark::DoNotOptimize(stats.packets_delivered);
+    flits += simulator.total_flit_moves();
   }
+  report_flits(state, flits);
 }
 BENCHMARK(BM_SimulateFlightOff)->Unit(benchmark::kMillisecond);
 
 void BM_SimulateFlightOn(benchmark::State& state) {
   const auto topo = topology::make_mesh({8, 8}, 2);
   const auto routing = core::make_algorithm("duato-mesh", topo);
+  const sim::SimConfig cfg = healthy_workload();  // default capacity 1024
   std::uint64_t events = 0;
+  std::uint64_t flits = 0;
   for (auto _ : state) {
-    const sim::SimConfig cfg = healthy_workload();  // default capacity 1024
-    const sim::SimStats stats = sim::run(topo, *routing, cfg);
+    sim::Simulator simulator(topo, *routing, cfg);
+    const sim::SimStats stats = simulator.run();
     benchmark::DoNotOptimize(stats.packets_delivered);
     events = stats.flight_events_recorded;
+    flits += simulator.total_flit_moves();
   }
   state.counters["events/run"] = static_cast<double>(events);
+  report_flits(state, flits);
 }
 BENCHMARK(BM_SimulateFlightOn)->Unit(benchmark::kMillisecond);
 
 void BM_FlightRecord(benchmark::State& state) {
   obs::FlightRecorder recorder(1024);
-  obs::FlightEvent event;
-  event.kind = obs::FlightKind::kAcquire;
+  obs::TraceEvent event;
+  event.kind = obs::EventKind::kVcAlloc;
   event.packet = 3;
   event.channel = 5;
   for (auto _ : state) {
@@ -90,13 +106,16 @@ void BM_DeadlockPostmortem(benchmark::State& state) {
   const auto topo = topology::make_unidirectional_ring(8, 1);
   const routing::UnrestrictedMinimal routing(topo);
   std::uint64_t postmortems = 0;
+  std::uint64_t flits = 0;
   for (auto _ : state) {
     sim::Simulator simulator(topo, routing, wedge_workload());
     const sim::SimStats stats = simulator.run();
     benchmark::DoNotOptimize(stats.deadlocked);
     postmortems = simulator.postmortems().size();
+    flits += simulator.total_flit_moves();
   }
   state.counters["postmortems/run"] = static_cast<double>(postmortems);
+  report_flits(state, flits);
 }
 BENCHMARK(BM_DeadlockPostmortem)->Unit(benchmark::kMillisecond);
 

@@ -9,8 +9,9 @@
 // The interesting number is baseline vs null-trace: that gap is what every
 // untraced user pays for the instrumentation existing at all, and it should
 // be indistinguishable from noise.
-// Results also land in BENCH_trace.json (google-benchmark JSON schema) so
-// the perf trajectory accumulates PR-over-PR next to BENCH_sweep.json.
+// Each reports flits_per_sec (flit moves per wall-second, as sim_throughput
+// counts them).  Results land in BENCH_trace.json (google-benchmark JSON
+// schema), the committed baseline CI gates that counter against.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -21,6 +22,21 @@
 namespace {
 
 using namespace wormnet;
+
+/// Runs one simulation and adds its flit moves to `flits`.
+void simulate(const topology::Topology& topo,
+              const routing::RoutingFunction& routing,
+              const sim::SimConfig& cfg, std::uint64_t& flits) {
+  sim::Simulator simulator(topo, routing, cfg);
+  const sim::SimStats stats = simulator.run();
+  benchmark::DoNotOptimize(stats.packets_delivered);
+  flits += simulator.total_flit_moves();
+}
+
+void report_flits(benchmark::State& state, std::uint64_t flits) {
+  state.counters["flits_per_sec"] = benchmark::Counter(
+      static_cast<double>(flits), benchmark::Counter::kIsRate);
+}
 
 sim::SimConfig workload() {
   sim::SimConfig cfg;
@@ -37,10 +53,9 @@ sim::SimConfig workload() {
 void BM_SimulateBaseline(benchmark::State& state) {
   const auto topo = topology::make_mesh({8, 8}, 2);
   const auto routing = core::make_algorithm("duato-mesh", topo);
-  for (auto _ : state) {
-    const sim::SimStats stats = sim::run(topo, *routing, workload());
-    benchmark::DoNotOptimize(stats.packets_delivered);
-  }
+  std::uint64_t flits = 0;
+  for (auto _ : state) simulate(topo, *routing, workload(), flits);
+  report_flits(state, flits);
 }
 BENCHMARK(BM_SimulateBaseline)->Unit(benchmark::kMillisecond);
 
@@ -48,29 +63,31 @@ void BM_SimulateNullTrace(benchmark::State& state) {
   const auto topo = topology::make_mesh({8, 8}, 2);
   const auto routing = core::make_algorithm("duato-mesh", topo);
   std::uint64_t events = 0;
+  std::uint64_t flits = 0;
   for (auto _ : state) {
     obs::NullTraceSink sink;
     sim::SimConfig cfg = workload();
     cfg.trace = &sink;
-    const sim::SimStats stats = sim::run(topo, *routing, cfg);
-    benchmark::DoNotOptimize(stats.packets_delivered);
+    simulate(topo, *routing, cfg, flits);
     events = sink.count();
   }
   state.counters["events/run"] = static_cast<double>(events);
+  report_flits(state, flits);
 }
 BENCHMARK(BM_SimulateNullTrace)->Unit(benchmark::kMillisecond);
 
 void BM_SimulateMetrics(benchmark::State& state) {
   const auto topo = topology::make_mesh({8, 8}, 2);
   const auto routing = core::make_algorithm("duato-mesh", topo);
+  std::uint64_t flits = 0;
   for (auto _ : state) {
     obs::MetricsRegistry metrics;
     sim::SimConfig cfg = workload();
     cfg.metrics = &metrics;
-    const sim::SimStats stats = sim::run(topo, *routing, cfg);
-    benchmark::DoNotOptimize(stats.packets_delivered);
+    simulate(topo, *routing, cfg, flits);
     benchmark::DoNotOptimize(metrics.empty());
   }
+  report_flits(state, flits);
 }
 BENCHMARK(BM_SimulateMetrics)->Unit(benchmark::kMillisecond);
 

@@ -11,6 +11,7 @@
 // can also replay each wedged packet's last moments: when it blocked and
 // which channels it was waiting on at that instant.
 #include <iostream>
+#include <vector>
 
 #include "wormnet/wormnet.hpp"
 
@@ -68,9 +69,10 @@ void autopsy(const topology::Topology& topo,
   // cycle it stalled at and the full waiting set the allocator saw.
   std::cout << "  trace replay (from " << trace.total_emitted()
             << " recorded events):\n";
+  const std::vector<obs::TraceEvent> events = trace.events();
   for (const sim::PacketId id : cyc.packet_cycle) {
     const obs::TraceEvent* last_block = nullptr;
-    for (const obs::TraceEvent& ev : trace.events()) {
+    for (const obs::TraceEvent& ev : events) {
       if (ev.packet == id && ev.kind == obs::EventKind::kBlock) {
         last_block = &ev;
       }

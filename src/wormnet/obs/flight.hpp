@@ -1,13 +1,17 @@
-// The flight recorder: a fixed-capacity ring buffer of channel-level
-// lifecycle events inside the Simulator, cheap enough to leave on by default.
+// The flight recorder: a fixed-capacity ring of compact channel-level
+// lifecycle records inside the Simulator, cheap enough to leave on by
+// default.
 //
-// Unlike the TraceSink stream (which narrates *everything* and costs a
-// virtual call plus serialization per event), the recorder keeps only the
-// most recent `capacity` compact 24-byte records in a preallocated ring:
-// recording is a bounds-free store + two counter increments, there is no
-// allocation after construction, and nothing is rendered until a postmortem
-// asks for the tail.  Drops by ring wraparound are counted, never silent
-// (SimStats::flight_events_dropped).
+// The recorder is a ring sink of the one event vocabulary (obs/trace.hpp):
+// the simulator's tap hands it every event, and record() keeps a projection
+// of the kinds that have a flight name — acquires, releases, waits and their
+// voids, faults and repairs, aborts, retries, drops, deadlocks, the watchdog
+// and reconfiguration steps — as 24-byte `FlightEvent` slots.  A tail flit or
+// tail ejection projects to the release of the channel it leaves, and a
+// fault/repair epoch to one record per channel.  Recording is a ring store
+// plus a counter increment, there is no allocation after construction,
+// and nothing is rendered until a postmortem asks for the tail.  Drops by
+// ring wraparound are counted, never silent (SimStats::flight_events_dropped).
 //
 // Determinism contract (DESIGN 3.9): recording is driven exclusively by the
 // simulator's own deterministic event order and cycle counter — no wall
@@ -19,81 +23,125 @@
 #include <cstdint>
 #include <vector>
 
+#include "wormnet/obs/trace.hpp"
+
 namespace wormnet::obs {
 
-enum class FlightKind : std::uint8_t {
-  kAcquire,   ///< header acquired a virtual channel
-  kRelease,   ///< tail flit left a channel (or an abort cleared it)
-  kWait,      ///< header transitioned to blocked (edge-triggered)
-  kWaitVoid,  ///< a committed wait was voided (its channel went faulty)
-  kFault,     ///< channel transitioned to faulty
-  kRepair,    ///< channel transitioned back to healthy
-  kAbort,     ///< packet aborted (recovery victim or timeout)
-  kRetry,     ///< aborted packet re-entered its source queue
-  kDrop,      ///< packet gave up (budget exhausted / drain refusal)
-  kDeadlock,  ///< wait-for cycle detected
-  kWatchdog,  ///< global no-progress watchdog fired
-  kSwitch,    ///< reconfig cutover step applied (aux = transition epoch)
-  kRollback,     ///< guard reverted migrated destinations to the base
-                 ///< relation (aux = transition epoch)
-  kDrainSwitch,  ///< guard engaged drain-then-switch; second record fires
-                 ///< when the empty network takes the steady state
-};
-
-[[nodiscard]] const char* to_string(FlightKind kind) noexcept;
-
-/// One compact record.  `aux` carries the kind-specific extra: the node for
-/// kWait, the fault epoch for kFault/kRepair, the attempt count for
-/// kAbort/kRetry, the knot size for kDeadlock.  Unused ids stay kNoId
-/// (declared in trace.hpp but redefined here to keep this header free).
+/// One compact record.  `kind` is the event kind it projects (every release
+/// is kRelease); `aux` carries the kind-specific extra: the input channel
+/// for an acquire at a router, the node for a wait, the epoch for a fault,
+/// repair, wait void or reconfiguration step, the attempt count for an
+/// abort or retry, the cycle size (or, for the watchdog, the blocked count)
+/// for a deadlock.  Unused ids stay kNone.
 struct FlightEvent {
-  static constexpr std::uint32_t kNone = 0xffffffffu;
+  static constexpr std::uint32_t kNone = kNoId;
 
   std::uint64_t cycle = 0;
-  FlightKind kind = FlightKind::kAcquire;
+  EventKind kind = EventKind::kVcAlloc;
+  bool flag = false;  ///< kDeadlockDetected: the watchdog fired
   std::uint32_t packet = kNone;
   std::uint32_t channel = kNone;
   std::uint32_t aux = kNone;
+
+  /// The flight name ("acquire", "wait", "watchdog", ...).
+  [[nodiscard]] const char* name() const noexcept {
+    return flight_name(kind, flag);
+  }
 };
 
 class FlightRecorder {
  public:
   /// `capacity` of 0 disables the recorder entirely (record() still safe).
-  explicit FlightRecorder(std::size_t capacity);
-
-  void record(const FlightEvent& event) noexcept {
-    if (ring_.empty()) return;
-    ring_[next_] = event;
-    next_ = next_ + 1 == ring_.size() ? 0 : next_ + 1;
-    if (size_ < ring_.size()) {
-      ++size_;
-    } else {
-      ++dropped_;
-    }
-    ++recorded_;
+  explicit FlightRecorder(std::size_t capacity) : ring_(capacity) {
+    ring_.reserve();
   }
 
-  [[nodiscard]] std::size_t capacity() const noexcept { return ring_.size(); }
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  /// Keeps the recorder's projection of `ev` (nothing for kinds without a
+  /// flight name, one record per channel for a fault or repair epoch).
+  [[gnu::always_inline]] void record(const TraceEvent& ev) noexcept {
+    if (ring_.capacity() == 0) return;
+    EventKind kind = ev.kind;
+    std::uint32_t channel = kNoId;
+    auto aux = static_cast<std::uint32_t>(ev.value);
+    switch (ev.kind) {
+      case EventKind::kVcAlloc:
+        channel = ev.channel;
+        aux = ev.channel2;
+        break;
+      case EventKind::kLinkTraverse:
+        // A forwarded tail flit leaves (and releases) its input channel.
+        if (!ev.flag2 || ev.channel2 == kNoId) return;
+        kind = EventKind::kRelease;
+        channel = ev.channel2;
+        aux = kNoId;
+        break;
+      case EventKind::kEject:
+        if (!ev.flag2) return;
+        kind = EventKind::kRelease;
+        channel = ev.channel;
+        aux = kNoId;
+        break;
+      case EventKind::kRelease:
+        channel = ev.channel;
+        aux = kNoId;
+        break;
+      case EventKind::kBlock:
+        channel = ev.channel2;
+        aux = ev.node;
+        break;
+      case EventKind::kWaitVoid:
+        channel = ev.channel;
+        break;
+      case EventKind::kFault:
+      case EventKind::kRepair:
+        for (const std::uint32_t c : ev.list) {
+          ring_.push({ev.cycle, kind, false, kNoId, c, aux});
+        }
+        return;
+      case EventKind::kDrop:
+        aux = kNoId;
+        break;
+      case EventKind::kAbort:
+      case EventKind::kRetry:
+      case EventKind::kDeadlockDetected:
+      case EventKind::kSwitch:
+      case EventKind::kRollback:
+      case EventKind::kDrainSwitch:
+        break;
+      default:
+        return;  // trace-only kinds
+    }
+    ring_.push({ev.cycle, kind, kind == EventKind::kDeadlockDetected && ev.flag,
+                ev.packet, channel, aux});
+  }
+
+  [[nodiscard]] std::size_t capacity() const noexcept {
+    return ring_.capacity();
+  }
+  [[nodiscard]] std::size_t size() const noexcept { return ring_.size(); }
   /// Events ever recorded (including those since overwritten).
-  [[nodiscard]] std::uint64_t recorded() const noexcept { return recorded_; }
+  [[nodiscard]] std::uint64_t recorded() const noexcept {
+    return ring_.pushed();
+  }
   /// Events lost to ring wraparound.
-  [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
+  [[nodiscard]] std::uint64_t dropped() const noexcept {
+    return ring_.dropped();
+  }
 
   /// The retained events in chronological order (oldest first).
-  [[nodiscard]] std::vector<FlightEvent> snapshot() const;
+  [[nodiscard]] std::vector<FlightEvent> snapshot() const {
+    return ring_.snapshot();
+  }
 
   /// The most recent `n` events in chronological order.
-  [[nodiscard]] std::vector<FlightEvent> tail(std::size_t n) const;
+  [[nodiscard]] std::vector<FlightEvent> tail(std::size_t n) const {
+    return ring_.tail(n);
+  }
 
-  void clear() noexcept;
+  void clear() noexcept { ring_.clear(); }
 
  private:
-  std::vector<FlightEvent> ring_;
-  std::size_t next_ = 0;  ///< slot the next record lands in
-  std::size_t size_ = 0;  ///< retained events (<= capacity)
-  std::uint64_t recorded_ = 0;
-  std::uint64_t dropped_ = 0;
+  Ring<FlightEvent> ring_;
 };
 
 }  // namespace wormnet::obs

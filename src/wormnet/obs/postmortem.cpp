@@ -322,7 +322,7 @@ void write_postmortem_json(std::ostream& os, const topology::Topology& topo,
   for (const FlightEvent& ev : rt.flight_tail) {
     w.begin_object();
     w.field("cycle", ev.cycle);
-    w.field("kind", to_string(ev.kind));
+    w.field("kind", ev.name());
     if (ev.packet != FlightEvent::kNone) w.field("packet", ev.packet);
     if (ev.channel != FlightEvent::kNone) {
       w.field("channel", topo.channel_name(ev.channel));

@@ -4,38 +4,15 @@
 
 namespace wormnet::obs {
 
-const char* to_string(EventKind kind) noexcept {
-  switch (kind) {
-    case EventKind::kPacketCreate: return "create";
-    case EventKind::kInject: return "inject";
-    case EventKind::kRouteCompute: return "route";
-    case EventKind::kVcAlloc: return "vc_alloc";
-    case EventKind::kLinkTraverse: return "flit";
-    case EventKind::kBlock: return "block";
-    case EventKind::kUnblock: return "unblock";
-    case EventKind::kEject: return "eject";
-    case EventKind::kPacketDone: return "done";
-    case EventKind::kDeadlockCheck: return "dl_check";
-    case EventKind::kDeadlockDetected: return "deadlock";
-    case EventKind::kFault: return "fault";
-    case EventKind::kRepair: return "repair";
-    case EventKind::kAbort: return "abort";
-    case EventKind::kRetry: return "retry";
-    case EventKind::kRecovered: return "recovered";
-    case EventKind::kSwitch: return "switch";
-    case EventKind::kRollback: return "rollback";
-    case EventKind::kDrainSwitch: return "drain_switch";
-  }
-  return "?";
-}
-
 // --- JSONL ----------------------------------------------------------------
 
 void JsonlTraceSink::emit(const TraceEvent& ev) {
+  const char* name = trace_name(ev.kind);
+  if (name == nullptr) return;  // recorder-only kind
   JsonWriter w(os_);
   w.begin_object();
   w.field("c", ev.cycle);
-  w.field("ev", to_string(ev.kind));
+  w.field("ev", name);
   if (ev.packet != kNoId) w.field("pkt", ev.packet);
   switch (ev.kind) {
     case EventKind::kPacketCreate:
@@ -89,7 +66,8 @@ void JsonlTraceSink::emit(const TraceEvent& ev) {
       break;
     case EventKind::kDeadlockDetected:
       w.field("watchdog", ev.flag);
-      w.field("size", ev.value);
+      // The reported cycle's packet count (a watchdog reports none).
+      w.field("size", std::uint64_t{ev.list.size()});
       w.key("pkts");
       w.begin_array();
       for (const std::uint32_t p : ev.list) w.number(std::uint64_t{p});
@@ -124,6 +102,10 @@ void JsonlTraceSink::emit(const TraceEvent& ev) {
       w.begin_array();
       for (const std::uint32_t d : ev.list) w.number(std::uint64_t{d});
       w.end_array();
+      break;
+    case EventKind::kRelease:
+    case EventKind::kWaitVoid:
+    case EventKind::kDrop:
       break;
   }
   w.end_object();
@@ -330,22 +312,13 @@ void ChromeTraceSink::emit(const TraceEvent& ev) {
       os_ << "]}}";
       break;
     }
+    case EventKind::kRelease:
+    case EventKind::kWaitVoid:
+    case EventKind::kDrop:
+      break;  // recorder-only
   }
 }
 
 void ChromeTraceSink::flush() { os_.flush(); }
-
-// --- Memory ---------------------------------------------------------------
-
-void MemoryTraceSink::emit(const TraceEvent& event) {
-  ++total_emitted_;
-  events_.push_back(event);
-  while (events_.size() > capacity_) events_.pop_front();
-}
-
-void MemoryTraceSink::clear() {
-  events_.clear();
-  total_emitted_ = 0;
-}
 
 }  // namespace wormnet::obs

@@ -1,10 +1,13 @@
-// Structured event tracing for the simulator and the deadlock machinery.
+// The simulator's one event vocabulary and record, and the trace sinks.
 //
-// Producers (Simulator, RouteAllocator, find_wait_cycle) emit flat
-// `TraceEvent` records through an abstract `TraceSink`; the cost when tracing
-// is off is a single null-pointer test per site, and the traced run is
-// behaviour-identical to the untraced one (instrumentation never touches RNG
-// state or arbitration).
+// Every simulator event site builds one flat `TraceEvent` and hands it to one
+// tap (Simulator::emit): the flight recorder keeps its projection of the
+// event (obs/flight.hpp) and, when a sink is attached, the event goes to the
+// `TraceSink` too.  Each `EventKind` has a trace name (JSONL and Chrome), a
+// flight name (the recorder and postmortems), or both; the table sits beside
+// the enum.  The cost when tracing is off is one null-pointer test per
+// trace-only site, and the traced run is behaviour-identical to the untraced
+// one (instrumentation never touches RNG state or arbitration).
 //
 // Sinks:
 //   * JsonlTraceSink  — one JSON object per line; grep/jq-friendly, and the
@@ -16,10 +19,13 @@
 //   * MemoryTraceSink — bounded in-memory ring, for tests and post-mortems
 //     (deadlock_autopsy reconstructs wait cycles from it).
 //   * NullTraceSink   — discards everything; measures pure emission overhead.
+// JSONL and Chrome skip the recorder-only kinds (no trace name); memory and
+// null sinks receive every event.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
+#include <iterator>
 #include <ostream>
 #include <string>
 #include <unordered_map>
@@ -51,12 +57,62 @@ enum class EventKind : std::uint8_t {
   kRollback,          ///< guard reverted migrated destinations to the base
   kDrainSwitch,       ///< guard drained the network, then applied the
                       ///< steady state through it
+  // Recorder-only kinds: no trace name, so JSONL and Chrome skip them.
+  kRelease,   ///< an abort flush released a channel (tail flits and tail
+              ///< ejections imply their own release)
+  kWaitVoid,  ///< a wait commitment was voided (its channel died, or its
+              ///< destination switched relation)
+  kDrop,      ///< packet gave up (retry budget exhausted / drain refusal)
 };
 
-[[nodiscard]] const char* to_string(EventKind kind) noexcept;
+/// The names of one kind: `trace` in JSONL and Chrome, `flight` in the
+/// flight recorder and postmortems.  A null name means that stream never
+/// shows the kind.
+struct EventNames {
+  const char* trace;
+  const char* flight;
+};
+
+/// Indexed by EventKind.  The recorder stores every channel release as
+/// kRelease and a watchdog detection as kDeadlockDetected with its flag set
+/// (flight name "watchdog"; see flight_name).
+inline constexpr EventNames kEventNames[] = {
+    {"create", nullptr},           {"inject", nullptr},
+    {"route", nullptr},            {"vc_alloc", "acquire"},
+    {"flit", nullptr},             {"block", "wait"},
+    {"unblock", nullptr},          {"eject", nullptr},
+    {"done", nullptr},             {"dl_check", nullptr},
+    {"deadlock", "deadlock"},      {"fault", "fault"},
+    {"repair", "repair"},          {"abort", "abort"},
+    {"retry", "retry"},            {"recovered", nullptr},
+    {"switch", "switch"},          {"rollback", "rollback"},
+    {"drain_switch", "drain-switch"},
+    {nullptr, "release"},          {nullptr, "wait_void"},
+    {nullptr, "drop"},
+};
+static_assert(std::size(kEventNames) ==
+              static_cast<std::size_t>(EventKind::kDrop) + 1);
+
+/// JSONL/Chrome name of `kind`; null for the recorder-only kinds.
+[[nodiscard]] constexpr const char* trace_name(EventKind kind) noexcept {
+  return kEventNames[static_cast<std::size_t>(kind)].trace;
+}
+
+/// Flight-recorder name of `kind`; null for the kinds the recorder never
+/// keeps.  `flag` is the event's flag: a flagged deadlock is the watchdog.
+[[nodiscard]] constexpr const char* flight_name(EventKind kind,
+                                                bool flag = false) noexcept {
+  if (kind == EventKind::kDeadlockDetected && flag) return "watchdog";
+  return kEventNames[static_cast<std::size_t>(kind)].flight;
+}
 
 /// One flat record.  Field meaning varies per kind (see JsonlTraceSink for
-/// the authoritative field mapping); unused ids stay kNoId.
+/// the trace mapping, FlightRecorder::record for the flight projection);
+/// unused ids stay kNoId.  Kind-specific payloads beyond the trace fields:
+/// kVcAlloc carries the input channel in `channel2` (kNoId at the source);
+/// kDeadlockDetected carries the cycle's packet count in `value`, or the
+/// blocked count when `flag` marks the watchdog; kWaitVoid and kRelease name
+/// their channel in `channel`, and kWaitVoid its epoch in `value`.
 struct TraceEvent {
   EventKind kind = EventKind::kPacketCreate;
   std::uint64_t cycle = 0;
@@ -68,9 +124,72 @@ struct TraceEvent {
   std::uint64_t value = 0;         ///< length, candidate count, latency, ...
   bool flag = false;               ///< head flit / watchdog detection
   bool flag2 = false;              ///< tail flit
-  /// Rare-event payload (waiting channel set, deadlock packet cycle); kept
-  /// empty on hot-path events so emission stays allocation-free.
+  /// List payload: the channels of a fault/repair epoch and the destinations
+  /// of a reconfiguration step always; the waiting set of a block and the
+  /// packet cycle of a deadlock only when a sink is attached.  Empty on
+  /// hot-path events, so emission stays allocation-free.
   std::vector<std::uint32_t> list;
+};
+
+/// A bounded ring keeping the newest `capacity` values.  Storage grows on
+/// demand up to the capacity (reserve() allocates it all up front); once
+/// full, each push overwrites the oldest value.  Capacity 0 disables it.
+template <typename T>
+class Ring {
+ public:
+  explicit Ring(std::size_t capacity) : capacity_(capacity) {}
+
+  void reserve() { slots_.reserve(capacity_); }
+
+  /// Inlined: the flight recorder pushes on the simulator's flit path.
+  [[gnu::always_inline]] void push(const T& value) {
+    if (slots_.size() == capacity_) {
+      if (capacity_ == 0) return;
+      slots_[next_] = value;
+      next_ = next_ + 1 == capacity_ ? 0 : next_ + 1;
+    } else {
+      slots_.push_back(value);
+    }
+    ++pushed_;
+  }
+
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
+  [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
+  /// Values ever pushed (including those since overwritten).
+  [[nodiscard]] std::uint64_t pushed() const noexcept { return pushed_; }
+  /// Values lost to wraparound.
+  [[nodiscard]] std::uint64_t dropped() const noexcept {
+    return pushed_ - slots_.size();
+  }
+
+  /// The newest `n` values, oldest first.
+  [[nodiscard]] std::vector<T> tail(std::size_t n) const {
+    const std::size_t size = slots_.size();
+    n = std::min(n, size);
+    std::vector<T> out;
+    out.reserve(n);
+    // Until the ring wraps next_ stays 0; after, it is the oldest slot.
+    for (std::size_t i = size - n; i < size; ++i) {
+      out.push_back(slots_[(next_ + i) % size]);
+    }
+    return out;
+  }
+
+  /// Every retained value, oldest first.
+  [[nodiscard]] std::vector<T> snapshot() const { return tail(slots_.size()); }
+
+  /// Forgets every value; the capacity (and reserved storage) stays.
+  void clear() noexcept {
+    slots_.clear();
+    next_ = 0;
+    pushed_ = 0;
+  }
+
+ private:
+  std::size_t capacity_;
+  std::vector<T> slots_;
+  std::size_t next_ = 0;  ///< slot the next push overwrites once full
+  std::uint64_t pushed_ = 0;
 };
 
 class TraceSink {
@@ -119,22 +238,21 @@ class ChromeTraceSink final : public TraceSink {
 class MemoryTraceSink final : public TraceSink {
  public:
   explicit MemoryTraceSink(std::size_t capacity = static_cast<std::size_t>(-1))
-      : capacity_(capacity) {}
+      : ring_(capacity) {}
 
-  void emit(const TraceEvent& event) override;
+  void emit(const TraceEvent& event) override { ring_.push(event); }
 
-  [[nodiscard]] const std::deque<TraceEvent>& events() const noexcept {
-    return events_;
+  /// The retained events, oldest first.
+  [[nodiscard]] std::vector<TraceEvent> events() const {
+    return ring_.snapshot();
   }
   [[nodiscard]] std::uint64_t total_emitted() const noexcept {
-    return total_emitted_;
+    return ring_.pushed();
   }
-  void clear();
+  void clear() noexcept { ring_.clear(); }
 
  private:
-  std::size_t capacity_;
-  std::deque<TraceEvent> events_;
-  std::uint64_t total_emitted_ = 0;
+  Ring<TraceEvent> ring_;
 };
 
 /// Counts and discards; isolates the emission overhead itself.

@@ -16,23 +16,6 @@ namespace {
 
 using topology::ChannelId;
 
-/// Canonicalizes a member name, masked (`NAME%HEXMASK`) or plain, and
-/// validates that it can be instantiated against `topo`.
-std::string canonical_member(const Topology& topo, const std::string& name) {
-  const std::size_t pct = name.find('%');
-  if (pct == std::string::npos) {
-    const std::string canon = core::canonical_algorithm_name(name, topo);
-    (void)core::make_algorithm(canon, topo);
-    return canon;
-  }
-  const std::string algo =
-      core::canonical_algorithm_name(name.substr(0, pct), topo);
-  (void)core::make_algorithm(algo, topo);
-  const std::vector<bool> mask =
-      ft::mask_from_hex(name.substr(pct + 1), topo.num_channels());
-  return algo + '%' + ft::mask_to_hex(mask);
-}
-
 /// Budget-counted, memoized Duato certifier for candidate stage unions.
 /// Duplicate epochs (to_string-identical specs) are free, which is what
 /// makes found plans monotone in the budget.  A relation that cannot be

@@ -343,6 +343,23 @@ TransitionPlan resolve(const TransitionPlan& plan, const Topology& topo,
   return out;
 }
 
+std::string canonical_member(const Topology& topo, const std::string& name) {
+  const std::size_t pct = name.find('%');
+  if (pct == std::string::npos) {
+    const std::string canon = core::canonical_algorithm_name(name, topo);
+    (void)core::make_algorithm(canon, topo);
+    return canon;
+  }
+  // NAME%HEXMASK: canonicalize the algorithm part and normalize the channel
+  // mask through a hex round-trip so equal masks dedup.
+  const std::string algo =
+      core::canonical_algorithm_name(name.substr(0, pct), topo);
+  (void)core::make_algorithm(algo, topo);
+  const std::vector<bool> mask =
+      ft::mask_from_hex(name.substr(pct + 1), topo.num_channels());
+  return algo + '%' + ft::mask_to_hex(mask);
+}
+
 CompiledTransitionPlan compile(const TransitionPlan& plan,
                                const Topology& topo,
                                const std::string& base_name) {
@@ -362,20 +379,7 @@ CompiledTransitionPlan compile(const TransitionPlan& plan,
                               const std::string& where) -> std::uint32_t {
     std::string canon;
     try {
-      const std::size_t pct = target.find('%');
-      if (pct == std::string::npos) {
-        canon = core::canonical_algorithm_name(target, topo);
-        if (canon != out.base) (void)core::make_algorithm(canon, topo);
-      } else {
-        // NAME%HEXMASK: canonicalize the algorithm part and normalize the
-        // channel mask through a hex round-trip so equal masks dedup.
-        const std::string algo =
-            core::canonical_algorithm_name(target.substr(0, pct), topo);
-        (void)core::make_algorithm(algo, topo);
-        const std::vector<bool> mask =
-            ft::mask_from_hex(target.substr(pct + 1), topo.num_channels());
-        canon = algo + '%' + ft::mask_to_hex(mask);
-      }
+      canon = canonical_member(topo, target);
     } catch (const std::invalid_argument& e) {
       bad(std::string(e.what()) + " in \"" + where + "\"");
     }

@@ -169,6 +169,15 @@ class CompiledTransitionPlan {
   [[nodiscard]] std::vector<UnionSpec> verification_epochs() const;
 };
 
+/// Canonicalizes a plan member name, plain or masked (`NAME%HEXMASK`), and
+/// checks that it instantiates on `topo`: the algorithm part is resolved
+/// through the registry (aliases accepted) and the mask normalized by a hex
+/// round-trip, so equal members compare equal.  Throws
+/// std::invalid_argument for an unknown or inapplicable algorithm, a
+/// non-hex mask digit or a mask bit past the channel count.
+[[nodiscard]] std::string canonical_member(const Topology& topo,
+                                           const std::string& name);
+
 /// Replaces every `plan:` event with the staging order the planner finds
 /// from `base_name` (aliases accepted) on `topo`, or with the naive switch
 /// when it finds none.  The result holds no kPlan event; a planner-free

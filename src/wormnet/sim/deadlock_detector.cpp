@@ -21,15 +21,7 @@ std::size_t lookup(const std::vector<std::pair<PacketId, std::uint32_t>>& table,
 
 std::optional<DeadlockInfo> find_wait_cycle(
     const std::vector<BlockedPacket>& blocked,
-    const std::function<PacketId(ChannelId)>& owner_of, std::uint64_t cycle,
-    obs::TraceSink* trace) {
-  if (trace) {
-    obs::TraceEvent ev;
-    ev.kind = obs::EventKind::kDeadlockCheck;
-    ev.cycle = cycle;
-    ev.value = blocked.size();
-    trace->emit(ev);
-  }
+    const std::function<PacketId(ChannelId)>& owner_of, std::uint64_t cycle) {
   if (blocked.empty()) return std::nullopt;
 
   const std::size_t n = blocked.size();
@@ -119,14 +111,6 @@ std::optional<DeadlockInfo> find_wait_cycle(
   for (std::size_t i = position[current]; i < walk.size(); ++i) {
     info.packet_cycle.push_back(walk[i].first);
     info.blocked_channels.push_back(walk[i].second);
-  }
-  if (trace) {
-    obs::TraceEvent ev;
-    ev.kind = obs::EventKind::kDeadlockDetected;
-    ev.cycle = cycle;
-    ev.value = info.packet_cycle.size();
-    ev.list.assign(info.packet_cycle.begin(), info.packet_cycle.end());
-    trace->emit(ev);
   }
   return info;
 }

@@ -12,7 +12,6 @@
 #include <optional>
 #include <vector>
 
-#include "wormnet/obs/trace.hpp"
 #include "wormnet/sim/stats.hpp"
 
 namespace wormnet::sim {
@@ -26,11 +25,8 @@ struct BlockedPacket {
 /// Detects a wait-for cycle among `blocked` packets.  `owner_of(channel)`
 /// maps a channel to its current owner (kNoPacket if free).  Returns the
 /// cycle (packets + one blocked channel per hop) if one exists.
-/// `trace`, when set, receives a dl_check event per invocation and a
-/// deadlock event (with the packet cycle) on detection.
 [[nodiscard]] std::optional<DeadlockInfo> find_wait_cycle(
     const std::vector<BlockedPacket>& blocked,
-    const std::function<PacketId(ChannelId)>& owner_of, std::uint64_t cycle,
-    obs::TraceSink* trace = nullptr);
+    const std::function<PacketId(ChannelId)>& owner_of, std::uint64_t cycle);
 
 }  // namespace wormnet::sim

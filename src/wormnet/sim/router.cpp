@@ -9,13 +9,11 @@ RouteAllocator::RouteAllocator(const Topology& topo,
                                SelectionPolicy selection,
                                WaitOverride wait_override,
                                std::uint32_t buffer_depth, std::uint64_t seed,
-                               obs::TraceSink* trace,
-                               const std::uint64_t* clock,
                                const std::vector<bool>* faulty,
                                const reconfig::TransitionOverlay* transition)
     : topo_(&topo), routing_(&routing), selection_(selection),
       wait_override_(wait_override), buffer_depth_(buffer_depth), rng_(seed),
-      trace_(trace), clock_(clock), faulty_(faulty), transition_(transition) {}
+      faulty_(faulty), transition_(transition) {}
 
 const RoutingFunction& RouteAllocator::relation_for(const Packet& pkt) const {
   if (transition_ == nullptr) return *routing_;
@@ -58,19 +56,7 @@ std::optional<ChannelId> RouteAllocator::attempt(Packet& pkt, ChannelId input,
                                                  NetworkState& net) {
   candidates_into(pkt, input, current, cands_);
   const routing::ChannelSet& cands = cands_;
-  // One route-compute event per hop: blocked headers re-arbitrate every
-  // cycle, but only the first evaluation at a hop is a routing decision.
-  if (trace_ && pkt.trace_routes_emitted == pkt.path.size()) {
-    ++pkt.trace_routes_emitted;
-    obs::TraceEvent ev;
-    ev.kind = obs::EventKind::kRouteCompute;
-    ev.cycle = clock_ ? *clock_ : 0;
-    ev.packet = pkt.id;
-    ev.node = current;
-    ev.channel2 = input == kInvalidChannel ? obs::kNoId : input;
-    ev.value = cands.size();
-    trace_->emit(ev);
-  }
+  evaluated_ = cands.size();
   if (cands.empty()) return std::nullopt;
 
   free_.assign(cands.size(), false);
@@ -89,15 +75,6 @@ std::optional<ChannelId> RouteAllocator::attempt(Packet& pkt, ChannelId input,
     pkt.committed_wait = kInvalidChannel;
     if (!pkt.forced_path.empty()) ++pkt.forced_next;
     pkt.path.push_back(acquired);
-    if (trace_) {
-      obs::TraceEvent ev;
-      ev.kind = obs::EventKind::kVcAlloc;
-      ev.cycle = clock_ ? *clock_ : 0;
-      ev.packet = pkt.id;
-      ev.node = current;
-      ev.channel = acquired;
-      trace_->emit(ev);
-    }
     return acquired;
   }
 

@@ -10,7 +10,6 @@
 
 #include <optional>
 
-#include "wormnet/obs/trace.hpp"
 #include "wormnet/reconfig/overlay.hpp"
 #include "wormnet/routing/routing_function.hpp"
 #include "wormnet/routing/selection.hpp"
@@ -29,13 +28,10 @@ enum class WaitOverride : std::uint8_t { kFollowRouting, kForceAny, kForceSpecif
 
 class RouteAllocator {
  public:
-  /// `trace`/`clock`, when set, emit route-compute and VC-allocate events
-  /// stamped with `*clock` (the simulator's cycle counter).  Tracing never
-  /// alters allocation behaviour or RNG state.  `faulty`, when set, is a
-  /// borrowed live fault mask (the simulator's ft overlay): faulty channels
-  /// are removed from every candidate set — relation candidates, forced
-  /// paths and wait commitments alike — and a blocked header only ever
-  /// commits to a live waiting channel.
+  /// `faulty`, when set, is a borrowed live fault mask (the simulator's ft
+  /// overlay): faulty channels are removed from every candidate set —
+  /// relation candidates, forced paths and wait commitments alike — and a
+  /// blocked header only ever commits to a live waiting channel.
   /// `transition`, when set, is the simulator's borrowed reconfig overlay:
   /// injected packets route by the pure relation of their stamped
   /// `route_version`, source-queued packets by the destination's current
@@ -43,8 +39,6 @@ class RouteAllocator {
   RouteAllocator(const Topology& topo, const RoutingFunction& routing,
                  SelectionPolicy selection, WaitOverride wait_override,
                  std::uint32_t buffer_depth, std::uint64_t seed,
-                 obs::TraceSink* trace = nullptr,
-                 const std::uint64_t* clock = nullptr,
                  const std::vector<bool>* faulty = nullptr,
                  const reconfig::TransitionOverlay* transition = nullptr);
 
@@ -62,6 +56,12 @@ class RouteAllocator {
   /// them, or a change of the candidate space, can turn the outcome.
   [[nodiscard]] const routing::ChannelSet& last_candidates() const noexcept {
     return cands_;
+  }
+
+  /// How many live candidates the last attempt evaluated (before a
+  /// wait-specific failure narrowed them to its commitment).
+  [[nodiscard]] std::size_t last_evaluated() const noexcept {
+    return evaluated_;
   }
 
   /// Candidate channels the blocked packet is currently waiting on — used by
@@ -89,14 +89,13 @@ class RouteAllocator {
   WaitOverride wait_override_;
   std::uint32_t buffer_depth_;
   util::Xoshiro256 rng_;
-  obs::TraceSink* trace_;
-  const std::uint64_t* clock_;
   const std::vector<bool>* faulty_;
   const reconfig::TransitionOverlay* transition_;
   // Scratch reused across attempts (hot path: no per-call allocation).
   std::vector<bool> free_;
   std::vector<std::uint32_t> credits_;
   routing::ChannelSet cands_;
+  std::size_t evaluated_ = 0;
 };
 
 }  // namespace wormnet::sim

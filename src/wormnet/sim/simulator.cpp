@@ -14,7 +14,6 @@ Simulator::Simulator(const Topology& topo,
       net_(topo),
       allocator_(topo, routing, config_.selection, config_.wait_override,
                  config_.buffer_depth, config_.seed ^ 0xa5a5a5a5ULL,
-                 config_.trace, &cycle_,
                  config_.fault_plan != nullptr ? &overlay_.mask() : nullptr,
                  transition_.active() ? &transition_ : nullptr),
       traffic_(topo, config_.pattern, config_.seed, config_.hotspot_fraction,
@@ -208,15 +207,9 @@ PacketId Simulator::create_packet(NodeId src, NodeId dst, std::uint32_t length,
   if (pkt.measured) ++stats_.measured_created;
   ++in_flight_;
   if (trace_) {
-    obs::TraceEvent ev;
-    ev.kind = obs::EventKind::kPacketCreate;
-    ev.cycle = cycle_;
-    ev.packet = pkt.id;
-    ev.node = src;
-    ev.node2 = dst;
-    ev.value = pkt.length;
-    ev.flag = pkt.measured;
-    trace_->emit(ev);
+    emit({.kind = obs::EventKind::kPacketCreate, .cycle = cycle_,
+          .packet = pkt.id, .node = src, .node2 = dst, .value = pkt.length,
+          .flag = pkt.measured});
   }
   packets_.push_back(std::move(pkt));
   live_packets_.grow(packets_.size());
@@ -299,24 +292,16 @@ void Simulator::allocate_outputs() {
     for (const std::uint32_t node : scratch_nodes_) {
       src_fresh_.erase(node);
       ++activity_;
-      ++alloc_attempts_;
       Packet& pkt = packets_[sources_[node].queue.front()];
-      if (allocator_.attempt(pkt, kInvalidChannel, node, net_)) {
-        ++alloc_grants_;
+      if (attempt(pkt, kInvalidChannel, node)) {
         // Stamp the routing version the packet injects under: it keeps this
         // pure relation for its whole flight (in-flight coherence rule).
         pkt.route_version = transition_.current(pkt.dst);
         pkt.injecting = true;
         pkt.first_injected = cycle_;
-        if (track_progress_) pkt.last_progress = cycle_;
-        chan_len_[pkt.path.back()] = pkt.length;
-        flight_.record({cycle_, obs::FlightKind::kAcquire, pkt.id,
-                        pkt.path.back(), obs::FlightEvent::kNone});
-        note_block_transition(pkt, kInvalidChannel, node, /*acquired=*/true);
         touch_source(node);
       } else {
         add_waiter(channels + node);
-        note_block_transition(pkt, kInvalidChannel, node, /*acquired=*/false);
       }
     }
   }
@@ -336,42 +321,55 @@ void Simulator::allocate_outputs() {
         touch_channel(c);
         continue;
       }
-      ++alloc_attempts_;
-      if (auto acquired = allocator_.attempt(pkt, c, here, net_)) {
-        ++alloc_grants_;
+      if (auto acquired = attempt(pkt, c, here)) {
         net_.assign_output(c, *acquired);
-        if (track_progress_) pkt.last_progress = cycle_;
-        chan_len_[*acquired] = pkt.length;
-        flight_.record(
-            {cycle_, obs::FlightKind::kAcquire, pkt.id, *acquired, c});
-        note_block_transition(pkt, c, here, /*acquired=*/true);
         touch_channel(c);
       } else {
         add_waiter(c);
-        note_block_transition(pkt, c, here, /*acquired=*/false);
       }
     }
   }
 }
 
+std::optional<ChannelId> Simulator::attempt(Packet& pkt, ChannelId input,
+                                            NodeId node) {
+  ++alloc_attempts_;
+  // One route-compute event per hop: blocked headers re-arbitrate, but only
+  // the first evaluation at a hop is a routing decision.
+  const bool route_event =
+      trace_ != nullptr && pkt.trace_routes_emitted == pkt.path.size();
+  const std::optional<ChannelId> acquired =
+      allocator_.attempt(pkt, input, node, net_);
+  if (route_event) {
+    ++pkt.trace_routes_emitted;
+    emit({.kind = obs::EventKind::kRouteCompute, .cycle = cycle_,
+          .packet = pkt.id, .node = node, .channel2 = input,
+          .value = allocator_.last_evaluated()});
+  }
+  if (acquired) {
+    ++alloc_grants_;
+    if (track_progress_) pkt.last_progress = cycle_;
+    chan_len_[*acquired] = pkt.length;
+    emit({.kind = obs::EventKind::kVcAlloc, .cycle = cycle_, .packet = pkt.id,
+          .node = node, .channel = *acquired, .channel2 = input});
+  }
+  note_block_transition(pkt, input, node, acquired.has_value());
+  return acquired;
+}
+
 void Simulator::note_block_transition(Packet& pkt, ChannelId input,
                                       NodeId node, bool acquired) {
-  // Edge-triggered blocked/unblocked bookkeeping shared by the trace stream
-  // and the flight recorder.  The recorder logs the cheap edge only (packet,
-  // input channel, node) — never the waiting set, which would cost an
-  // allocator query per transition.
+  // Edge-triggered blocked/unblocked events.  The block event carries its
+  // waiting set only for an attached sink: the recorder keeps the cheap edge
+  // (packet, input channel, node), and the set costs an allocator query.
   if (!trace_ && flight_.capacity() == 0) return;
   if (acquired) {
     if (pkt.trace_blocked) {
       pkt.trace_blocked = false;
       if (trace_) {
-        obs::TraceEvent ev;
-        ev.kind = obs::EventKind::kUnblock;
-        ev.cycle = cycle_;
-        ev.packet = pkt.id;
-        ev.node = node;
-        ev.value = cycle_ - pkt.trace_block_start;
-        trace_->emit(ev);
+        emit({.kind = obs::EventKind::kUnblock, .cycle = cycle_,
+              .packet = pkt.id, .node = node,
+              .value = cycle_ - pkt.trace_block_start});
       }
     }
     return;
@@ -379,20 +377,13 @@ void Simulator::note_block_transition(Packet& pkt, ChannelId input,
   if (!pkt.trace_blocked) {
     pkt.trace_blocked = true;
     pkt.trace_block_start = cycle_;
-    flight_.record({cycle_, obs::FlightKind::kWait, pkt.id,
-                    input == kInvalidChannel ? obs::FlightEvent::kNone : input,
-                    node});
+    obs::TraceEvent ev{.kind = obs::EventKind::kBlock, .cycle = cycle_,
+                       .packet = pkt.id, .node = node, .channel2 = input};
     if (trace_) {
-      obs::TraceEvent ev;
-      ev.kind = obs::EventKind::kBlock;
-      ev.cycle = cycle_;
-      ev.packet = pkt.id;
-      ev.node = node;
-      ev.channel2 = input == kInvalidChannel ? obs::kNoId : input;
       const routing::ChannelSet waits = allocator_.blocked_on(pkt, input, node);
       ev.list.assign(waits.begin(), waits.end());
-      trace_->emit(ev);
     }
+    emit(ev);
   }
 }
 
@@ -450,19 +441,13 @@ void Simulator::move_flits() {
         if (track_progress_) pkt.last_progress = cycle_;
         if (tail) src.queue.pop_front();
         if (trace_) {
-          obs::TraceEvent ev;
-          ev.cycle = cycle_;
-          ev.packet = pkt.id;
           if (head) {
-            ev.kind = obs::EventKind::kInject;
-            ev.node = m.src_node;
-            ev.channel = m.to;
+            emit({.kind = obs::EventKind::kInject, .cycle = cycle_,
+                  .packet = pkt.id, .node = m.src_node, .channel = m.to});
           } else {
-            ev.kind = obs::EventKind::kLinkTraverse;
-            ev.channel = m.to;
-            ev.flag2 = tail;
+            emit({.kind = obs::EventKind::kLinkTraverse, .cycle = cycle_,
+                  .packet = pkt.id, .channel = m.to, .flag2 = tail});
           }
-          trace_->emit(ev);
         }
         // Membership fast path: a push into a non-empty queue changes
         // nothing; the first flit into an empty one either presents a fresh
@@ -488,20 +473,13 @@ void Simulator::move_flits() {
         if (track_progress_) packets_[owner].last_progress = cycle_;
         if (tail) {
           net_.release(m.from);
-          flight_.record({cycle_, obs::FlightKind::kRelease, owner, m.from,
-                          obs::FlightEvent::kNone});
           wake_waiters(m.from);
         }
-        if (trace_) {
-          obs::TraceEvent ev;
-          ev.kind = obs::EventKind::kLinkTraverse;
-          ev.cycle = cycle_;
-          ev.packet = owner;
-          ev.channel = m.to;
-          ev.channel2 = m.from;
-          ev.flag = head;
-          ev.flag2 = tail;
-          trace_->emit(ev);
+        // The recorder needs the tail flit: it releases its input channel.
+        if (trace_ || tail) {
+          emit({.kind = obs::EventKind::kLinkTraverse, .cycle = cycle_,
+                .packet = owner, .channel = m.to, .channel2 = m.from,
+                .flag = head, .flag2 = tail});
         }
         // Membership fast paths (see the injection branch above): only
         // boundary transitions change a set, and the common mid-worm
@@ -549,20 +527,13 @@ void Simulator::move_flits() {
       ++pkt.flits_ejected;
       if (track_progress_) pkt.last_progress = cycle_;
       if (in_window) ++stats_.flits_ejected_in_window;
-      if (trace_) {
-        obs::TraceEvent ev;
-        ev.kind = obs::EventKind::kEject;
-        ev.cycle = cycle_;
-        ev.packet = pkt.id;
-        ev.node = node;
-        ev.channel = c;
-        ev.flag2 = tail;
-        trace_->emit(ev);
+      // The recorder needs the tail: its ejection releases the channel.
+      if (trace_ || tail) {
+        emit({.kind = obs::EventKind::kEject, .cycle = cycle_,
+              .packet = pkt.id, .node = node, .channel = c, .flag2 = tail});
       }
       if (tail) {
         net_.release(c);
-        flight_.record({cycle_, obs::FlightKind::kRelease, pkt.id, c,
-                        obs::FlightEvent::kNone});
         wake_waiters(c);
         finish_packet(pkt);
       }
@@ -597,21 +568,12 @@ void Simulator::finish_packet(Packet& pkt) {
     recovery_latency_sum_ += static_cast<double>(cycle_ - pkt.first_abort);
   }
   if (trace_) {
-    obs::TraceEvent ev;
-    ev.kind = obs::EventKind::kPacketDone;
-    ev.cycle = cycle_;
-    ev.packet = pkt.id;
-    ev.node = pkt.dst;
-    ev.value = pkt.finished - pkt.created;
-    trace_->emit(ev);
+    emit({.kind = obs::EventKind::kPacketDone, .cycle = cycle_,
+          .packet = pkt.id, .node = pkt.dst,
+          .value = pkt.finished - pkt.created});
     if (pkt.attempts > 0) {
-      obs::TraceEvent rec;
-      rec.kind = obs::EventKind::kRecovered;
-      rec.cycle = cycle_;
-      rec.packet = pkt.id;
-      rec.node = pkt.dst;
-      rec.value = pkt.attempts;
-      trace_->emit(rec);
+      emit({.kind = obs::EventKind::kRecovered, .cycle = cycle_,
+            .packet = pkt.id, .node = pkt.dst, .value = pkt.attempts});
     }
   }
   if (metrics_ && pkt.measured) {
@@ -623,21 +585,22 @@ void Simulator::finish_packet(Packet& pkt) {
 }
 
 void Simulator::apply_fault_step(std::size_t step_index) {
-  const ft::FaultOverlay::Delta delta =
+  ft::FaultOverlay::Delta delta =
       overlay_.apply(config_.fault_plan->steps[step_index]);
   ++stats_.fault_epochs;
   stats_.fault_events += delta.downed.size();
   stats_.repair_events += delta.repaired.size();
-  const std::uint32_t epoch = static_cast<std::uint32_t>(overlay_.epoch());
-  for (const ChannelId c : delta.downed) {
-    flight_.record({cycle_, obs::FlightKind::kFault,
-                    obs::FlightEvent::kNone, c, epoch});
+  const std::uint64_t epoch = overlay_.epoch();
+  const bool downed = !delta.downed.empty();
+  if (downed) {
+    emit({.kind = obs::EventKind::kFault, .cycle = cycle_, .value = epoch,
+          .list = std::move(delta.downed)});
   }
-  for (const ChannelId c : delta.repaired) {
-    flight_.record({cycle_, obs::FlightKind::kRepair,
-                    obs::FlightEvent::kNone, c, epoch});
+  if (!delta.repaired.empty()) {
+    emit({.kind = obs::EventKind::kRepair, .cycle = cycle_, .value = epoch,
+          .list = std::move(delta.repaired)});
   }
-  if (!delta.downed.empty()) {
+  if (downed) {
     // A wait commitment to a dead channel can never be granted: void it
     // so the header re-arbitrates over the surviving candidates.
     scratch_packets_.clear();
@@ -646,25 +609,9 @@ void Simulator::apply_fault_step(std::size_t step_index) {
       Packet& pkt = packets_[id];
       if (pkt.committed_wait != kInvalidChannel &&
           overlay_.is_faulty(pkt.committed_wait)) {
-        flight_.record({cycle_, obs::FlightKind::kWaitVoid, pkt.id,
-                        pkt.committed_wait, epoch});
-        pkt.committed_wait = kInvalidChannel;
+        void_wait(pkt, epoch);
       }
     }
-  }
-  if (trace_) {
-    auto emit_epoch = [&](obs::EventKind kind,
-                          const std::vector<ChannelId>& channels) {
-      if (channels.empty()) return;
-      obs::TraceEvent ev;
-      ev.kind = kind;
-      ev.cycle = cycle_;
-      ev.value = overlay_.epoch();
-      ev.list.assign(channels.begin(), channels.end());
-      trace_->emit(ev);
-    };
-    emit_epoch(obs::EventKind::kFault, delta.downed);
-    emit_epoch(obs::EventKind::kRepair, delta.repaired);
   }
   // The candidate space changed (downed channels shrink it, repairs grow
   // it): every blocked header gets a fresh attempt.
@@ -721,13 +668,27 @@ void Simulator::apply_transition_step(std::size_t step_index) {
     }
   }
   ++next_transition_step_;
-  const std::vector<NodeId> switched = transition_.apply(step);
-  if (switched.empty()) return;  // cannot happen: compile prunes no-ops
+  obs::TraceEvent ev{.kind = obs::EventKind::kSwitch, .cycle = cycle_,
+                     .list = transition_.apply(step)};
+  if (ev.list.empty()) return;  // cannot happen: compile prunes no-ops
   ++stats_.reconfig_epochs;
-  stats_.dests_switched += switched.size();
-  const std::uint32_t epoch = transition_.epoch();
-  flight_.record({cycle_, obs::FlightKind::kSwitch, obs::FlightEvent::kNone,
-                  obs::FlightEvent::kNone, epoch});
+  stats_.dests_switched += ev.list.size();
+  ev.value = transition_.epoch();
+  emit(ev);
+  void_switched_waits(ev.list, ev.value);
+  // Source-front headers toward switched destinations now draw candidates
+  // from a different relation: every blocked header gets a fresh attempt.
+  wake_blocked();
+}
+
+void Simulator::void_wait(Packet& pkt, std::uint64_t epoch) {
+  emit({.kind = obs::EventKind::kWaitVoid, .cycle = cycle_, .packet = pkt.id,
+        .channel = pkt.committed_wait, .value = epoch});
+  pkt.committed_wait = kInvalidChannel;
+}
+
+void Simulator::void_switched_waits(const std::vector<NodeId>& switched,
+                                    std::uint64_t epoch) {
   // A source-queued packet toward a switched destination may have committed
   // to a waiting channel under the old relation; void the commitment so it
   // re-arbitrates under the new one.  In-flight packets keep their stamped
@@ -738,22 +699,9 @@ void Simulator::apply_transition_step(std::size_t step_index) {
     Packet& pkt = packets_[id];
     if (pkt.injecting || pkt.committed_wait == kInvalidChannel) continue;
     if (std::binary_search(switched.begin(), switched.end(), pkt.dst)) {
-      flight_.record({cycle_, obs::FlightKind::kWaitVoid, pkt.id,
-                      pkt.committed_wait, epoch});
-      pkt.committed_wait = kInvalidChannel;
+      void_wait(pkt, epoch);
     }
   }
-  if (trace_) {
-    obs::TraceEvent ev;
-    ev.kind = obs::EventKind::kSwitch;
-    ev.cycle = cycle_;
-    ev.value = epoch;
-    ev.list.assign(switched.begin(), switched.end());
-    trace_->emit(ev);
-  }
-  // Source-front headers toward switched destinations now draw candidates
-  // from a different relation: every blocked header gets a fresh attempt.
-  wake_blocked();
 }
 
 void Simulator::apply_guard_repair(const reconfig::GuardDecision& decision,
@@ -763,31 +711,13 @@ void Simulator::apply_guard_repair(const reconfig::GuardDecision& decision,
     // Revert every migrated destination to the base relation.  In-flight
     // packets keep their stamped versions (coherence holds: the rollback
     // epoch's union was certified before this decision was emitted).
-    const std::vector<NodeId> switched = transition_.apply(decision.cutover);
+    obs::TraceEvent ev{.kind = obs::EventKind::kRollback, .cycle = cycle_,
+                       .list = transition_.apply(decision.cutover)};
     ++stats_.rollbacks;
-    stats_.rollback_dests += switched.size();
-    const std::uint32_t epoch = transition_.epoch();
-    flight_.record({cycle_, obs::FlightKind::kRollback,
-                    obs::FlightEvent::kNone, obs::FlightEvent::kNone, epoch});
-    scratch_packets_.clear();
-    live_packets_.collect(scratch_packets_);
-    for (const std::uint32_t id : scratch_packets_) {
-      Packet& pkt = packets_[id];
-      if (pkt.injecting || pkt.committed_wait == kInvalidChannel) continue;
-      if (std::binary_search(switched.begin(), switched.end(), pkt.dst)) {
-        flight_.record({cycle_, obs::FlightKind::kWaitVoid, pkt.id,
-                        pkt.committed_wait, epoch});
-        pkt.committed_wait = kInvalidChannel;
-      }
-    }
-    if (trace_) {
-      obs::TraceEvent ev;
-      ev.kind = obs::EventKind::kRollback;
-      ev.cycle = cycle_;
-      ev.value = epoch;
-      ev.list.assign(switched.begin(), switched.end());
-      trace_->emit(ev);
-    }
+    stats_.rollback_dests += ev.list.size();
+    ev.value = transition_.epoch();
+    emit(ev);
+    void_switched_waits(ev.list, ev.value);
     wake_blocked();
     return;
   }
@@ -799,19 +729,14 @@ void Simulator::apply_guard_repair(const reconfig::GuardDecision& decision,
   pending_switch_ = decision.cutover;
   drain_switch_pending_ = true;
   ++stats_.drain_switches;
-  flight_.record({cycle_, obs::FlightKind::kDrainSwitch,
-                  obs::FlightEvent::kNone, obs::FlightEvent::kNone,
-                  transition_.epoch()});
+  obs::TraceEvent ev{.kind = obs::EventKind::kDrainSwitch, .cycle = cycle_,
+                     .value = transition_.epoch()};
   if (trace_) {
-    obs::TraceEvent ev;
-    ev.kind = obs::EventKind::kDrainSwitch;
-    ev.cycle = cycle_;
-    ev.value = transition_.epoch();
     for (const reconfig::CutoverAssignment& a : pending_switch_.assignments) {
       ev.list.push_back(a.dest);
     }
-    trace_->emit(ev);
   }
+  emit(ev);
   engage_drain();
 }
 
@@ -820,18 +745,10 @@ void Simulator::complete_drain_switch() {
   // stamped against any prior version — packet conservation carries over
   // because drains drop (and count) refused packets, never lose them.
   drain_switch_pending_ = false;
-  const std::vector<NodeId> switched = transition_.apply(pending_switch_);
-  const std::uint32_t epoch = transition_.epoch();
-  flight_.record({cycle_, obs::FlightKind::kDrainSwitch,
-                  obs::FlightEvent::kNone, obs::FlightEvent::kNone, epoch});
-  if (trace_) {
-    obs::TraceEvent ev;
-    ev.kind = obs::EventKind::kDrainSwitch;
-    ev.cycle = cycle_;
-    ev.value = epoch;
-    ev.list.assign(switched.begin(), switched.end());
-    trace_->emit(ev);
-  }
+  obs::TraceEvent ev{.kind = obs::EventKind::kDrainSwitch, .cycle = cycle_,
+                     .list = transition_.apply(pending_switch_)};
+  ev.value = transition_.epoch();
+  emit(ev);
   // Resume admissions unless a recovery-policy drain had independently
   // engaged before the guard's (that one is permanent).
   draining_ = drain_was_engaged_;
@@ -850,17 +767,8 @@ void Simulator::fire_retry(PacketId id) {
   pkt.last_progress = cycle_;
   sources_[pkt.src].queue.push_back(pkt.id);
   ++stats_.packets_retried;
-  flight_.record({cycle_, obs::FlightKind::kRetry, pkt.id,
-                  obs::FlightEvent::kNone, pkt.attempts});
-  if (trace_) {
-    obs::TraceEvent ev;
-    ev.kind = obs::EventKind::kRetry;
-    ev.cycle = cycle_;
-    ev.packet = pkt.id;
-    ev.node = pkt.src;
-    ev.value = pkt.attempts;
-    trace_->emit(ev);
-  }
+  emit({.kind = obs::EventKind::kRetry, .cycle = cycle_, .packet = pkt.id,
+        .node = pkt.src, .value = pkt.attempts});
   touch_source(pkt.src);
 }
 
@@ -874,8 +782,8 @@ void Simulator::abort_packet(Packet& pkt) {
     capture_postmortem(obs::PostmortemReason::kRetryExhausted, pkt.id,
                        collect_blocked());
   }
-  flight_.record({cycle_, obs::FlightKind::kAbort, pkt.id,
-                  obs::FlightEvent::kNone, pkt.attempts + 1});
+  emit({.kind = obs::EventKind::kAbort, .cycle = cycle_, .packet = pkt.id,
+        .node = pkt.src, .value = pkt.attempts + 1, .flag = retry});
   // Flush the worm: every channel the packet still owns holds only its own
   // flits (Assumption 4), so clearing the queues releases exactly this
   // packet's resources.
@@ -883,8 +791,8 @@ void Simulator::abort_packet(Packet& pkt) {
     if (net_.owner(c) != pkt.id) continue;
     net_.clear_queue(c);
     net_.release(c);
-    flight_.record({cycle_, obs::FlightKind::kRelease, pkt.id, c,
-                    obs::FlightEvent::kNone});
+    emit({.kind = obs::EventKind::kRelease, .cycle = cycle_,
+          .packet = pkt.id, .channel = c});
     touch_channel(c);
   }
   // Present in its source queue iff injection had not finished.
@@ -904,16 +812,6 @@ void Simulator::abort_packet(Packet& pkt) {
   ++activity_;
   touch_source(pkt.src);
   wake_blocked();
-  if (trace_) {
-    obs::TraceEvent ev;
-    ev.kind = obs::EventKind::kAbort;
-    ev.cycle = cycle_;
-    ev.packet = pkt.id;
-    ev.node = pkt.src;
-    ev.value = pkt.attempts;
-    ev.flag = retry;
-    trace_->emit(ev);
-  }
   if (retry) {
     pkt.aborted = true;
     timed_.push(cycle_ + config_.recovery.backoff(pkt.attempts),
@@ -931,8 +829,7 @@ void Simulator::drop_packet(Packet& pkt) {
   ++stats_.packets_dropped;
   if (pkt.measured) ++stats_.measured_dropped;
   ++activity_;
-  flight_.record({cycle_, obs::FlightKind::kDrop, pkt.id,
-                  obs::FlightEvent::kNone, obs::FlightEvent::kNone});
+  emit({.kind = obs::EventKind::kDrop, .cycle = cycle_, .packet = pkt.id});
 }
 
 void Simulator::engage_drain() {
@@ -988,12 +885,19 @@ void Simulator::check_deadlock() {
   }
 
   const std::vector<BlockedPacket> blocked = collect_blocked();
+  if (trace_) {
+    emit({.kind = obs::EventKind::kDeadlockCheck, .cycle = cycle_,
+          .value = blocked.size()});
+  }
 
   auto owner_of = [this](ChannelId c) { return net_.owner(c); };
-  if (auto info = find_wait_cycle(blocked, owner_of, cycle_, trace_)) {
-    flight_.record({cycle_, obs::FlightKind::kDeadlock,
-                    obs::FlightEvent::kNone, obs::FlightEvent::kNone,
-                    static_cast<std::uint32_t>(info->packet_cycle.size())});
+  if (auto info = find_wait_cycle(blocked, owner_of, cycle_)) {
+    obs::TraceEvent ev{.kind = obs::EventKind::kDeadlockDetected,
+                       .cycle = cycle_, .value = info->packet_cycle.size()};
+    if (trace_) {
+      ev.list.assign(info->packet_cycle.begin(), info->packet_cycle.end());
+    }
+    emit(ev);
     if (config_.recovery.policy == ft::RecoveryPolicy::kHalt) {
       capture_postmortem(obs::PostmortemReason::kWaitCycle, kNoPacket,
                          blocked);
@@ -1015,21 +919,14 @@ void Simulator::check_deadlock() {
     return;
   }
   if (in_flight_ > 0 && cycle_ - last_progress_ > config_.watchdog_cycles) {
-    flight_.record({cycle_, obs::FlightKind::kWatchdog,
-                    obs::FlightEvent::kNone, obs::FlightEvent::kNone,
-                    static_cast<std::uint32_t>(blocked.size())});
+    // The watchdog reports no wait-for cycle, only how many were blocked.
+    emit({.kind = obs::EventKind::kDeadlockDetected, .cycle = cycle_,
+          .value = blocked.size(), .flag = true});
     capture_postmortem(obs::PostmortemReason::kWatchdog, kNoPacket, blocked);
     DeadlockInfo info;
     info.cycle = cycle_;
     info.from_watchdog = true;
     deadlock_ = std::move(info);
-    if (trace_) {
-      obs::TraceEvent ev;
-      ev.kind = obs::EventKind::kDeadlockDetected;
-      ev.cycle = cycle_;
-      ev.flag = true;  // watchdog, no explicit wait-for cycle
-      trace_->emit(ev);
-    }
   }
 }
 

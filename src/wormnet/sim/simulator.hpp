@@ -127,7 +127,7 @@ struct SimConfig {
   std::uint64_t metrics_epoch = 256;     ///< cycles between series samples
 
   // Flight recorder + postmortems (DESIGN 3.9).  The recorder is on by
-  // default: recording is a ring store + two counter increments, is driven
+  // default: recording is a ring store + a counter increment, is driven
   // only by the simulator's own cycle counter (bit-identical across runs,
   // hosts and sweep thread counts), and never perturbs behaviour.  Terminal
   // events (deadlock, watchdog, retry-budget exhaustion) each capture a
@@ -194,6 +194,13 @@ class Simulator {
 
   void generate_traffic();
   void allocate_outputs();
+  /// One allocation attempt for the header of `pkt` at `node`, arrived on
+  /// `input` (kInvalidChannel at the source), with its events: the hop's
+  /// route decision, the acquire, and the blocked/unblocked edge.  Defined
+  /// in simulator.cpp and inlined into both allocation loops (a saturated
+  /// run makes tens of attempts per cycle, most of them failing).
+  [[gnu::always_inline]] inline std::optional<ChannelId> attempt(
+      Packet& pkt, ChannelId input, NodeId node);
   void move_flits();
   void check_deadlock();
   /// The wait-for graph right now: every header (or source-front packet)
@@ -248,11 +255,26 @@ class Simulator {
   /// Completes a pending drain-then-switch once the network is empty.
   void complete_drain_switch();
   void fire_retry(PacketId id);
+  /// Voids `pkt`'s wait commitment (its channel died at fault `epoch`, or
+  /// its destination switched relation at reconfiguration `epoch`).
+  void void_wait(Packet& pkt, std::uint64_t epoch);
+  /// Voids the commitments of source-queued packets toward `switched`.
+  void void_switched_waits(const std::vector<NodeId>& switched,
+                           std::uint64_t epoch);
   void abort_packet(Packet& pkt);
   void drop_packet(Packet& pkt);
   void engage_drain();
 
   // --- observability (all no-ops when the handles are null) --------------
+  /// The one emission point of every event site: the flight recorder keeps
+  /// its projection of `event`, and an attached sink receives the event.
+  /// Trace-only sites build their event only when a sink is attached.
+  /// Inlined everywhere, so each site's constant kind folds the recorder's
+  /// projection down to its own case on the flit path.
+  [[gnu::always_inline]] void emit(const obs::TraceEvent& event) {
+    flight_.record(event);
+    if (trace_) trace_->emit(event);
+  }
   void note_block_transition(Packet& pkt, ChannelId input, NodeId node,
                              bool acquired);
   void capture_postmortem(obs::PostmortemReason reason, PacketId victim,

@@ -126,8 +126,7 @@ TEST(Fault, AllocatorFollowsLiveMask) {
   std::vector<bool> mask(topo.num_channels(), false);
   sim::RouteAllocator allocator(topo, *base, SelectionPolicy::kInOrder,
                                 sim::WaitOverride::kFollowRouting,
-                                /*buffer_depth=*/4, /*seed=*/1, nullptr,
-                                nullptr, &mask);
+                                /*buffer_depth=*/4, /*seed=*/1, &mask);
   sim::NetworkState net(topo);
   sim::Packet pkt;
   pkt.id = 1;

@@ -142,8 +142,9 @@ TEST(ObsTrace, BlockEventsCarryTheWaitingSet) {
   ASSERT_TRUE(stats.deadlocked);
   ASSERT_FALSE(stats.deadlock.packet_cycle.size() < 2);
 
+  const std::vector<TraceEvent> events = sink.events();
   bool saw_detection = false;
-  for (const TraceEvent& ev : sink.events()) {
+  for (const TraceEvent& ev : events) {
     if (ev.kind == EventKind::kBlock) {
       EXPECT_FALSE(ev.list.empty()) << "block event without a waiting set";
     }
@@ -155,7 +156,7 @@ TEST(ObsTrace, BlockEventsCarryTheWaitingSet) {
   EXPECT_TRUE(saw_detection);
   for (const sim::PacketId id : stats.deadlock.packet_cycle) {
     bool blocked = false;
-    for (const TraceEvent& ev : sink.events()) {
+    for (const TraceEvent& ev : events) {
       if (ev.packet == id && ev.kind == EventKind::kBlock) blocked = true;
     }
     EXPECT_TRUE(blocked) << "no block event for wedged packet " << id;
@@ -175,6 +176,31 @@ TEST(ObsTrace, MemoryTraceSinkKeepsOnlyTheMostRecentEvents) {
   EXPECT_EQ(sink.events().back().cycle, 9u);
   sink.clear();
   EXPECT_TRUE(sink.events().empty());
+}
+
+TEST(ObsTrace, RecorderOnlyKindsRenderNothing) {
+  // Channel releases by an abort flush, wait voids and drops exist only for
+  // the flight recorder: the trace formats skip them byte for byte.
+  std::ostringstream jsonl;
+  JsonlTraceSink jsonl_sink(jsonl);
+  std::ostringstream chrome;
+  {
+    ChromeTraceSink chrome_sink(chrome);
+    const std::string empty_chrome = chrome.str();
+    for (const EventKind kind :
+         {EventKind::kRelease, EventKind::kWaitVoid, EventKind::kDrop}) {
+      EXPECT_EQ(trace_name(kind), nullptr);
+      EXPECT_NE(flight_name(kind), nullptr);
+      TraceEvent ev;
+      ev.kind = kind;
+      ev.packet = 3;
+      ev.channel = 5;
+      jsonl_sink.emit(ev);
+      chrome_sink.emit(ev);
+    }
+    EXPECT_EQ(chrome.str(), empty_chrome);
+  }
+  EXPECT_TRUE(jsonl.str().empty());
 }
 
 TEST(ObsTrace, ChromeTraceIsStructurallyBalanced) {

@@ -168,6 +168,19 @@ TEST(TransitionPlanCompile, RejectsSemanticErrors) {
   EXPECT_THROW((void)compile(parse_transition_plan("switch:duato-mesh@10"),
                              topo, "nonesuch"),
                std::invalid_argument);
+  // A masked target whose mask has a non-hex digit.
+  EXPECT_THROW(
+      (void)compile(parse_transition_plan("switch:duato-mesh%3g@10"), topo,
+                    "e-cube"),
+      std::invalid_argument);
+  // A masked target whose mask sets the bit one past the last channel.
+  const std::size_t n = topo.num_channels();
+  const std::string past_end =
+      std::string(1, "1248"[n % 4]) + std::string(n / 4, '0');
+  EXPECT_THROW((void)compile(parse_transition_plan("switch:duato-mesh%" +
+                                                   past_end + "@10"),
+                             topo, "e-cube"),
+               std::invalid_argument);
 }
 
 // ------------------------------------------------------------ union specs

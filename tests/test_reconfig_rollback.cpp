@@ -63,7 +63,7 @@ sim::SimConfig base_config() {
 }
 
 std::size_t count_flight(const sim::Simulator& simulator,
-                         obs::FlightKind kind) {
+                         obs::EventKind kind) {
   std::size_t n = 0;
   for (const obs::FlightEvent& ev : simulator.flight().snapshot()) {
     if (ev.kind == kind) ++n;
@@ -166,7 +166,7 @@ TEST(TransitionGuard, MidPlanRefutationRollsBackMigratedDests) {
   EXPECT_EQ(stats.drain_switches, 0u);
   EXPECT_EQ(stats.packets_delivered, stats.packets_created);
   EXPECT_EQ(stats.packets_dropped, 0u);
-  EXPECT_GE(count_flight(simulator, obs::FlightKind::kRollback), 1u);
+  EXPECT_GE(count_flight(simulator, obs::EventKind::kRollback), 1u);
 }
 
 TEST(TransitionGuard, UncertifiableRollbackFallsBackToDrainThenSwitch) {
@@ -207,7 +207,7 @@ TEST(TransitionGuard, UncertifiableRollbackFallsBackToDrainThenSwitch) {
   EXPECT_EQ(stats.drain_switches, 1u);
   EXPECT_EQ(stats.packets_delivered + stats.packets_dropped,
             stats.packets_created);
-  EXPECT_GE(count_flight(simulator, obs::FlightKind::kDrainSwitch), 1u);
+  EXPECT_GE(count_flight(simulator, obs::EventKind::kDrainSwitch), 1u);
 }
 
 // --- chaos: a fault refutes an already-certified ramp mid-flight ---------
@@ -247,7 +247,7 @@ TEST(TransitionGuard, ChaosKillchMidRampRollsBackAndDeliversEverything) {
   EXPECT_EQ(stats.rollback_dests, 4u);
   EXPECT_EQ(stats.packets_delivered, stats.packets_created);
   EXPECT_EQ(stats.packets_dropped, 0u);
-  EXPECT_GE(count_flight(simulator, obs::FlightKind::kRollback), 1u);
+  EXPECT_GE(count_flight(simulator, obs::EventKind::kRollback), 1u);
 }
 
 }  // namespace

@@ -40,7 +40,7 @@ std::vector<topology::ChannelId> first_choice_path(
 std::size_t header_waits(const Simulator& sim) {
   std::size_t waits = 0;
   for (const obs::FlightEvent& ev : sim.flight().tail(sim.flight().capacity())) {
-    if (ev.kind == obs::FlightKind::kWait) ++waits;
+    if (ev.kind == obs::EventKind::kBlock) ++waits;
   }
   return waits;
 }
