@@ -12,6 +12,9 @@
 // simulator emitted (captured by an unbounded MemoryTraceSink), so no site
 // can record to the ring without emitting its event.
 //
+// A last fixture set pins one ordinary run under each selection policy: its
+// stats JSON and its flight stream (selection_<policy>.*).
+//
 // Regenerate fixtures:  WORMNET_UPDATE_GOLDEN=1 ./test_obs_streams
 #include <gtest/gtest.h>
 
@@ -33,6 +36,8 @@
 #include "wormnet/reconfig/transition_plan.hpp"
 #include "wormnet/reconfig/union_routing.hpp"
 #include "wormnet/routing/dimension_order.hpp"
+#include "wormnet/routing/duato_adaptive.hpp"
+#include "wormnet/routing/selection.hpp"
 #include "wormnet/sim/simulator.hpp"
 #include "wormnet/topology/builders.hpp"
 
@@ -254,6 +259,37 @@ TEST(ObsStreams, RecorderIsTheProjectionOfTheEventStream) {
   for (const auto& r : kRuns) {
     SCOPED_TRACE(r.stem);
     r.scenario(expect_recorder_is_projection);
+  }
+}
+
+/// The run of SelectionPolicies.DuatoMeshDelivers (mesh:4x4:2, duato-mesh,
+/// load 0.15, seed 17) under each selection policy, pinned by its stats JSON
+/// and its full flight stream in selection_<policy>.{stats.json,flight.jsonl}.
+/// Which free candidate a header takes, and the RNG draws kRandom makes,
+/// show in every acquire event and in the latency figures.
+TEST(ObsStreams, SelectionPoliciesMatchGoldens) {
+  const topology::Topology topo = topology::make_mesh({4, 4}, 2);
+  const auto routing = routing::make_duato_mesh(topo);
+  for (const routing::SelectionPolicy policy :
+       {routing::SelectionPolicy::kInOrder, routing::SelectionPolicy::kRandom,
+        routing::SelectionPolicy::kMostCredits}) {
+    const std::string stem =
+        std::string("selection_") + routing::to_string(policy);
+    SCOPED_TRACE(stem);
+    sim::SimConfig config;
+    config.injection_rate = 0.15;
+    config.selection = policy;
+    config.warmup_cycles = 300;
+    config.measure_cycles = 2000;
+    config.drain_cycles = 6000;
+    config.seed = 17;
+    config.flight_capacity = kFullStream;
+    sim::Simulator simulator(topo, *routing, config);
+    const sim::SimStats stats = simulator.run();
+    EXPECT_EQ(simulator.flight().dropped(), 0u);
+    expect_matches_golden(stats.to_json() + "\n", stem + ".stats.json");
+    expect_matches_golden(render_flight(topo, simulator.flight().snapshot()),
+                          stem + ".flight.jsonl");
   }
 }
 
