@@ -43,6 +43,11 @@ class TransitionOverlay {
     return *relations_[version];
   }
 
+  /// Versions a stamp can name: the base, then one per plan target.
+  [[nodiscard]] std::size_t num_versions() const noexcept {
+    return relations_.size();
+  }
+
   /// The version new injections toward `dest` are stamped with.
   [[nodiscard]] std::uint32_t current(NodeId dest) const {
     return version_.empty() ? 0 : version_[dest];

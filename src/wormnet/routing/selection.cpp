@@ -14,42 +14,4 @@ const char* to_string(SelectionPolicy policy) {
   return "?";
 }
 
-int select_channel(SelectionPolicy policy, const ChannelSet& candidates,
-                   const std::vector<bool>& free,
-                   const std::vector<std::uint32_t>& credits,
-                   util::Xoshiro256& rng) {
-  switch (policy) {
-    case SelectionPolicy::kInOrder: {
-      for (std::size_t i = 0; i < candidates.size(); ++i) {
-        if (free[i]) return static_cast<int>(i);
-      }
-      return -1;
-    }
-    case SelectionPolicy::kRandom: {
-      std::uint32_t count = 0;
-      for (std::size_t i = 0; i < candidates.size(); ++i) {
-        if (free[i]) ++count;
-      }
-      if (count == 0) return -1;
-      std::uint64_t pick = rng.below(count);
-      for (std::size_t i = 0; i < candidates.size(); ++i) {
-        if (free[i] && pick-- == 0) return static_cast<int>(i);
-      }
-      return -1;
-    }
-    case SelectionPolicy::kMostCredits: {
-      int best = -1;
-      std::uint32_t best_credits = 0;
-      for (std::size_t i = 0; i < candidates.size(); ++i) {
-        if (free[i] && (best < 0 || credits[i] > best_credits)) {
-          best = static_cast<int>(i);
-          best_credits = credits[i];
-        }
-      }
-      return best;
-    }
-  }
-  return -1;
-}
-
 }  // namespace wormnet::routing

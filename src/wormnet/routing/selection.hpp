@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "wormnet/routing/routing_function.hpp"
 #include "wormnet/util/rng.hpp"
@@ -27,11 +28,49 @@ enum class SelectionPolicy : std::uint8_t {
 [[nodiscard]] const char* to_string(SelectionPolicy policy);
 
 /// Returns the index into `candidates` of the selected channel, or -1 if none
-/// is free.  `free` and `credits` are parallel to `candidates`.
+/// is free.  `is_free(c)` and `credits(c)` report channel c's state when
+/// asked, so the caller's own state is read in place: nothing is copied.
+/// kRandom draws once from `rng`, and only when some candidate is free.
+template <class IsFree, class Credits>
 [[nodiscard]] int select_channel(SelectionPolicy policy,
-                                 const ChannelSet& candidates,
-                                 const std::vector<bool>& free,
-                                 const std::vector<std::uint32_t>& credits,
-                                 util::Xoshiro256& rng);
+                                 std::span<const ChannelId> candidates,
+                                 IsFree&& is_free, Credits&& credits,
+                                 util::Xoshiro256& rng) {
+  const int n = static_cast<int>(candidates.size());
+  switch (policy) {
+    case SelectionPolicy::kInOrder: {
+      for (int i = 0; i < n; ++i) {
+        if (is_free(candidates[i])) return i;
+      }
+      return -1;
+    }
+    case SelectionPolicy::kRandom: {
+      std::uint32_t count = 0;
+      for (const ChannelId c : candidates) {
+        if (is_free(c)) ++count;
+      }
+      if (count == 0) return -1;
+      std::uint64_t pick = rng.below(count);
+      for (int i = 0; i < n; ++i) {
+        if (is_free(candidates[i]) && pick-- == 0) return i;
+      }
+      return -1;
+    }
+    case SelectionPolicy::kMostCredits: {
+      int best = -1;
+      std::uint32_t best_credits = 0;
+      for (int i = 0; i < n; ++i) {
+        if (!is_free(candidates[i])) continue;
+        const std::uint32_t cr = credits(candidates[i]);
+        if (best < 0 || cr > best_credits) {
+          best = i;
+          best_credits = cr;
+        }
+      }
+      return best;
+    }
+  }
+  return -1;
+}
 
 }  // namespace wormnet::routing
