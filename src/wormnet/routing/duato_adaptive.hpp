@@ -32,6 +32,9 @@ class DuatoAdaptive final : public RoutingFunction {
                 std::uint8_t adaptive_vc_lo, std::string label);
 
   [[nodiscard]] std::string name() const override { return label_; }
+  /// The adaptive layer ignores the input, so the escape's form is the
+  /// relation's.
+  [[nodiscard]] RelationForm form() const override { return escape_->form(); }
 
   /// Adaptive candidates first (preference order), escape candidates last.
   [[nodiscard]] ChannelSet route(ChannelId input, NodeId current,
