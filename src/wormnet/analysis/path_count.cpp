@@ -54,20 +54,19 @@ class AllMinimal final : public RoutingFunction {
  public:
   explicit AllMinimal(const Topology& topo) : RoutingFunction(topo) {}
   [[nodiscard]] std::string name() const override { return "all-minimal"; }
-  [[nodiscard]] ChannelSet route(ChannelId, NodeId current,
-                                 NodeId dest) const override {
+  void route_into(ChannelId, NodeId current, NodeId dest,
+                  ChannelSet& out) const override {
     if (topo_->is_cube()) {
-      return routing::minimal_channels(*topo_, current, dest, 0,
-                                       topo_->cube().vcs - 1);
+      routing::minimal_channels_into(*topo_, current, dest, 0,
+                                     topo_->cube().vcs - 1, out);
+      return;
     }
-    ChannelSet out;
     const std::uint32_t here = topo_->distance(current, dest);
     for (ChannelId c : topo_->out_channels(current)) {
       if (topo_->distance(topo_->channel(c).dst, dest) + 1 == here) {
         out.push_back(c);
       }
     }
-    return out;
   }
 };
 

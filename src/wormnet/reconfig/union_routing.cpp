@@ -81,13 +81,6 @@ void UnionRouting::route_into(ChannelId input, NodeId current, NodeId dest,
   out.resize(w);
 }
 
-ChannelSet UnionRouting::route(ChannelId input, NodeId current,
-                               NodeId dest) const {
-  ChannelSet out;
-  route_into(input, current, dest, out);
-  return out;
-}
-
 ChannelSet UnionRouting::waiting(ChannelId input, NodeId current,
                                  NodeId dest) const {
   // Union of member waiting sets: each is a subset of its member's route

@@ -33,9 +33,6 @@ class UnionRouting : public routing::RoutingFunction {
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] routing::RelationForm form() const override;
   [[nodiscard]] routing::WaitMode wait_mode() const override;
-  [[nodiscard]] routing::ChannelSet route(topology::ChannelId input,
-                                          NodeId current,
-                                          NodeId dest) const override;
   void route_into(topology::ChannelId input, NodeId current, NodeId dest,
                   routing::ChannelSet& out) const override;
   [[nodiscard]] routing::ChannelSet waiting(topology::ChannelId input,

@@ -38,13 +38,6 @@ bool DatelineRouting::wrap_ahead(NodeId current, NodeId dest,
   return dir == Direction::kPos ? y < x : y > x;
 }
 
-ChannelSet DatelineRouting::route(ChannelId input, NodeId current,
-                                  NodeId dest) const {
-  ChannelSet out;
-  route_into(input, current, dest, out);
-  return out;
-}
-
 void DatelineRouting::route_into(ChannelId /*input*/, NodeId current,
                                  NodeId dest, ChannelSet& out) const {
   for (std::size_t dim = 0; dim < topo_->num_dims(); ++dim) {

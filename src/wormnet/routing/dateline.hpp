@@ -29,8 +29,6 @@ class DatelineRouting final : public RoutingFunction {
   explicit DatelineRouting(const Topology& topo);
 
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] ChannelSet route(ChannelId input, NodeId current,
-                                 NodeId dest) const override;
   void route_into(ChannelId input, NodeId current, NodeId dest,
                   ChannelSet& out) const override;
 

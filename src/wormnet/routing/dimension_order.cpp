@@ -37,13 +37,6 @@ std::string DimensionOrder::name() const {
   return os.str();
 }
 
-ChannelSet DimensionOrder::route(ChannelId input, NodeId current,
-                                 NodeId dest) const {
-  ChannelSet out;
-  route_into(input, current, dest, out);
-  return out;
-}
-
 void DimensionOrder::route_into(ChannelId /*input*/, NodeId current,
                                 NodeId dest, ChannelSet& out) const {
   for (std::size_t dim = 0; dim < topo_->num_dims(); ++dim) {

@@ -21,8 +21,6 @@ class DimensionOrder final : public RoutingFunction {
   explicit DimensionOrder(const Topology& topo);
 
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] ChannelSet route(ChannelId input, NodeId current,
-                                 NodeId dest) const override;
   void route_into(ChannelId input, NodeId current, NodeId dest,
                   ChannelSet& out) const override;
 

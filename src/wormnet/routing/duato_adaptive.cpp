@@ -21,13 +21,6 @@ DuatoAdaptive::DuatoAdaptive(const Topology& topo,
   }
 }
 
-ChannelSet DuatoAdaptive::route(ChannelId input, NodeId current,
-                                NodeId dest) const {
-  ChannelSet out;
-  route_into(input, current, dest, out);
-  return out;
-}
-
 void DuatoAdaptive::route_into(ChannelId input, NodeId current, NodeId dest,
                                ChannelSet& out) const {
   minimal_channels_into(*topo_, current, dest, adaptive_vc_lo_,

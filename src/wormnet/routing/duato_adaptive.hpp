@@ -37,8 +37,6 @@ class DuatoAdaptive final : public RoutingFunction {
   [[nodiscard]] RelationForm form() const override { return escape_->form(); }
 
   /// Adaptive candidates first (preference order), escape candidates last.
-  [[nodiscard]] ChannelSet route(ChannelId input, NodeId current,
-                                 NodeId dest) const override;
   void route_into(ChannelId input, NodeId current, NodeId dest,
                   ChannelSet& out) const override;
 

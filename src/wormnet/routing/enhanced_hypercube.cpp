@@ -28,9 +28,8 @@ std::pair<std::size_t, Direction> EnhancedFullyAdaptive::lowest_needed(
   throw std::logic_error("lowest_needed called with current == dest");
 }
 
-ChannelSet EnhancedFullyAdaptive::route(ChannelId /*input*/, NodeId current,
-                                        NodeId dest) const {
-  ChannelSet out;
+void EnhancedFullyAdaptive::route_into(ChannelId /*input*/, NodeId current,
+                                       NodeId dest, ChannelSet& out) const {
   const auto [l, dir_l] = lowest_needed(current, dest);
   // First set (vc0), listed first so deterministic selection drains it.
   if (dir_l == Direction::kNeg || relaxed_) {
@@ -50,7 +49,6 @@ ChannelSet EnhancedFullyAdaptive::route(ChannelId /*input*/, NodeId current,
       append_link_vcs(*topo_, current, d, dir, 1, 1, out);
     }
   }
-  return out;
 }
 
 ChannelSet EnhancedFullyAdaptive::waiting(ChannelId /*input*/, NodeId current,

@@ -32,8 +32,8 @@ class EnhancedFullyAdaptive final : public RoutingFunction {
     return WaitMode::kSpecific;
   }
 
-  [[nodiscard]] ChannelSet route(ChannelId input, NodeId current,
-                                 NodeId dest) const override;
+  void route_into(ChannelId input, NodeId current, NodeId dest,
+                  ChannelSet& out) const override;
   [[nodiscard]] ChannelSet waiting(ChannelId input, NodeId current,
                                    NodeId dest) const override;
 

@@ -42,13 +42,12 @@ IncoherentRouting::IncoherentRouting(const Topology& topo, bool wait_specific)
     : RoutingFunction(topo), ch_(incoherent_channels(topo)),
       wait_specific_(wait_specific) {}
 
-ChannelSet IncoherentRouting::route(ChannelId /*input*/, NodeId current,
-                                    NodeId dest) const {
-  ChannelSet out;
+void IncoherentRouting::route_into(ChannelId /*input*/, NodeId current,
+                                   NodeId dest, ChannelSet& out) const {
   if (dest > current) {
     const ChannelId right[] = {ch_.cH0, ch_.cH1, ch_.cH2};
     out.push_back(right[current]);
-    return out;
+    return;
   }
   const ChannelId left[] = {ch_.cL1, ch_.cL2, ch_.cL3};
   out.push_back(left[current - 1]);
@@ -56,7 +55,6 @@ ChannelSet IncoherentRouting::route(ChannelId /*input*/, NodeId current,
     if (current == 1) out.push_back(ch_.cA1);
     if (current == 2) out.push_back(ch_.cB2);
   }
-  return out;
 }
 
 ChannelSet IncoherentRouting::waiting(ChannelId input, NodeId current,

@@ -61,8 +61,8 @@ class IncoherentRouting final : public RoutingFunction {
   }
   [[nodiscard]] bool minimal() const override { return false; }
 
-  [[nodiscard]] ChannelSet route(ChannelId input, NodeId current,
-                                 NodeId dest) const override;
+  void route_into(ChannelId input, NodeId current, NodeId dest,
+                  ChannelSet& out) const override;
   [[nodiscard]] ChannelSet waiting(ChannelId input, NodeId current,
                                    NodeId dest) const override;
 

@@ -33,13 +33,6 @@ std::string FaultAwareRouting::name() const {
   return base_->name() + "+faults(" + std::to_string(count_) + ")";
 }
 
-ChannelSet FaultAwareRouting::route(ChannelId input, NodeId current,
-                                    NodeId dest) const {
-  ChannelSet out;
-  route_into(input, current, dest, out);
-  return out;
-}
-
 void FaultAwareRouting::route_into(ChannelId input, NodeId current,
                                    NodeId dest, ChannelSet& out) const {
   const std::size_t first = out.size();

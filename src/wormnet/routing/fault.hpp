@@ -32,8 +32,6 @@ class FaultAwareRouting final : public RoutingFunction {
   }
   [[nodiscard]] bool minimal() const override { return base_->minimal(); }
 
-  [[nodiscard]] ChannelSet route(ChannelId input, NodeId current,
-                                 NodeId dest) const override;
   void route_into(ChannelId input, NodeId current, NodeId dest,
                   ChannelSet& out) const override;
   [[nodiscard]] ChannelSet waiting(ChannelId input, NodeId current,

@@ -42,10 +42,9 @@ bool HighestPositiveLast::turn_allowed(ChannelId input, std::size_t out_dim,
   return y > x;
 }
 
-ChannelSet HighestPositiveLast::route(ChannelId input, NodeId current,
-                                      NodeId dest) const {
+void HighestPositiveLast::route_into(ChannelId input, NodeId current,
+                                     NodeId dest, ChannelSet& out) const {
   const std::uint8_t vmax = topo_->cube().vcs - 1;
-  ChannelSet out;
   const int p = highest_negative(current, dest);
 
   auto add = [&](std::size_t dim, Direction dir) {
@@ -85,7 +84,6 @@ ChannelSet HighestPositiveLast::route(ChannelId input, NodeId current,
       }
     }
   }
-  return out;
 }
 
 ChannelSet HighestPositiveLast::waiting(ChannelId input, NodeId current,

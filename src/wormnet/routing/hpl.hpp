@@ -43,8 +43,8 @@ class HighestPositiveLast final : public RoutingFunction {
   }
   [[nodiscard]] bool minimal() const override { return !nonminimal_; }
 
-  [[nodiscard]] ChannelSet route(ChannelId input, NodeId current,
-                                 NodeId dest) const override;
+  void route_into(ChannelId input, NodeId current, NodeId dest,
+                  ChannelSet& out) const override;
   [[nodiscard]] ChannelSet waiting(ChannelId input, NodeId current,
                                    NodeId dest) const override;
 

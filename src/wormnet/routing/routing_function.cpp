@@ -65,13 +65,6 @@ void append_link_vcs(const Topology& topo, NodeId current, std::size_t dim,
   }
 }
 
-ChannelSet minimal_channels(const Topology& topo, NodeId current, NodeId dest,
-                            std::uint8_t vc_lo, std::uint8_t vc_hi) {
-  ChannelSet out;
-  minimal_channels_into(topo, current, dest, vc_lo, vc_hi, out);
-  return out;
-}
-
 void minimal_channels_into(const Topology& topo, NodeId current, NodeId dest,
                            std::uint8_t vc_lo, std::uint8_t vc_hi,
                            ChannelSet& out) {

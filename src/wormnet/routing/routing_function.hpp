@@ -8,13 +8,15 @@
 //                              and-sufficient condition applies to this form)
 //   * R : C x N x N -> P(C)   (input-dependent; the general form)
 //
-// `waiting()` returns the channels the message is allowed to *wait* for when
-// everything in `route()` is busy; by default that is the whole candidate
+// A relation is one evaluator, `route_into()`, which appends the candidate
+// set of a state to a caller's vector; `route()` is the same set in a fresh
+// vector.  `waiting()` returns the channels the message is allowed to *wait*
+// for when every candidate is busy; by default that is the whole candidate
 // set.  The distinction between channels a message may merely *use* and
 // channels it may *wait on* is what the channel-waiting-graph machinery
 // (companion module) exploits.
 //
-// Candidate sets are returned in *preference order*: simulators that pick the
+// Candidate sets are listed in *preference order*: simulators that pick the
 // first free channel get the algorithm's intended bias (e.g. adaptive
 // channels before escape channels).
 #pragma once
@@ -61,22 +63,23 @@ class RoutingFunction {
   }
   [[nodiscard]] virtual WaitMode wait_mode() const { return WaitMode::kAnyOf; }
 
-  /// Output channels the message may use next.  `input` is kInvalidChannel
-  /// when the message is still at its source.  Callers guarantee
-  /// current != dest.  Must return a non-empty set for every reachable state
-  /// of a well-formed algorithm (checked by the connectivity property test).
-  [[nodiscard]] virtual ChannelSet route(ChannelId input, NodeId current,
-                                         NodeId dest) const = 0;
-
-  /// Allocation-free variant for the simulator's hot path: APPENDS exactly
-  /// the channels route(input, current, dest) would return, in the same
-  /// order, to `out` (callers clear first and reuse the vector's capacity
-  /// across calls).  The default materializes route(); algorithms on the
-  /// hot path override it to build in place.  Overrides must stay pure —
-  /// the relation is shared across sweep threads.
+  /// Appends the output channels the message may use next to `out`, in
+  /// preference order.  `input` is kInvalidChannel when the message is still
+  /// at its source.  Callers guarantee current != dest.  The set must be
+  /// non-empty for every reachable state of a well-formed algorithm (checked
+  /// by the connectivity property test).  Append contract: an implementation
+  /// never reads, clears or reorders what `out` held before the call, so
+  /// callers may build several sets back to back in one vector.  It must
+  /// stay pure — the relation is shared across sweep threads.
   virtual void route_into(ChannelId input, NodeId current, NodeId dest,
-                          ChannelSet& out) const {
-    for (const ChannelId c : route(input, current, dest)) out.push_back(c);
+                          ChannelSet& out) const = 0;
+
+  /// The route_into set in a fresh vector.
+  [[nodiscard]] ChannelSet route(ChannelId input, NodeId current,
+                                 NodeId dest) const {
+    ChannelSet out;
+    route_into(input, current, dest, out);
+    return out;
   }
 
   /// Channels the message may wait for when all of route() are busy.
@@ -130,12 +133,8 @@ void append_link_vcs(const Topology& topo, NodeId current, std::size_t dim,
                      Direction dir, std::uint8_t vc_lo, std::uint8_t vc_hi,
                      ChannelSet& out);
 
-/// All channels on minimal paths toward dest with vc in [vc_lo, vc_hi].
-[[nodiscard]] ChannelSet minimal_channels(const Topology& topo, NodeId current,
-                                          NodeId dest, std::uint8_t vc_lo,
-                                          std::uint8_t vc_hi);
-
-/// Appending variant of minimal_channels for allocation-free hot paths.
+/// Appends every channel on a minimal path toward dest with vc in
+/// [vc_lo, vc_hi] to `out`.
 void minimal_channels_into(const Topology& topo, NodeId current, NodeId dest,
                            std::uint8_t vc_lo, std::uint8_t vc_hi,
                            ChannelSet& out);

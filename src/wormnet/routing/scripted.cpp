@@ -1,6 +1,22 @@
 #include "wormnet/routing/scripted.hpp"
 
 namespace wormnet::routing {
+namespace {
+
+/// The row for (input, current, dest): the exact-input entry when `by_input`
+/// and one exists, else the wildcard entry, else nullptr.
+const ChannelSet* find_row(const std::map<TableRouting::Key, ChannelSet>& rows,
+                           bool by_input, ChannelId input, NodeId current,
+                           NodeId dest) {
+  if (by_input) {
+    auto exact = rows.find(TableRouting::Key{input, current, dest});
+    if (exact != rows.end()) return &exact->second;
+  }
+  auto wildcard = rows.find(TableRouting::Key{kInvalidChannel, current, dest});
+  return wildcard != rows.end() ? &wildcard->second : nullptr;
+}
+
+}  // namespace
 
 TableRouting::TableRouting(const Topology& topo, std::string label,
                            std::map<Key, ChannelSet> table, RelationForm form,
@@ -8,15 +24,12 @@ TableRouting::TableRouting(const Topology& topo, std::string label,
     : RoutingFunction(topo), label_(std::move(label)), table_(std::move(table)),
       form_(form), wait_(wait) {}
 
-ChannelSet TableRouting::route(ChannelId input, NodeId current,
-                               NodeId dest) const {
-  if (form_ == RelationForm::kChannelNodeDest) {
-    auto exact = table_.find(Key{input, current, dest});
-    if (exact != table_.end()) return exact->second;
+void TableRouting::route_into(ChannelId input, NodeId current, NodeId dest,
+                              ChannelSet& out) const {
+  const bool by_input = form_ == RelationForm::kChannelNodeDest;
+  if (const ChannelSet* row = find_row(table_, by_input, input, current, dest)) {
+    out.insert(out.end(), row->begin(), row->end());
   }
-  auto wildcard = table_.find(Key{kInvalidChannel, current, dest});
-  if (wildcard != table_.end()) return wildcard->second;
-  return {};
 }
 
 void TableRouting::set_waiting(std::map<Key, ChannelSet> waiting_table) {
@@ -25,13 +38,10 @@ void TableRouting::set_waiting(std::map<Key, ChannelSet> waiting_table) {
 
 ChannelSet TableRouting::waiting(ChannelId input, NodeId current,
                                  NodeId dest) const {
-  if (!waiting_.empty()) {
-    if (form_ == RelationForm::kChannelNodeDest) {
-      auto exact = waiting_.find(Key{input, current, dest});
-      if (exact != waiting_.end()) return exact->second;
-    }
-    auto wildcard = waiting_.find(Key{kInvalidChannel, current, dest});
-    if (wildcard != waiting_.end()) return wildcard->second;
+  const bool by_input = form_ == RelationForm::kChannelNodeDest;
+  if (const ChannelSet* row =
+          find_row(waiting_, by_input, input, current, dest)) {
+    return *row;
   }
   return route(input, current, dest);
 }

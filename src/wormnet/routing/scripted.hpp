@@ -30,8 +30,8 @@ class TableRouting final : public RoutingFunction {
   [[nodiscard]] WaitMode wait_mode() const override { return wait_; }
   [[nodiscard]] bool minimal() const override { return false; }
 
-  [[nodiscard]] ChannelSet route(ChannelId input, NodeId current,
-                                 NodeId dest) const override;
+  void route_into(ChannelId input, NodeId current, NodeId dest,
+                  ChannelSet& out) const override;
 
   /// Optional distinct waiting table (subset of route per state); empty means
   /// waiting == route.

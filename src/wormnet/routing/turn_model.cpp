@@ -1,6 +1,5 @@
 #include "wormnet/routing/turn_model.hpp"
 
-#include <functional>
 #include <stdexcept>
 
 namespace wormnet::routing {
@@ -18,17 +17,17 @@ void require_mesh(const Topology& topo, std::size_t dims_exact) {
   }
 }
 
-/// All VCs of every productive channel, with an optional direction filter.
-ChannelSet productive(const Topology& topo, NodeId current, NodeId dest,
-                      const std::function<bool(std::size_t, Direction)>& keep) {
-  ChannelSet out;
+/// Appends all VCs of every productive channel that `keep(dim, dir)`
+/// accepts to `out`.
+template <class Keep>
+void productive(const Topology& topo, NodeId current, NodeId dest, Keep keep,
+                ChannelSet& out) {
   const std::uint8_t vmax = topo.cube().vcs - 1;
   for (std::size_t dim = 0; dim < topo.num_dims(); ++dim) {
     for (Direction dir : productive_dirs(topo, current, dest, dim)) {
       if (keep(dim, dir)) append_link_vcs(topo, current, dim, dir, 0, vmax, out);
     }
   }
-  return out;
 }
 
 }  // namespace
@@ -37,37 +36,38 @@ WestFirst::WestFirst(const Topology& topo) : RoutingFunction(topo) {
   require_mesh(topo, 2);
 }
 
-ChannelSet WestFirst::route(ChannelId /*input*/, NodeId current,
-                            NodeId dest) const {
+void WestFirst::route_into(ChannelId /*input*/, NodeId current, NodeId dest,
+                           ChannelSet& out) const {
   const bool needs_west = topo_->coord(dest, 0) < topo_->coord(current, 0);
-  if (needs_west) {
-    // West exclusively until dim0 is resolved westward.
-    return productive(*topo_, current, dest, [](std::size_t dim, Direction dir) {
-      return dim == 0 && dir == Direction::kNeg;
-    });
-  }
-  return productive(*topo_, current, dest,
-                    [](std::size_t, Direction) { return true; });
+  // West exclusively until dim0 is resolved westward.
+  productive(*topo_, current, dest,
+             [needs_west](std::size_t dim, Direction dir) {
+               return !needs_west || (dim == 0 && dir == Direction::kNeg);
+             },
+             out);
 }
 
 NorthLast::NorthLast(const Topology& topo) : RoutingFunction(topo) {
   require_mesh(topo, 2);
 }
 
-ChannelSet NorthLast::route(ChannelId /*input*/, NodeId current,
-                            NodeId dest) const {
+void NorthLast::route_into(ChannelId /*input*/, NodeId current, NodeId dest,
+                           ChannelSet& out) const {
   // Adaptive among everything except north; north only when it is the sole
   // remaining productive direction.
-  ChannelSet out =
-      productive(*topo_, current, dest, [](std::size_t dim, Direction dir) {
-        return !(dim == 1 && dir == Direction::kPos);
-      });
-  if (out.empty()) {
-    out = productive(*topo_, current, dest, [](std::size_t dim, Direction dir) {
-      return dim == 1 && dir == Direction::kPos;
-    });
+  const std::size_t start = out.size();
+  productive(*topo_, current, dest,
+             [](std::size_t dim, Direction dir) {
+               return !(dim == 1 && dir == Direction::kPos);
+             },
+             out);
+  if (out.size() == start) {
+    productive(*topo_, current, dest,
+               [](std::size_t dim, Direction dir) {
+                 return dim == 1 && dir == Direction::kPos;
+               },
+               out);
   }
-  return out;
 }
 
 NegativeFirst::NegativeFirst(const Topology& topo, bool nonminimal)
@@ -75,13 +75,13 @@ NegativeFirst::NegativeFirst(const Topology& topo, bool nonminimal)
   require_mesh(topo, 0);
 }
 
-ChannelSet NegativeFirst::route(ChannelId /*input*/, NodeId current,
-                                NodeId dest) const {
-  ChannelSet out =
-      productive(*topo_, current, dest, [](std::size_t, Direction dir) {
-        return dir == Direction::kNeg;
-      });
-  if (nonminimal_ && !out.empty()) {
+void NegativeFirst::route_into(ChannelId /*input*/, NodeId current,
+                               NodeId dest, ChannelSet& out) const {
+  const std::size_t start = out.size();
+  productive(*topo_, current, dest,
+             [](std::size_t, Direction dir) { return dir == Direction::kNeg; },
+             out);
+  if (nonminimal_ && out.size() != start) {
     // Negative phase: any negative channel may be used, needed or not
     // (productive ones stay first in preference order).
     const std::uint8_t vmax = topo_->cube().vcs - 1;
@@ -90,12 +90,11 @@ ChannelSet NegativeFirst::route(ChannelId /*input*/, NodeId current,
       append_link_vcs(*topo_, current, dim, Direction::kNeg, 0, vmax, out);
     }
   }
-  if (out.empty()) {
-    out = productive(*topo_, current, dest, [](std::size_t, Direction dir) {
-      return dir == Direction::kPos;
-    });
+  if (out.size() == start) {
+    productive(*topo_, current, dest,
+               [](std::size_t, Direction dir) { return dir == Direction::kPos; },
+               out);
   }
-  return out;
 }
 
 }  // namespace wormnet::routing

@@ -20,8 +20,8 @@ class WestFirst final : public RoutingFunction {
  public:
   explicit WestFirst(const Topology& topo);
   [[nodiscard]] std::string name() const override { return "west-first"; }
-  [[nodiscard]] ChannelSet route(ChannelId input, NodeId current,
-                                 NodeId dest) const override;
+  void route_into(ChannelId input, NodeId current, NodeId dest,
+                  ChannelSet& out) const override;
 };
 
 /// North-last (2-D mesh): the message routes fully adaptively among E/W/S;
@@ -31,8 +31,8 @@ class NorthLast final : public RoutingFunction {
  public:
   explicit NorthLast(const Topology& topo);
   [[nodiscard]] std::string name() const override { return "north-last"; }
-  [[nodiscard]] ChannelSet route(ChannelId input, NodeId current,
-                                 NodeId dest) const override;
+  void route_into(ChannelId input, NodeId current, NodeId dest,
+                  ChannelSet& out) const override;
 };
 
 /// Negative-first (n-D mesh): all negative-direction hops are routed first,
@@ -53,8 +53,8 @@ class NegativeFirst final : public RoutingFunction {
     return nonminimal_ ? "negative-first-nonmin" : "negative-first";
   }
   [[nodiscard]] bool minimal() const override { return !nonminimal_; }
-  [[nodiscard]] ChannelSet route(ChannelId input, NodeId current,
-                                 NodeId dest) const override;
+  void route_into(ChannelId input, NodeId current, NodeId dest,
+                  ChannelSet& out) const override;
 
  private:
   bool nonminimal_;

@@ -11,9 +11,9 @@ UnrestrictedMinimal::UnrestrictedMinimal(const Topology& topo)
   }
 }
 
-ChannelSet UnrestrictedMinimal::route(ChannelId /*input*/, NodeId current,
-                                      NodeId dest) const {
-  return minimal_channels(*topo_, current, dest, 0, topo_->cube().vcs - 1);
+void UnrestrictedMinimal::route_into(ChannelId /*input*/, NodeId current,
+                                     NodeId dest, ChannelSet& out) const {
+  minimal_channels_into(*topo_, current, dest, 0, topo_->cube().vcs - 1, out);
 }
 
 }  // namespace wormnet::routing

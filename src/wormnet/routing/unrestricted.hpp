@@ -17,8 +17,8 @@ class UnrestrictedMinimal final : public RoutingFunction {
   explicit UnrestrictedMinimal(const Topology& topo);
 
   [[nodiscard]] std::string name() const override { return "unrestricted"; }
-  [[nodiscard]] ChannelSet route(ChannelId input, NodeId current,
-                                 NodeId dest) const override;
+  void route_into(ChannelId input, NodeId current, NodeId dest,
+                  ChannelSet& out) const override;
 };
 
 }  // namespace wormnet::routing
