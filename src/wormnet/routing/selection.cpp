@@ -8,8 +8,6 @@ const char* to_string(SelectionPolicy policy) {
       return "in-order";
     case SelectionPolicy::kRandom:
       return "random";
-    case SelectionPolicy::kMostCredits:
-      return "most-credits";
   }
   return "?";
 }

@@ -20,22 +20,18 @@ enum class SelectionPolicy : std::uint8_t {
   kInOrder,
   /// Uniformly random free candidate — decorrelates traffic.
   kRandom,
-  /// Free candidate whose downstream buffer has the most credits — a
-  /// BookSim-style congestion-aware selection.
-  kMostCredits,
 };
 
 [[nodiscard]] const char* to_string(SelectionPolicy policy);
 
 /// Returns the index into `candidates` of the selected channel, or -1 if none
-/// is free.  `is_free(c)` and `credits(c)` report channel c's state when
-/// asked, so the caller's own state is read in place: nothing is copied.
-/// kRandom draws once from `rng`, and only when some candidate is free.
-template <class IsFree, class Credits>
+/// is free.  `is_free(c)` reports channel c's state when asked, so the
+/// caller's own state is read in place: nothing is copied.  kRandom draws
+/// once from `rng`, and only when some candidate is free.
+template <class IsFree>
 [[nodiscard]] int select_channel(SelectionPolicy policy,
                                  std::span<const ChannelId> candidates,
-                                 IsFree&& is_free, Credits&& credits,
-                                 util::Xoshiro256& rng) {
+                                 IsFree&& is_free, util::Xoshiro256& rng) {
   const int n = static_cast<int>(candidates.size());
   switch (policy) {
     case SelectionPolicy::kInOrder: {
@@ -55,19 +51,6 @@ template <class IsFree, class Credits>
         if (is_free(candidates[i]) && pick-- == 0) return i;
       }
       return -1;
-    }
-    case SelectionPolicy::kMostCredits: {
-      int best = -1;
-      std::uint32_t best_credits = 0;
-      for (int i = 0; i < n; ++i) {
-        if (!is_free(candidates[i])) continue;
-        const std::uint32_t cr = credits(candidates[i]);
-        if (best < 0 || cr > best_credits) {
-          best = i;
-          best_credits = cr;
-        }
-      }
-      return best;
     }
   }
   return -1;

@@ -8,12 +8,11 @@ namespace wormnet::sim {
 RouteAllocator::RouteAllocator(const Topology& topo,
                                const RoutingFunction& routing,
                                SelectionPolicy selection,
-                               WaitOverride wait_override,
-                               std::uint32_t buffer_depth, std::uint64_t seed,
+                               WaitOverride wait_override, std::uint64_t seed,
                                const std::vector<bool>* faulty,
                                const reconfig::TransitionOverlay* transition)
     : topo_(&topo), routing_(&routing), selection_(selection),
-      wait_override_(wait_override), buffer_depth_(buffer_depth), rng_(seed),
+      wait_override_(wait_override), rng_(seed),
       faulty_(faulty), transition_(transition),
       tables_(transition != nullptr ? transition->num_versions() : 1) {
   for (std::uint32_t v = 0; v < tables_.size(); ++v) {
@@ -136,12 +135,7 @@ std::optional<ChannelId> RouteAllocator::attempt(Packet& pkt, ChannelId input,
 
   const int pick = routing::select_channel(
       selection_, last_,
-      [&net](ChannelId c) { return net.owner(c) == kNoPacket; },
-      [&net, this](ChannelId c) {
-        return buffer_depth_ -
-               std::min<std::uint32_t>(net.occupancy(c), buffer_depth_);
-      },
-      rng_);
+      [&net](ChannelId c) { return net.owner(c) == kNoPacket; }, rng_);
   if (pick >= 0) {
     const ChannelId acquired = last_[static_cast<std::size_t>(pick)];
     net.owner(acquired) = pkt.id;

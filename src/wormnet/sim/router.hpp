@@ -45,7 +45,7 @@ class RouteAllocator {
   /// version (in-flight coherence rule, DESIGN 3.12).
   RouteAllocator(const Topology& topo, const RoutingFunction& routing,
                  SelectionPolicy selection, WaitOverride wait_override,
-                 std::uint32_t buffer_depth, std::uint64_t seed,
+                 std::uint64_t seed,
                  const std::vector<bool>* faulty = nullptr,
                  const reconfig::TransitionOverlay* transition = nullptr);
 
@@ -147,7 +147,6 @@ class RouteAllocator {
   const RoutingFunction* routing_;
   SelectionPolicy selection_;
   WaitOverride wait_override_;
-  std::uint32_t buffer_depth_;
   util::Xoshiro256 rng_;
   const std::vector<bool>* faulty_;
   const reconfig::TransitionOverlay* transition_;

@@ -13,7 +13,7 @@ Simulator::Simulator(const Topology& topo,
       transition_(routing, config_.transition),
       net_(topo),
       allocator_(topo, routing, config_.selection, config_.wait_override,
-                 config_.buffer_depth, config_.seed ^ 0xa5a5a5a5ULL,
+                 config_.seed ^ 0xa5a5a5a5ULL,
                  config_.fault_plan != nullptr ? &overlay_.mask() : nullptr,
                  transition_.active() ? &transition_ : nullptr),
       traffic_(topo, config_.pattern, config_.seed, config_.hotspot_fraction,

@@ -271,8 +271,7 @@ TEST(ObsStreams, SelectionPoliciesMatchGoldens) {
   const topology::Topology topo = topology::make_mesh({4, 4}, 2);
   const auto routing = routing::make_duato_mesh(topo);
   for (const routing::SelectionPolicy policy :
-       {routing::SelectionPolicy::kInOrder, routing::SelectionPolicy::kRandom,
-        routing::SelectionPolicy::kMostCredits}) {
+       {routing::SelectionPolicy::kInOrder, routing::SelectionPolicy::kRandom}) {
     const std::string stem =
         std::string("selection_") + routing::to_string(policy);
     SCOPED_TRACE(stem);

@@ -9,44 +9,36 @@ namespace {
 
 using test::ChannelId;
 
-/// Selects among `cands` with free/credit state given parallel to them.
+/// Selects among `cands` with free state given parallel to them.
 int choose(SelectionPolicy policy, const ChannelSet& cands,
-           const std::vector<bool>& free,
-           const std::vector<std::uint32_t>& credits,
-           util::Xoshiro256& rng) {
+           const std::vector<bool>& free, util::Xoshiro256& rng) {
   const auto index = [&cands](ChannelId c) {
     return static_cast<std::size_t>(
         std::find(cands.begin(), cands.end(), c) - cands.begin());
   };
   return select_channel(
-      policy, cands, [&](ChannelId c) { return free[index(c)]; },
-      [&](ChannelId c) { return credits[index(c)]; }, rng);
+      policy, cands, [&](ChannelId c) { return free[index(c)]; }, rng);
 }
 
 TEST(Selection, InOrderPicksFirstFree) {
   util::Xoshiro256 rng(1);
   const ChannelSet cands{10, 11, 12};
-  const std::vector<std::uint32_t> credits{4, 4, 4};
-  EXPECT_EQ(choose(SelectionPolicy::kInOrder, cands,
-                   {false, true, true}, credits, rng),
+  EXPECT_EQ(choose(SelectionPolicy::kInOrder, cands, {false, true, true}, rng),
             1);
-  EXPECT_EQ(choose(SelectionPolicy::kInOrder, cands,
-                   {true, false, true}, credits, rng),
+  EXPECT_EQ(choose(SelectionPolicy::kInOrder, cands, {true, false, true}, rng),
             0);
-  EXPECT_EQ(choose(SelectionPolicy::kInOrder, cands,
-                   {false, false, false}, credits, rng),
-            -1);
+  EXPECT_EQ(
+      choose(SelectionPolicy::kInOrder, cands, {false, false, false}, rng),
+      -1);
 }
 
 TEST(Selection, RandomOnlyPicksFree) {
   util::Xoshiro256 rng(2);
   const ChannelSet cands{5, 6, 7, 8};
   const std::vector<bool> free{false, true, false, true};
-  const std::vector<std::uint32_t> credits{1, 1, 1, 1};
   std::vector<int> hits(4, 0);
   for (int i = 0; i < 2000; ++i) {
-    const int pick =
-        choose(SelectionPolicy::kRandom, cands, free, credits, rng);
+    const int pick = choose(SelectionPolicy::kRandom, cands, free, rng);
     ASSERT_TRUE(pick == 1 || pick == 3);
     ++hits[pick];
   }
@@ -55,22 +47,9 @@ TEST(Selection, RandomOnlyPicksFree) {
   EXPECT_NEAR(hits[3], 1000, 120);
 }
 
-TEST(Selection, MostCreditsPrefersEmptierBuffer) {
-  util::Xoshiro256 rng(3);
-  const ChannelSet cands{1, 2, 3};
-  EXPECT_EQ(choose(SelectionPolicy::kMostCredits, cands,
-                   {true, true, true}, {1, 4, 2}, rng),
-            1);
-  // Busy channels are never chosen regardless of credits.
-  EXPECT_EQ(choose(SelectionPolicy::kMostCredits, cands,
-                   {false, false, true}, {9, 9, 0}, rng),
-            2);
-}
-
 TEST(Selection, PolicyNames) {
   EXPECT_STREQ(to_string(SelectionPolicy::kInOrder), "in-order");
   EXPECT_STREQ(to_string(SelectionPolicy::kRandom), "random");
-  EXPECT_STREQ(to_string(SelectionPolicy::kMostCredits), "most-credits");
 }
 
 TEST(RouteAllocator, AcquiresAndMarksOwnership) {
@@ -78,7 +57,7 @@ TEST(RouteAllocator, AcquiresAndMarksOwnership) {
   const DimensionOrder routing(topo);
   sim::NetworkState net(topo);
   sim::RouteAllocator allocator(topo, routing, SelectionPolicy::kInOrder,
-                                sim::WaitOverride::kFollowRouting, 4, 1);
+                                sim::WaitOverride::kFollowRouting, 1);
   sim::Packet pkt;
   pkt.id = 0;
   pkt.src = 0;
@@ -96,7 +75,7 @@ TEST(RouteAllocator, WaitSpecificCommitsAndSticks) {
   const UnrestrictedMinimal routing(topo);
   sim::NetworkState net(topo);
   sim::RouteAllocator allocator(topo, routing, SelectionPolicy::kInOrder,
-                                sim::WaitOverride::kForceSpecific, 4, 1);
+                                sim::WaitOverride::kForceSpecific, 1);
   // Occupy every candidate from 0 toward 8 (both productive dirs).
   sim::Packet blocker;
   blocker.id = 99;
@@ -129,7 +108,7 @@ TEST(RouteAllocator, ForcedPathOverridesRelation) {
   const DimensionOrder routing(topo);
   sim::NetworkState net(topo);
   sim::RouteAllocator allocator(topo, routing, SelectionPolicy::kInOrder,
-                                sim::WaitOverride::kFollowRouting, 4, 1);
+                                sim::WaitOverride::kFollowRouting, 1);
   sim::Packet pkt;
   pkt.id = 2;
   pkt.src = 0;

@@ -203,8 +203,7 @@ TEST_P(SelectionPolicies, DuatoMeshDelivers) {
 INSTANTIATE_TEST_SUITE_P(
     All, SelectionPolicies,
     ::testing::Values(routing::SelectionPolicy::kInOrder,
-                      routing::SelectionPolicy::kRandom,
-                      routing::SelectionPolicy::kMostCredits));
+                      routing::SelectionPolicy::kRandom));
 
 }  // namespace
 }  // namespace wormnet::sim
