@@ -10,7 +10,9 @@
 // write_postmortem_json), so this tool deliberately does NOT link the
 // analysis layers: it is a pure JSON reader, usable on artifacts produced by
 // a different build or shipped from another machine.  The parser below is a
-// minimal recursive-descent reader of the JSON subset our writers emit.
+// minimal recursive-descent reader of the JSON subset our writers emit; it
+// rejects nesting deeper than JsonParser::kMaxDepth and any bytes after the
+// document.
 //
 // Exit status: 0 = rendered, 1 = the artifact flags a theorem contradiction
 // (a Duato-certified configuration with an escape-confined runtime cycle),
@@ -43,11 +45,16 @@ struct JValue {
 
 class JsonParser {
  public:
+  /// Postmortem artifacts nest a few levels; deeper input is refused
+  /// instead of recursed into.
+  static constexpr int kMaxDepth = 64;
+
   explicit JsonParser(std::string_view text) : text_(text) {}
 
   std::shared_ptr<JValue> parse() {
     auto value = parse_value();
     skip_ws();
+    if (pos_ < text_.size()) fail("trailing bytes after the document");
     return value;
   }
 
@@ -84,8 +91,17 @@ class JsonParser {
 
   std::shared_ptr<JValue> parse_value() {
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxDepth) {
+          return fail("nesting deeper than " + std::to_string(kMaxDepth) +
+                      " levels");
+        }
+        ++depth_;
+        auto out = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return out;
+      }
       case '"': {
         auto out = std::make_shared<JValue>();
         out->v = parse_string();
@@ -191,6 +207,7 @@ class JsonParser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
   bool failed_ = false;
   std::string error_;
 };
