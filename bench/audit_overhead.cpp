@@ -10,6 +10,11 @@
 // checker searched — the point of the numbers here is to keep both claims
 // honest.  JSON serialize/parse round-trip is priced separately: it is the
 // persistence cost, not the verification cost.
+//
+// Every benchmark reports items_per_second, gated in CI by
+// scripts/check_bench_regression.py (tolerance 0.20) against the committed
+// BENCH_audit.json: dependency/witness edges audited per second for the
+// audit, reachable (channel, destination) states per second for the others.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -42,6 +47,15 @@ core::VerifyOptions duato_options() {
   return options;
 }
 
+/// Counts the relation's reachable states once per iteration.
+void count_states(benchmark::State& state, const topology::Topology& topo,
+                  const routing::RoutingFunction& routing) {
+  const cdg::StateGraph states(topo, routing);
+  state.SetItemsProcessed(
+      state.iterations() *
+      static_cast<std::int64_t>(states.num_reachable_states()));
+}
+
 void BM_VerifyBare(benchmark::State& state) {
   const Config& cfg = kConfigs[state.range(0)];
   const topology::Topology topo = core::make_topology(cfg.topology);
@@ -51,6 +65,7 @@ void BM_VerifyBare(benchmark::State& state) {
     benchmark::DoNotOptimize(verdict.conclusion);
   }
   state.SetLabel(cfg.label);
+  count_states(state, topo, *routing);
 }
 BENCHMARK(BM_VerifyBare)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
 
@@ -67,6 +82,7 @@ void BM_VerifyCertified(benchmark::State& state) {
   }
   state.SetLabel(cfg.label);
   state.counters["cert_bytes"] = static_cast<double>(cert_bytes);
+  count_states(state, topo, *routing);
 }
 BENCHMARK(BM_VerifyCertified)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
 
@@ -89,6 +105,8 @@ void BM_AuditCertificate(benchmark::State& state) {
   }
   state.SetLabel(cfg.label);
   state.counters["edges"] = static_cast<double>(edges);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(edges));
 }
 BENCHMARK(BM_AuditCertificate)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
 
@@ -108,6 +126,7 @@ void BM_CertificateJsonRoundTrip(benchmark::State& state) {
     benchmark::DoNotOptimize(parsed.certificate.has_value());
   }
   state.SetLabel(cfg.label);
+  count_states(state, topo, *routing);
 }
 BENCHMARK(BM_CertificateJsonRoundTrip)
     ->DenseRange(0, 2)
