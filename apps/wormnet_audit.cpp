@@ -1,22 +1,24 @@
 // wormnet-audit: the independent certificate auditor CLI.
 //
 //   wormnet-audit certificate.json
-//   wormnet-audit --topology ring:8:2 --routing dateline certificate.json
+//   wormnet-audit --relation e-cube certificate.json
 //   wormnet-sweep --grid "..." --certify-out certs/ && wormnet-audit certs/*.json
 //
 // Re-validates proof-carrying certificates (emitted by wormnet-sweep
 // --certify-out, exp::AnalysisCache, or core::verify_certified) against the
 // routing relation they speak about, using only the wormnet::audit trusted
-// base — none of the checker code that produced them.  The binding defaults
-// to the certificate's own topology/routing/fault-mask fields and can be
-// overridden to audit a certificate against a *different* relation (which
-// should fail, loudly).
+// base — none of the checker code that produced them.  The binding is the
+// certificate's own `topology` and `relation` (reconfig::RelationExpr
+// text: ROUTING, ROUTING|MASK, transition|SPEC or transition|SPEC|MASK)
+// and can be overridden to audit a certificate against a *different*
+// relation (which should fail, loudly).
 //
 // Exit status: 0 = every certificate audits valid,
 //              1 = at least one certificate was refuted by the auditor
 //                  (well-formed, but the relation does not support it),
 //              2 = usage error, unreadable input, malformed certificate
-//                  JSON, or a binding that cannot be constructed.
+//                  JSON (an unsupported schema included), or a binding
+//                  that cannot be constructed.
 #include <algorithm>
 #include <fstream>
 #include <iostream>
@@ -43,11 +45,9 @@ int usage(const char* argv0) {
       << "\n"
       << "options:\n"
       << "  --topology SPEC  override the certificate's topology binding\n"
-      << "  --routing NAME   override the certificate's routing binding\n"
-      << "  --fault-mask HEX override the certificate's fault mask\n"
-      << "                   ('' = audit against the pristine relation)\n"
-      << "  --transition S   override the certificate's transition binding\n"
-      << "                   (a reconfig UnionSpec; '' = pure routing)\n"
+      << "  --relation EXPR  override the certificate's relation binding:\n"
+      << "                   ROUTING, ROUTING|MASK, transition|SPEC or\n"
+      << "                   transition|SPEC|MASK (canonical text only)\n"
       << "  --quiet          only report failures\n"
       << "\n"
       << "exit: 0 = all valid, 1 = refuted by audit, 2 = malformed/usage\n";
@@ -57,10 +57,7 @@ int usage(const char* argv0) {
 /// One certificate: parse, bind, audit.  Returns the per-file exit code.
 int audit_file(const char* argv0, const std::string& path,
                const std::string& topo_override,
-               const std::string& routing_override,
-               const std::string& mask_override, bool mask_overridden,
-               const std::string& transition_override,
-               bool transition_overridden, bool quiet) {
+               const std::string& relation_override, bool quiet) {
   std::ifstream file(path, std::ios::binary);
   if (!file) {
     std::cerr << argv0 << ": cannot open " << path << "\n";
@@ -79,26 +76,17 @@ int audit_file(const char* argv0, const std::string& path,
 
   const std::string topo_spec =
       topo_override.empty() ? cert.topology : topo_override;
-  const std::string routing_name =
-      routing_override.empty() ? cert.routing : routing_override;
-  const std::string fault_mask =
-      mask_overridden ? mask_override : cert.fault_mask;
-  const std::string transition =
-      transition_overridden ? transition_override : cert.transition;
+  const std::string relation =
+      relation_override.empty() ? cert.relation : relation_override;
 
   std::unique_ptr<routing::RoutingFunction> routing;
   std::unique_ptr<topology::Topology> topo;
   try {
     topo = std::make_unique<topology::Topology>(core::make_topology(topo_spec));
-    // A transition binding names a reconfiguration epoch's union relation
-    // (the routing name is then informative only); a fault mask degrades
-    // the relation, composed certificates (DESIGN 3.13) carrying both.
-    routing = reconfig::RelationExpr(routing_name, transition, fault_mask)
-                  .build(*topo);
+    routing = reconfig::RelationExpr::parse(relation, *topo).build(*topo);
   } catch (const std::invalid_argument& e) {
     std::cerr << argv0 << ": " << path << ": cannot construct binding "
-              << topo_spec << " / " << routing_name << ": " << e.what()
-              << "\n";
+              << topo_spec << " / " << relation << ": " << e.what() << "\n";
     return 2;
   }
 
@@ -111,9 +99,7 @@ int audit_file(const char* argv0, const std::string& path,
   }
   if (!quiet) {
     std::cout << path << ": valid " << audit::to_string(cert.kind) << " ("
-              << cert.method << ", " << topo_spec << " / " << routing_name
-              << (fault_mask.empty() ? "" : ", mask " + fault_mask)
-              << (transition.empty() ? "" : ", transition " + transition)
+              << cert.method << ", " << topo_spec << " / " << relation
               << "; " << result.states_checked << " states, "
               << result.edges_checked << " edges checked)\n";
   }
@@ -124,11 +110,7 @@ int audit_file(const char* argv0, const std::string& path,
 
 int main(int argc, char** argv) {
   std::string topo_override;
-  std::string routing_override;
-  std::string mask_override;
-  bool mask_overridden = false;
-  std::string transition_override;
-  bool transition_overridden = false;
+  std::string relation_override;
   bool quiet = false;
   std::vector<std::string> paths;
 
@@ -145,20 +127,10 @@ int main(int argc, char** argv) {
       const char* v = value();
       if (v == nullptr) return 2;
       topo_override = v;
-    } else if (arg == "--routing") {
+    } else if (arg == "--relation") {
       const char* v = value();
       if (v == nullptr) return 2;
-      routing_override = v;
-    } else if (arg == "--fault-mask") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      mask_override = v;
-      mask_overridden = true;
-    } else if (arg == "--transition") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      transition_override = v;
-      transition_overridden = true;
+      relation_override = v;
     } else if (arg == "--quiet") {
       quiet = true;
     } else if (arg == "--help" || arg == "-h") {
@@ -176,11 +148,8 @@ int main(int argc, char** argv) {
   // Severity-max fold: malformed (2) dominates refuted (1) dominates valid.
   int exit_code = 0;
   for (const std::string& path : paths) {
-    exit_code = std::max(
-        exit_code, audit_file(argv[0], path, topo_override, routing_override,
-                              mask_override, mask_overridden,
-                              transition_override, transition_overridden,
-                              quiet));
+    exit_code = std::max(exit_code, audit_file(argv[0], path, topo_override,
+                                               relation_override, quiet));
   }
   return exit_code;
 }

@@ -144,8 +144,8 @@ std::string sanitize_key(const std::string& key) {
 }
 
 /// Writes every emitted certificate to `dir`, auditing each against the
-/// relation it speaks about (degraded via the persisted fault mask) before
-/// the bytes land.  Returns the number of audit contradictions.
+/// relation its own binding names before the bytes land.  Returns the
+/// number of audit contradictions.
 std::size_t write_certificates(const char* argv0, const std::string& dir,
                                const exp::SweepOutcome& outcome, bool summary,
                                bool& io_ok) {
@@ -169,8 +169,7 @@ std::size_t write_certificates(const char* argv0, const std::string& dir,
     }
     const topology::Topology& topo = it->second;
     const auto routing =
-        reconfig::RelationExpr(cert.routing, cert.transition, cert.fault_mask)
-            .build(topo);
+        reconfig::RelationExpr::parse(cert.relation, topo).build(topo);
     const audit::AuditResult audit = audit::check(topo, *routing, cert);
     if (!audit.ok()) {
       std::cerr << argv0 << ": AUDIT CONTRADICTION for " << record.key << ": "
@@ -417,7 +416,7 @@ int main(int argc, char** argv) {
           const reconfig::CompiledTransitionPlan plan = reconfig::compile(
               *r.point.transition, ctx.topo, r.point.routing);
           const auto steady =
-              reconfig::make_union_routing(ctx.topo, plan.steady_state());
+              reconfig::RelationExpr(plan.steady_state()).build(ctx.topo);
           obs::classify_transition_origins(
               report, cdg::build_cdg(*ctx.states),
               cdg::build_cdg(ctx.topo, *steady));

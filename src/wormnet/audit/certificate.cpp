@@ -83,18 +83,12 @@ std::string Certificate::to_json() const {
   quote(os, method);
   os << ",\n  \"topology\": ";
   quote(os, topology);
-  os << ",\n  \"routing\": ";
-  quote(os, routing);
+  os << ",\n  \"relation\": ";
+  quote(os, relation);
   os << ",\n  \"nodes\": " << num_nodes;
   os << ",\n  \"channels\": " << num_channels;
   os << ",\n  \"subfunction\": ";
   quote(os, subfunction);
-  os << ",\n  \"fault_mask\": ";
-  quote(os, fault_mask);
-  if (!transition.empty()) {
-    os << ",\n  \"transition\": ";
-    quote(os, transition);
-  }
   if (kind == CertKind::kCertified) {
     os << ",\n  \"escape_channels\": ";
     write_ids(os, escape_channels);
@@ -410,8 +404,8 @@ ParseResult parse_certificate(std::string_view text) {
       cert.method = r.parse_string();
     } else if (key == "topology") {
       cert.topology = r.parse_string();
-    } else if (key == "routing") {
-      cert.routing = r.parse_string();
+    } else if (key == "relation") {
+      cert.relation = r.parse_string();
     } else if (key == "nodes") {
       cert.num_nodes = static_cast<std::uint32_t>(r.parse_uint(0xffffffffu));
     } else if (key == "channels") {
@@ -419,11 +413,6 @@ ParseResult parse_certificate(std::string_view text) {
           static_cast<std::uint32_t>(r.parse_uint(0xffffffffu));
     } else if (key == "subfunction") {
       cert.subfunction = r.parse_string();
-    } else if (key == "fault_mask") {
-      cert.fault_mask = r.parse_string();
-    } else if (key == "transition") {
-      // Optional: present only for reconfiguration-epoch union relations.
-      cert.transition = r.parse_string();
     } else if (key == "escape_channels") {
       cert.escape_channels = r.parse_id_array();
     } else if (key == "topological_order") {
@@ -552,8 +541,8 @@ ParseResult parse_certificate(std::string_view text) {
     }
     return false;
   };
-  for (const char* key : {"schema", "method", "topology", "routing", "nodes",
-                          "channels", "subfunction", "fault_mask"}) {
+  for (const char* key : {"schema", "method", "topology", "relation", "nodes",
+                          "channels", "subfunction"}) {
     if (!has(key)) {
       result.error = std::string("missing required key \"") + key + "\"";
       return result;

@@ -31,7 +31,7 @@ using topology::ChannelId;
 using topology::NodeId;
 
 /// Schema identifier embedded in (and required of) every certificate.
-inline constexpr const char* kCertificateSchema = "wormnet-certificate/1";
+inline constexpr const char* kCertificateSchema = "wormnet-certificate/2";
 
 enum class CertKind : std::uint8_t {
   kCertified,  ///< claims deadlock freedom
@@ -102,15 +102,12 @@ struct Certificate {
   CertKind kind = CertKind::kCertified;
   std::string method;    ///< "duato", "cdg-acyclic" or "cwg"
   std::string topology;  ///< registry spec when known, else the topo name
-  std::string routing;   ///< canonical registry name when known
+  /// reconfig::RelationExpr text when known (the binding an auditor
+  /// rebuilds), else the relation's name as a label.
+  std::string relation;
   std::uint32_t num_nodes = 0;     ///< binding guard, checked by the auditor
   std::uint32_t num_channels = 0;  ///< binding guard, checked by the auditor
   std::string subfunction;         ///< escape-set label (informative)
-  std::string fault_mask;          ///< hex fault mask, "" = pristine
-  /// Serialized reconfig::UnionSpec when the certified relation is the
-  /// union of one reconfiguration epoch, "" otherwise.  Omitted from the
-  /// JSON when empty, so pre-reconfig certificates are byte-unchanged.
-  std::string transition;
 
   // Certified payload.
   std::vector<ChannelId> escape_channels;      ///< C1, sorted ascending

@@ -19,7 +19,7 @@ Certificate header(const StateGraph& states, audit::CertKind kind,
   cert.kind = kind;
   cert.method = method;
   cert.topology = states.topo().name();
-  cert.routing = states.routing().name();
+  cert.relation = states.routing().name();
   cert.num_nodes = states.topo().num_nodes();
   cert.num_channels =
       static_cast<std::uint32_t>(states.topo().num_channels());

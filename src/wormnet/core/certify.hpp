@@ -31,7 +31,7 @@ namespace wormnet::core {
 /// certificate when the search found a qualifying subfunction, a refuted
 /// one (dependency-cycle evidence) when the exhaustive search proved no
 /// subfunction exists for an in-scope relation.  nullopt when the verdict
-/// is not decisive.  The topology/routing labels default to the bound
+/// is not decisive.  The topology/relation labels default to the bound
 /// names; callers holding registry specs overwrite them afterwards.
 [[nodiscard]] std::optional<audit::Certificate> certify_duato(
     const cdg::StateGraph& states, const cdg::SearchResult& search);

@@ -4,7 +4,6 @@
 
 #include "wormnet/core/registry.hpp"
 #include "wormnet/core/verifier.hpp"
-#include "wormnet/ft/fault_plan.hpp"
 
 namespace wormnet::exp {
 
@@ -29,48 +28,45 @@ const AnalysisEntry& AnalysisCache::get(
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
 
-  // Every epoch but a pristine registry relation shares the topology and
-  // canonical name of its base relation's entry.  The nested get() is
-  // lock-safe: it only ever takes registry_mutex_ and its own slot's fill
-  // mutex, never this one.
+  // Every epoch but a pristine registry relation shares the topology of its
+  // base relation's entry.  The nested get() is lock-safe: it only ever
+  // takes registry_mutex_ and its own slot's fill mutex, never this one.
   const bool pristine_registry =
-      relation.transition.empty() && relation.fault_mask.empty();
+      !relation.transition && relation.fault_mask.empty();
   const AnalysisEntry* base =
       pristine_registry
           ? nullptr
-          : &get(topo_spec, reconfig::RelationExpr(relation.routing));
+          : &get(topo_spec,
+                 reconfig::RelationExpr(relation.transition
+                                            ? relation.transition->names[0]
+                                            : relation.routing));
   obs::Profiler::Scope miss_timer(
       profiler_, pristine_registry ? "sweep.analysis" : "sweep.epoch_reverify");
 
   AnalysisEntry entry;
-  if (base != nullptr) {
-    entry.topo = base->topo;
-    entry.routing = base->routing;
-  } else {
-    entry.topo = std::make_shared<const topology::Topology>(
-        core::make_topology(topo_spec));
-    entry.routing =
+  entry.topo = base != nullptr ? base->topo
+                               : std::make_shared<const topology::Topology>(
+                                     core::make_topology(topo_spec));
+  reconfig::RelationExpr canonical = relation;
+  if (!canonical.transition) {
+    canonical.routing =
         core::canonical_algorithm_name(relation.routing, *entry.topo);
   }
-  const reconfig::RelationExpr canonical(entry.routing, relation.transition,
-                                         relation.fault_mask);
   const auto algorithm = canonical.build(*entry.topo);
 
   // A masked epoch's graph is its parent's minus the dead channels; the
   // parent is built (once) before the derivation is timed.
-  const cdg::StateGraph* parent =
-      canonical.fault_mask.empty()
-          ? nullptr
-          : &parent_states(topo_spec, *entry.topo,
-                           reconfig::RelationExpr(canonical.routing,
-                                                  canonical.transition));
+  const cdg::StateGraph* parent = nullptr;
+  if (!canonical.fault_mask.empty()) {
+    reconfig::RelationExpr unmasked = canonical;
+    unmasked.fault_mask.clear();
+    parent = &parent_states(topo_spec, *entry.topo, unmasked);
+  }
   std::optional<cdg::StateGraph> states;
   {
     obs::Profiler::Scope timer(profiler_, "verify.state_graph");
     if (parent != nullptr) {
-      states.emplace(*parent, *algorithm,
-                     ft::mask_from_hex(canonical.fault_mask,
-                                       entry.topo->num_channels()));
+      states.emplace(*parent, *algorithm, canonical.fault_mask);
     } else {
       states.emplace(*entry.topo, *algorithm);
     }
@@ -86,9 +82,7 @@ const AnalysisEntry& AnalysisCache::get(
       // Rebind the labels to the registry coordinates so the certificate
       // names the exact relation it was emitted for.
       certified.certificate->topology = topo_spec;
-      certified.certificate->routing = canonical.routing;
-      certified.certificate->transition = canonical.transition;
-      certified.certificate->fault_mask = canonical.fault_mask;
+      certified.certificate->relation = canonical.to_string();
       entry.certificate = std::make_shared<const audit::Certificate>(
           std::move(*certified.certificate));
     }

@@ -37,7 +37,6 @@ namespace wormnet::exp {
 
 struct AnalysisEntry {
   std::shared_ptr<const topology::Topology> topo;
-  std::string routing;  ///< canonical registry name
   core::Verdict duato;  ///< Method::kDuato verdict
   core::Verdict cwg;    ///< Method::kCwg verdict (kUnknown when disabled)
   /// True iff the Duato checker proved the pair deadlock-free — the
@@ -47,9 +46,9 @@ struct AnalysisEntry {
   bool certified = false;
   /// Proof-carrying certificate for the decisive verdict, when emission is
   /// on and the verdict admits one.  Its topology field carries the
-  /// registry spec and its routing/transition/fault_mask fields the epoch's
-  /// RelationExpr, so `wormnet-audit` can rebuild the exact relation it
-  /// speaks about.
+  /// registry spec and its relation field the epoch's canonical
+  /// RelationExpr text, so `wormnet-audit` can rebuild the exact relation
+  /// it speaks about.
   std::shared_ptr<const audit::Certificate> certificate;
 };
 
@@ -79,7 +78,7 @@ class AnalysisCache {
   /// verifies each distinct pristine, faulted, transition or composed epoch
   /// exactly once no matter how many points — or threads — pass through
   /// it.  CWG analysis only ever runs for pristine registry relations.  An
-  /// emitted certificate's binding is the expression itself, with the
+  /// emitted certificate's relation is the expression's text, with the
   /// canonical routing name.  The reference stays valid for the cache's
   /// lifetime.  Throws std::invalid_argument for specs/names that do not
   /// resolve (expand() normally filters these out beforehand).

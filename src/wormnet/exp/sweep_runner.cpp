@@ -47,8 +47,7 @@ SweepResult run_point(const SweepSpec& spec, const SweepPoint& point,
     // itself; only the degraded epochs need a re-check.
     for (std::size_t e = 1; e < masks.size(); ++e) {
       const AnalysisEntry& epoch = cache.get(
-          point.topology, reconfig::RelationExpr(point.routing, "",
-                                                 ft::mask_to_hex(masks[e])));
+          point.topology, reconfig::RelationExpr(point.routing, masks[e]));
       ++result.fault_epochs;
       if (!epoch.certified) ++result.uncertified_epochs;
     }
@@ -67,9 +66,8 @@ SweepResult run_point(const SweepSpec& spec, const SweepPoint& point,
     cfg.transition = &transition;
     for (const reconfig::UnionSpec& spec_epoch :
          transition.verification_epochs()) {
-      const AnalysisEntry& epoch = cache.get(
-          point.topology,
-          reconfig::RelationExpr(point.routing, spec_epoch.to_string()));
+      const AnalysisEntry& epoch =
+          cache.get(point.topology, reconfig::RelationExpr(spec_epoch));
       ++result.transition_epochs;
       if (!epoch.certified) ++result.uncertified_transition_epochs;
     }

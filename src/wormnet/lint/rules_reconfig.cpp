@@ -39,8 +39,7 @@ void transition_union_unverified(LintContext& ctx,
   core::VerifyOptions options;
   options.method = core::Method::kDuato;
   for (const reconfig::UnionSpec& spec : plan->verification_epochs()) {
-    const std::unique_ptr<reconfig::UnionRouting> relation =
-        reconfig::make_union_routing(ctx.topo(), spec);
+    const auto relation = reconfig::RelationExpr(spec).build(ctx.topo());
     const core::Verdict verdict =
         core::verify(ctx.topo(), *relation, options);
     if (verdict.conclusion == core::Conclusion::kDeadlockFree) continue;

@@ -52,7 +52,6 @@ TransitionGuard build_transition_guard(const Topology& topo,
                   };
 
   const std::size_t n = plan.num_nodes;
-  const std::size_t versions = plan.target_names.size() + 1;
 
   TransitionGuard guard;
   guard.step.resize(plan.steps.size());
@@ -83,8 +82,7 @@ TransitionGuard build_transition_guard(const Topology& topo,
   // Walk state: per-destination current version plus the cumulative union
   // (with barrier resets), mirroring epoch_unions().
   std::vector<std::uint32_t> current(n, 0);
-  std::vector<std::vector<bool>> active(versions, std::vector<bool>(n, false));
-  active[0].assign(n, true);
+  UnionSpec live = plan.base_union();
   std::vector<std::uint32_t> steady(n, 0);
   for (const CompiledCutover& step : plan.steps) {
     for (const CutoverAssignment& a : step.assignments) {
@@ -94,42 +92,17 @@ TransitionGuard build_transition_guard(const Topology& topo,
   const std::vector<std::vector<bool>> masks =
       faults != nullptr ? faults->epoch_masks()
                         : std::vector<std::vector<bool>>{};
-  std::string mask_hex;  // "" while pristine
+  std::vector<bool> dead;  // channels dead so far; empty while pristine
   bool aborted = false;
-
-  const auto spec_from = [&](const std::vector<std::vector<bool>>& act) {
-    UnionSpec spec;
-    spec.num_nodes = n;
-    spec.names.push_back(plan.base);
-    for (const std::string& name : plan.target_names) {
-      spec.names.push_back(name);
-    }
-    spec.active = act;
-    return spec;
-  };
-
-  // The composed epoch a union spec denotes under the live fault mask.
-  const auto epoch_of = [&](const std::string& spec) {
-    return RelationExpr(plan.base, spec, mask_hex);
-  };
-
-  const auto pure_base = [&]() {
-    for (std::size_t v = 1; v < versions; ++v) {
-      for (const bool live : active[v]) {
-        if (live) return false;
-      }
-    }
-    return true;
-  };
 
   // Decides the repair for a refuted composed epoch and aborts the walk.
   const auto repair = [&](GuardDecision& decision) {
-    std::vector<std::vector<bool>> rb = active;
-    rb[0].assign(n, true);
-    const std::string rollback_epoch = spec_from(rb).to_string();
-    if (certify(epoch_of(rollback_epoch))) {
+    UnionSpec rb = live;
+    rb.active[0].assign(n, true);
+    const RelationExpr rollback(std::move(rb), dead);
+    if (certify(rollback)) {
       decision.action = GuardAction::kRollback;
-      decision.rollback_epoch = rollback_epoch;
+      decision.rollback_epoch = rollback.to_string();
       for (std::size_t d = 0; d < n; ++d) {
         if (current[d] != 0) {
           decision.cutover.assignments.push_back(
@@ -149,33 +122,33 @@ TransitionGuard build_transition_guard(const Topology& topo,
   for (const Item& item : timeline) {
     if (item.fault) {
       GuardDecision& decision = guard.fault_step[item.index];
-      mask_hex = ft::mask_to_hex(masks[item.index + 1]);
-      decision.fault_mask = mask_hex;
+      dead = masks[item.index + 1];
       // Once rolled back (or never migrated) the network routes by the
       // pure base relation; the ordinary per-fault-epoch verification
       // covers that, so the guard has nothing to add.
-      if (aborted || pure_base()) continue;
-      decision.epoch = spec_from(active).to_string();
-      if (certify(epoch_of(decision.epoch))) continue;
+      if (aborted || live.pure_base()) continue;
+      const RelationExpr epoch(live, dead);
+      decision.epoch = epoch.to_string();
+      if (certify(epoch)) continue;
       repair(decision);
     } else {
       GuardDecision& decision = guard.step[item.index];
-      decision.fault_mask = mask_hex;
       if (aborted) continue;  // cancelled at runtime
       const CompiledCutover& step = plan.steps[item.index];
-      std::vector<std::vector<bool>> next_active = active;
+      UnionSpec next = live;
       if (step.barrier) {
-        for (auto& mask : next_active) mask.assign(n, false);
-        for (std::size_t d = 0; d < n; ++d) next_active[current[d]][d] = true;
+        for (auto& mask : next.active) mask.assign(n, false);
+        for (std::size_t d = 0; d < n; ++d) next.active[current[d]][d] = true;
       }
       std::vector<std::uint32_t> next_current = current;
       for (const CutoverAssignment& a : step.assignments) {
-        next_active[a.version][a.dest] = true;
+        next.active[a.version][a.dest] = true;
         next_current[a.dest] = a.version;
       }
-      decision.epoch = spec_from(next_active).to_string();
-      if (certify(epoch_of(decision.epoch))) {
-        active = std::move(next_active);
+      const RelationExpr epoch(next, dead);
+      decision.epoch = epoch.to_string();
+      if (certify(epoch)) {
+        live = std::move(next);
         current = std::move(next_current);
         continue;
       }

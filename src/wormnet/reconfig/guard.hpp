@@ -46,16 +46,17 @@ enum class GuardAction : std::uint8_t {
 
 [[nodiscard]] const char* to_string(GuardAction action);
 
-/// One pre-computed decision.  For kRollback, `cutover` is the certified
-/// reverse plan (every migrated destination back to version 0) and
-/// `rollback_epoch` the union spec that certified it; for
+/// One pre-computed decision.  `epoch` is the composed epoch it judged
+/// ("" when there was nothing to judge).  For kRollback, `cutover` is the
+/// certified reverse plan (every migrated destination back to version 0)
+/// and `rollback_epoch` the composed epoch that certified it; for
 /// kDrainThenSwitch, `cutover` assigns every destination its steady-state
-/// version, applied only once the network is empty.
+/// version, applied only once the network is empty.  Both epochs are
+/// RelationExpr::to_string() text.
 struct GuardDecision {
   GuardAction action = GuardAction::kProceed;
   CompiledCutover cutover;
-  std::string epoch;        ///< composed union spec the decision judged
-  std::string fault_mask;   ///< live fault mask hex ("" = pristine)
+  std::string epoch;
   std::string rollback_epoch;
 };
 

@@ -38,8 +38,7 @@ class BudgetedCertifier {
     core::Verdict verdict;
     bool good = false;
     try {
-      verdict = core::verify(
-          *topo_, *RelationExpr(spec.names.front(), key).build(*topo_));
+      verdict = core::verify(*topo_, *RelationExpr(spec).build(*topo_));
       good = verdict.conclusion == core::Conclusion::kDeadlockFree;
     } catch (const std::exception& e) {
       // A mask or intermediate that disconnects the network surfaces as a
@@ -187,7 +186,7 @@ StagedPlan plan_certified_transition(const Topology& topo,
   // channel, drain, lift the restriction behind a barrier.  Channels on
   // the naive refutation's witness cycle break that cycle directly, so
   // they are tried first.
-  if (target.find('%') == std::string::npos) {
+  if (split_member(topo, target).second.empty()) {
     const std::size_t channels = topo.num_channels();
     UnionSpec naive_union;
     naive_union.num_nodes = n;

@@ -211,55 +211,22 @@ std::string UnionSpec::to_string() const {
   return os.str();
 }
 
-UnionSpec parse_union_spec(const std::string& text, std::size_t num_nodes) {
-  const auto fail = [&](const std::string& message) -> void {
-    throw std::invalid_argument("union spec \"" + text + "\": " + message);
-  };
+// ------------------------------------------------------------------ compile
+
+UnionSpec CompiledTransitionPlan::base_union() const {
   UnionSpec spec;
   spec.num_nodes = num_nodes;
-  const std::size_t slash = text.find('/');
-  if (slash == std::string::npos) fail("missing '/'");
-  std::string head = text.substr(0, slash);
-  std::string tail = text.substr(slash + 1);
-  if (head.empty()) fail("missing routing names");
-
-  std::size_t start = 0;
-  while (start <= head.size()) {
-    const std::size_t sep = head.find('>', start);
-    const std::string name =
-        head.substr(start, sep == std::string::npos ? sep : sep - start);
-    if (name.empty()) fail("empty routing name");
-    spec.names.push_back(name);
-    start = sep == std::string::npos ? head.size() + 1 : sep + 1;
-  }
-  start = 0;
-  while (start <= tail.size()) {
-    const std::size_t sep = tail.find('.', start);
-    const std::string hex =
-        tail.substr(start, sep == std::string::npos ? sep : sep - start);
-    try {
-      spec.active.push_back(ft::mask_from_hex(hex, num_nodes));
-    } catch (const std::invalid_argument& e) {
-      fail(e.what());
-    }
-    start = sep == std::string::npos ? tail.size() + 1 : sep + 1;
-  }
-  if (spec.names.size() != spec.active.size()) {
-    fail("name/mask count mismatch");
-  }
+  spec.names.push_back(base);
+  spec.names.insert(spec.names.end(), target_names.begin(),
+                    target_names.end());
+  spec.active.assign(spec.names.size(), std::vector<bool>(num_nodes, false));
+  spec.active[0].assign(num_nodes, true);
   return spec;
 }
 
-// ------------------------------------------------------------------ compile
-
 std::vector<UnionSpec> CompiledTransitionPlan::epoch_unions() const {
   std::vector<UnionSpec> unions;
-  UnionSpec cum;
-  cum.num_nodes = num_nodes;
-  cum.names.push_back(base);
-  for (const std::string& name : target_names) cum.names.push_back(name);
-  cum.active.assign(cum.names.size(), std::vector<bool>(num_nodes, false));
-  cum.active[0].assign(num_nodes, true);
+  UnionSpec cum = base_union();
   std::vector<std::uint32_t> current(num_nodes, 0);
   for (const CompiledCutover& step : steps) {
     if (step.barrier) {
@@ -281,11 +248,8 @@ std::vector<UnionSpec> CompiledTransitionPlan::epoch_unions() const {
 }
 
 UnionSpec CompiledTransitionPlan::steady_state() const {
-  UnionSpec spec;
-  spec.num_nodes = num_nodes;
-  spec.names.push_back(base);
-  for (const std::string& name : target_names) spec.names.push_back(name);
-  spec.active.assign(spec.names.size(), std::vector<bool>(num_nodes, false));
+  UnionSpec spec = base_union();
+  spec.active[0].assign(num_nodes, false);
   std::vector<std::uint32_t> version(num_nodes, 0);
   for (const CompiledCutover& step : steps) {
     for (const CutoverAssignment& a : step.assignments) {
@@ -343,21 +307,20 @@ TransitionPlan resolve(const TransitionPlan& plan, const Topology& topo,
   return out;
 }
 
-std::string canonical_member(const Topology& topo, const std::string& name) {
+std::pair<std::string, std::vector<bool>> split_member(
+    const Topology& topo, const std::string& name) {
   const std::size_t pct = name.find('%');
-  if (pct == std::string::npos) {
-    const std::string canon = core::canonical_algorithm_name(name, topo);
-    (void)core::make_algorithm(canon, topo);
-    return canon;
-  }
-  // NAME%HEXMASK: canonicalize the algorithm part and normalize the channel
-  // mask through a hex round-trip so equal masks dedup.
-  const std::string algo =
-      core::canonical_algorithm_name(name.substr(0, pct), topo);
+  if (pct == std::string::npos) return {name, {}};
+  return {name.substr(0, pct),
+          ft::mask_from_hex(name.substr(pct + 1), topo.num_channels())};
+}
+
+std::string canonical_member(const Topology& topo, const std::string& name) {
+  const auto [algorithm, allowed] = split_member(topo, name);
+  const std::string algo = core::canonical_algorithm_name(algorithm, topo);
   (void)core::make_algorithm(algo, topo);
-  const std::vector<bool> mask =
-      ft::mask_from_hex(name.substr(pct + 1), topo.num_channels());
-  return algo + '%' + ft::mask_to_hex(mask);
+  // Normalizing the mask through a hex round-trip makes equal masks dedup.
+  return allowed.empty() ? algo : algo + '%' + ft::mask_to_hex(allowed);
 }
 
 CompiledTransitionPlan compile(const TransitionPlan& plan,

@@ -51,6 +51,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "wormnet/routing/routing_function.hpp"
@@ -112,27 +113,25 @@ struct CompiledCutover {
 /// The union relation one transition epoch must certify: which routing
 /// versions are live for which destinations.  `names[0]` is the base
 /// relation; `active[v][d]` says version v participates in destination d's
-/// candidate sets.  Serialized (to_string) it becomes the AnalysisCache key
-/// suffix and the certificate's `transition` binding, so an auditor can
-/// reconstruct the exact relation independently.
+/// candidate sets.  Serialized (to_string) it is the SPEC of a
+/// RelationExpr's `transition|SPEC` text, the AnalysisCache key suffix and
+/// certificate binding, so an auditor can reconstruct the exact relation.
 struct UnionSpec {
   std::size_t num_nodes = 0;
   std::vector<std::string> names;            ///< canonical registry names
   std::vector<std::vector<bool>> active;     ///< [version][dest]
+
+  [[nodiscard]] bool operator==(const UnionSpec&) const = default;
 
   /// True when only the base relation is active (nothing to re-verify).
   [[nodiscard]] bool pure_base() const;
 
   /// `base>target1>.../MASK0.MASK1....` — names joined by '>', one
   /// lowercase-hex destination mask per version (ft::mask_to_hex layout).
-  /// Contains no ',', ';' or '"', so it embeds in CSV cells and JSON.
+  /// Contains no ',', ';', '|' or '"', so it embeds in CSV cells, JSON and
+  /// RelationExpr text.
   [[nodiscard]] std::string to_string() const;
 };
-
-/// Inverse of UnionSpec::to_string for a network of `num_nodes` nodes.
-/// Throws std::invalid_argument on malformed input.
-[[nodiscard]] UnionSpec parse_union_spec(const std::string& text,
-                                         std::size_t num_nodes);
 
 /// A plan bound to a topology and base routing: steps sorted by strictly
 /// ascending cycle, targets instantiated, no-op cutovers pruned.
@@ -149,6 +148,10 @@ class CompiledTransitionPlan {
   /// True when the plan never changes routing (e.g. R -> R): compiles to
   /// zero steps, so the simulation is bit-identical to running with no plan.
   [[nodiscard]] bool is_identity() const noexcept { return steps.empty(); }
+
+  /// The relation before the first step: a union over every version (the
+  /// base, then each target) with only the base active.
+  [[nodiscard]] UnionSpec base_union() const;
 
   /// Cumulative union relations, one per epoch: unions[k] is the relation
   /// after steps[0..k] — for each destination, every version assigned
@@ -169,12 +172,19 @@ class CompiledTransitionPlan {
   [[nodiscard]] std::vector<UnionSpec> verification_epochs() const;
 };
 
-/// Canonicalizes a plan member name, plain or masked (`NAME%HEXMASK`), and
-/// checks that it instantiates on `topo`: the algorithm part is resolved
-/// through the registry (aliases accepted) and the mask normalized by a hex
+/// The one place a plan member name is split at '%': its algorithm part
+/// and, for a masked `NAME%HEXMASK` member, the channels it may still use
+/// (empty when unmasked).  Throws std::invalid_argument for a non-hex mask
+/// digit or a mask bit past the channel count of `topo`.
+[[nodiscard]] std::pair<std::string, std::vector<bool>> split_member(
+    const Topology& topo, const std::string& name);
+
+/// Canonicalizes a plan member name, plain or masked, and checks that it
+/// instantiates on `topo`: the algorithm part is resolved through the
+/// registry (aliases accepted) and the mask normalized by a hex
 /// round-trip, so equal members compare equal.  Throws
-/// std::invalid_argument for an unknown or inapplicable algorithm, a
-/// non-hex mask digit or a mask bit past the channel count.
+/// std::invalid_argument for an unknown or inapplicable algorithm or a
+/// malformed mask (split_member).
 [[nodiscard]] std::string canonical_member(const Topology& topo,
                                            const std::string& name);
 

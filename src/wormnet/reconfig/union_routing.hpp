@@ -16,6 +16,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -56,39 +57,48 @@ class UnionRouting : public routing::RoutingFunction {
 [[nodiscard]] std::unique_ptr<routing::RoutingFunction> make_member_routing(
     const Topology& topo, const std::string& name);
 
-/// Rebuilds the union relation a spec (or a certificate's `transition`
-/// binding) describes: every named member is instantiated from the core
-/// registry against `topo` (masked `NAME%HEXMASK` members through
-/// make_member_routing).  Throws std::invalid_argument for unknown or
-/// inapplicable names, or when the spec's node count mismatches `topo`.
-[[nodiscard]] std::unique_ptr<UnionRouting> make_union_routing(
-    const Topology& topo, const UnionSpec& spec);
-
 /// The one value every certified epoch is (DESIGN 3.7): a registry relation
 /// or a transition union, degraded by a fault mask — pristine, faulted,
-/// transition and composed epochs alike.  Its fields are the certificate's
-/// `routing` / `transition` / `fault_mask` binding, its key() the
-/// AnalysisCache key, and build() the only code that rebuilds the relation.
+/// transition and composed epochs alike.  to_string() is its one text form
+/// (the certificate's `relation` binding; behind "TOPO|", the AnalysisCache
+/// key), parse() its inverse, and build() the only code that rebuilds the
+/// relation.  The text is one of
+///
+///   ROUTING   ROUTING|MASK   transition|SPEC   transition|SPEC|MASK
+///
+/// with ROUTING a canonical registry name, SPEC a UnionSpec::to_string()
+/// and MASK the ft::mask_to_hex of the dead channels (never all zero).
 struct RelationExpr {
-  std::string routing;     ///< registry name (a union's base relation)
-  std::string transition;  ///< UnionSpec::to_string(), "" = plain relation
-  std::string fault_mask;  ///< ft::mask_to_hex of dead channels, "" = pristine
+  std::string routing;                  ///< registry name; "" for a union
+  std::optional<UnionSpec> transition;  ///< a union; names[0] is its base
+  std::vector<bool> fault_mask;         ///< dead channels; empty = pristine
 
-  /// An all-healthy mask (every hex digit '0') normalises to "", so each
-  /// epoch has exactly one spelling.
-  explicit RelationExpr(std::string routing, std::string transition = {},
-                        std::string fault_mask = {});
+  /// A mask with no dead channel normalises to empty, so each epoch has
+  /// exactly one spelling.
+  explicit RelationExpr(std::string routing, std::vector<bool> fault_mask = {});
+  explicit RelationExpr(UnionSpec transition,
+                        std::vector<bool> fault_mask = {});
 
   [[nodiscard]] bool operator==(const RelationExpr&) const = default;
 
-  /// "TOPO|ROUTING", "TOPO|ROUTING|MASK", "TOPO|transition|SPEC" or
-  /// "TOPO|transition|SPEC|MASK".
+  [[nodiscard]] std::string to_string() const;
+
+  /// The AnalysisCache key: "TOPO|" + to_string().
   [[nodiscard]] std::string key(const std::string& topo_spec) const;
 
-  /// The relation against `topo`: the registry relation (or the union the
-  /// transition spec describes), wrapped in routing::FaultAwareRouting when
-  /// a fault mask is set.  Throws std::invalid_argument for unknown or
-  /// inapplicable names and malformed specs or masks.
+  /// Inverse of to_string() on `topo`.  Accepts only canonical text, so
+  /// parse(s).to_string() == s; otherwise throws std::invalid_argument
+  /// naming the bad part: an unknown, aliased or inapplicable name, a
+  /// non-hex or upper-case digit, a mask of the wrong length or with bits
+  /// past the channel (or node) count, an all-zero fault mask.
+  [[nodiscard]] static RelationExpr parse(const std::string& text,
+                                          const Topology& topo);
+
+  /// The relation against `topo`: the registry relation (or the
+  /// UnionRouting of the transition's members, each instantiated through
+  /// make_member_routing), wrapped in routing::FaultAwareRouting when a
+  /// fault mask is set.  Throws std::invalid_argument for unknown or
+  /// inapplicable names and specs or masks that do not fit `topo`.
   [[nodiscard]] std::unique_ptr<routing::RoutingFunction> build(
       const Topology& topo) const;
 };

@@ -100,7 +100,7 @@ TEST(AuditConsistency, FaultEpochCertificatesAuditDegradedRelation) {
   ASSERT_TRUE(pristine.certified) << pristine.duato.detail;
   ASSERT_TRUE(pristine.certificate != nullptr);
   EXPECT_EQ(pristine.certificate->topology, spec);
-  EXPECT_EQ(pristine.certificate->fault_mask, "");
+  EXPECT_EQ(pristine.certificate->relation, "duato-mesh");
 
   const Topology& topo = *pristine.topo;
   std::vector<bool> mask(topo.num_channels(), false);
@@ -111,23 +111,24 @@ TEST(AuditConsistency, FaultEpochCertificatesAuditDegradedRelation) {
     const ChannelId victim = topo.find_channel(src, dst, /*vc=*/1);
     ASSERT_NE(victim, topology::kInvalidChannel);
     mask[victim] = true;
-    const exp::AnalysisEntry& epoch = cache.get(
-        spec, reconfig::RelationExpr("duato", "", ft::mask_to_hex(mask)));
+    const exp::AnalysisEntry& epoch =
+        cache.get(spec, reconfig::RelationExpr("duato", mask));
     ASSERT_TRUE(epoch.certificate != nullptr) << epoch.duato.detail;
-    EXPECT_EQ(epoch.certificate->fault_mask, ft::mask_to_hex(mask));
+    EXPECT_EQ(epoch.certificate->relation,
+              "duato-mesh|" + ft::mask_to_hex(mask));
 
     // Round-trip the persisted mask and rebuild the exact degraded relation
     // the certificate speaks about, the way wormnet-audit does.
-    const std::vector<bool> rebuilt = ft::mask_from_hex(
-        epoch.certificate->fault_mask, topo.num_channels());
-    EXPECT_EQ(rebuilt, mask);
+    const reconfig::RelationExpr bound =
+        reconfig::RelationExpr::parse(epoch.certificate->relation, topo);
+    EXPECT_EQ(bound.fault_mask, mask);
     const routing::FaultAwareRouting degraded(
-        topo, core::make_algorithm(epoch.routing, topo), rebuilt);
+        topo, core::make_algorithm(bound.routing, topo), bound.fault_mask);
     CertifiedVerdict result;
     result.verdict = epoch.duato;
     result.certificate = *epoch.certificate;
     expect_consistent(topo, degraded, result,
-                      spec + " duato " + epoch.certificate->fault_mask);
+                      spec + " " + epoch.certificate->relation);
     ++epochs;
   }
   EXPECT_GE(epochs, 3u);
@@ -144,43 +145,38 @@ TEST(AuditConsistency, FaultEpochCertificatesAuditDegradedRelation) {
 TEST(AuditConsistency, EveryEpochKindIsOneRelationExpr) {
   // The four epoch kinds a composed sweep point certifies (e-cube ramping to
   // west-first on mesh:4x4:2 while channel 3 is dead), each one
-  // RelationExpr: its key() is the cache key, its fields are the emitted
-  // certificate's binding, and its build() is the relation that audits it.
+  // RelationExpr: "TOPO|" + its text is the cache key, its text is the
+  // emitted certificate's binding, and its build() is the relation that
+  // audits it.
   const std::string spec = "mesh:4x4:2";
-  const std::string mask = "000000000000000000000008";
-  const std::string epoch = "e-cube>west-first/ffff.00ff";
-  struct Row {
-    const char* kind;
-    reconfig::RelationExpr relation;
-    const char* key;
-  };
-  const std::vector<Row> table = {
-      {"pristine", reconfig::RelationExpr("e-cube"), "mesh:4x4:2|e-cube"},
-      {"faulted", reconfig::RelationExpr("e-cube", "", mask),
-       "mesh:4x4:2|e-cube|000000000000000000000008"},
-      {"transition", reconfig::RelationExpr("e-cube", epoch),
-       "mesh:4x4:2|transition|e-cube>west-first/ffff.00ff"},
-      {"composed", reconfig::RelationExpr("e-cube", epoch, mask),
-       "mesh:4x4:2|transition|e-cube>west-first/ffff.00ff|"
-       "000000000000000000000008"},
+  const Topology topo = core::make_topology(spec);
+  const char* kinds[][2] = {
+      {"pristine", "e-cube"},
+      {"faulted", "e-cube|000000000000000000000008"},
+      {"transition", "transition|e-cube>west-first/ffff.00ff"},
+      {"composed",
+       "transition|e-cube>west-first/ffff.00ff|000000000000000000000008"},
   };
   exp::AnalysisCache cache(/*with_cwg=*/false, /*profiler=*/nullptr,
                            /*certify=*/true);
   std::vector<std::string> keys;
-  for (const Row& row : table) {
-    EXPECT_EQ(row.relation.key(spec), row.key) << row.kind;
-    keys.push_back(row.key);
-    const exp::AnalysisEntry& entry = cache.get(spec, row.relation);
+  for (const auto& [kind, text] : kinds) {
+    const reconfig::RelationExpr relation =
+        reconfig::RelationExpr::parse(text, topo);
+    EXPECT_EQ(relation.to_string(), text) << kind;
+    EXPECT_EQ(relation.key(spec), spec + "|" + text) << kind;
+    keys.push_back(relation.key(spec));
+    const exp::AnalysisEntry& entry = cache.get(spec, relation);
     ASSERT_TRUE(entry.certificate != nullptr)
-        << row.kind << ": " << entry.duato.detail;
+        << kind << ": " << entry.duato.detail;
     const audit::Certificate& cert = *entry.certificate;
-    EXPECT_EQ(reconfig::RelationExpr(cert.routing, cert.transition,
-                                     cert.fault_mask),
-              row.relation)
-        << row.kind;
+    EXPECT_EQ(cert.relation, text) << kind;
+    EXPECT_EQ(reconfig::RelationExpr::parse(cert.relation, *entry.topo),
+              relation)
+        << kind;
     const audit::AuditResult result =
-        audit::check(*entry.topo, *row.relation.build(*entry.topo), cert);
-    EXPECT_TRUE(result.ok()) << row.kind << ": " << result.detail;
+        audit::check(*entry.topo, *relation.build(*entry.topo), cert);
+    EXPECT_TRUE(result.ok()) << kind << ": " << result.detail;
   }
   std::sort(keys.begin(), keys.end());
   std::vector<std::string> recorded;
@@ -190,10 +186,153 @@ TEST(AuditConsistency, EveryEpochKindIsOneRelationExpr) {
   EXPECT_EQ(recorded, keys);
 
   // One pristine spelling: an all-healthy mask is no mask at all.
-  EXPECT_EQ(reconfig::RelationExpr("e-cube", "", "000000000000000000000000"),
+  const reconfig::RelationExpr transition =
+      reconfig::RelationExpr::parse(kinds[2][1], topo);
+  EXPECT_EQ(reconfig::RelationExpr(
+                "e-cube", std::vector<bool>(topo.num_channels(), false)),
             reconfig::RelationExpr("e-cube"));
-  EXPECT_EQ(reconfig::RelationExpr("e-cube", epoch, "0000"),
-            reconfig::RelationExpr("e-cube", epoch));
+  EXPECT_EQ(reconfig::RelationExpr(*transition.transition,
+                                   std::vector<bool>(4, false)),
+            transition);
+}
+
+/// route() then waiting() of `relation` at every state (input, at, dest).
+std::vector<routing::ChannelSet> rows(const Topology& topo,
+                                      const routing::RoutingFunction& relation) {
+  std::vector<routing::ChannelSet> out;
+  for (NodeId at = 0; at < topo.num_nodes(); ++at) {
+    routing::ChannelSet inputs{topology::kInvalidChannel};
+    for (const ChannelId c : topo.in_channels(at)) inputs.push_back(c);
+    for (NodeId dest = 0; dest < topo.num_nodes(); ++dest) {
+      if (dest == at) continue;
+      for (const ChannelId input : inputs) {
+        out.push_back(relation.route(input, at, dest));
+        out.push_back(relation.waiting(input, at, dest));
+      }
+    }
+  }
+  return out;
+}
+
+/// parse and to_string are inverse in both directions on `relation`, and
+/// the parsed expression builds a relation with the same rows.
+void expect_fixed_point(const Topology& topo,
+                        const reconfig::RelationExpr& relation) {
+  const std::string text = relation.to_string();
+  SCOPED_TRACE(topo.name() + " " + text);
+  const reconfig::RelationExpr parsed =
+      reconfig::RelationExpr::parse(text, topo);
+  EXPECT_EQ(parsed, relation);
+  EXPECT_EQ(parsed.to_string(), text);
+  EXPECT_EQ(rows(topo, *parsed.build(topo)), rows(topo, *relation.build(topo)));
+}
+
+/// A few seeded fault masks over `topo`'s channels, one to three dead.
+std::vector<std::vector<bool>> random_masks(const Topology& topo,
+                                            std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  std::vector<std::vector<bool>> masks;
+  for (std::size_t dead = 1; dead <= 3; ++dead) {
+    std::vector<bool> mask(topo.num_channels(), false);
+    for (std::size_t k = 0; k < dead; ++k) {
+      mask[rng() % topo.num_channels()] = true;
+    }
+    masks.push_back(std::move(mask));
+  }
+  return masks;
+}
+
+TEST(AuditConsistency, RelationTextIsAFixedPointOfParse) {
+  std::uint64_t seed = 20;
+  std::size_t relations = 0;
+  for (const char* spec : {"mesh:4x4:2", "torus:4x4:3", "ring:6:2"}) {
+    const Topology topo = core::make_topology(spec);
+    for (const core::AlgorithmEntry* entry : core::algorithms_for(topo)) {
+      expect_fixed_point(topo, reconfig::RelationExpr(entry->name));
+      for (auto& mask : random_masks(topo, ++seed)) {
+        expect_fixed_point(topo,
+                           reconfig::RelationExpr(entry->name, std::move(mask)));
+      }
+      ++relations;
+    }
+  }
+  EXPECT_GE(relations, 10u);
+
+  // Transition unions: every verification epoch of a compiled ramp, a
+  // masked member as the planner's per-channel rung emits it (target minus
+  // one adaptive channel, lifted behind a barrier), and a composed epoch.
+  const Topology topo = core::make_topology("mesh:4x4:2");
+  std::vector<bool> allowed(topo.num_channels(), true);
+  allowed[topo.find_channel(5, 6, /*vc=*/1)] = false;
+  std::vector<reconfig::UnionSpec> unions;
+  for (const std::string& plan :
+       {std::string("ramp:duato-mesh/4/100@200"),
+        "switch:duato-mesh%" + ft::mask_to_hex(allowed) +
+            "@200+barrier:duato-mesh@300"}) {
+    for (reconfig::UnionSpec& spec :
+         reconfig::compile(reconfig::parse_transition_plan(plan), topo,
+                           "e-cube")
+             .verification_epochs()) {
+      unions.push_back(std::move(spec));
+    }
+  }
+  ASSERT_GE(unions.size(), 5u);
+  bool masked_member = false;
+  for (const reconfig::UnionSpec& spec : unions) {
+    for (const std::string& name : spec.names) {
+      masked_member |= !reconfig::split_member(topo, name).second.empty();
+    }
+    expect_fixed_point(topo, reconfig::RelationExpr(spec));
+  }
+  EXPECT_TRUE(masked_member);
+  expect_fixed_point(topo, reconfig::RelationExpr(
+                               unions.front(), random_masks(topo, 99).back()));
+}
+
+TEST(AuditConsistency, RelationParseRejectsNonCanonicalText) {
+  // mesh:4x4:2 has 96 channels (24 hex digits) and 16 nodes (4 digits).
+  const Topology topo = core::make_topology("mesh:4x4:2");
+  const std::string zeros(23, '0');
+  const std::string spec = "transition|e-cube>west-first/ffff.00ff";
+  const struct {
+    std::string text;
+    std::string bad_part;
+  } cases[] = {
+      {"", ""},
+      {"nope", "nope"},
+      {"E-cube", "E-cube"},
+      {"duato", "duato"},              // an alias, not the canonical name
+      {"duato-torus", "duato-torus"},  // inapplicable to a mesh
+      {"duato-mesh|ZZ", "ZZ"},
+      {"e-cube|" + zeros + "F", zeros + "F"},    // upper-case digit
+      {"e-cube|" + zeros.substr(1) + "8", zeros.substr(1) + "8"},  // short
+      {"e-cube|0" + zeros + "8", "0" + zeros + "8"},               // long
+      {"e-cube|" + zeros + "0", zeros + "0"},    // all-zero mask
+      {"e-cube|", ""},
+      {"e-cube|" + zeros + "8|1", "1"},          // extra field
+      {"transition", "transition"},
+      {"transition|e-cube>west-first", "e-cube>west-first"},
+      {"transition|e-cube>west-first/ffff", "e-cube>west-first/ffff"},
+      {"transition|e-cube>west-first/ffff.0ff", "0ff"},
+      {"transition|e-cube>west-first/FFFF.00ff", "FFFF"},
+      {"transition|e-cube>west-first/1ffff.00ff", "1ffff"},  // 17 nodes
+      {"transition|e-cube>duato/ffff.00ff", "duato"},
+      {"transition|e-cube>west-first%zz/ffff.00ff", "west-first%zz"},
+      {"transition|e-cube>west-first%" + zeros.substr(1) + "f/ffff.00ff",
+       "west-first%" + zeros.substr(1) + "f"},  // member mask one digit short
+      {spec + "|" + zeros + "0", zeros + "0"},
+      {spec + "|", ""},
+  };
+  for (const auto& c : cases) {
+    try {
+      (void)reconfig::RelationExpr::parse(c.text, topo);
+      ADD_FAILURE() << "accepted \"" << c.text << "\"";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("\"" + c.bad_part + "\""),
+                std::string::npos)
+          << c.text << " -> " << e.what();
+    }
+  }
 }
 
 TEST(AuditConsistency, RepairedEpochIsThePristineRelation) {
@@ -217,7 +356,7 @@ TEST(AuditConsistency, RepairedEpochIsThePristineRelation) {
   EXPECT_EQ(outcome.cache_misses, 2u);
   ASSERT_EQ(outcome.certificates.size(), 1u);
   EXPECT_EQ(outcome.certificates[0].key, "mesh:4x4:2|duato-mesh");
-  EXPECT_EQ(outcome.certificates[0].certificate->fault_mask, "");
+  EXPECT_EQ(outcome.certificates[0].certificate->relation, "duato-mesh");
 }
 
 TEST(AuditConsistency, MaskHexRoundTrips) {

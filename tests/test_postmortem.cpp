@@ -213,7 +213,7 @@ TEST(Postmortem, ForgedCertificateRejectedYetFlagsContradiction) {
   forged.kind = audit::CertKind::kCertified;
   forged.method = "duato";
   forged.topology = "ring:8";
-  forged.routing = "unrestricted";
+  forged.relation = "unrestricted";
   forged.num_nodes = topo.num_nodes();
   forged.num_channels = static_cast<std::uint32_t>(topo.num_channels());
   forged.subfunction = "full-set (forged)";

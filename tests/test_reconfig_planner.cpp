@@ -98,7 +98,7 @@ TEST(ReconfigPlanner, AcceptanceEcubeToNegativeFirstOn2x2) {
       compile(parse_transition_plan(plan.plan.to_string()), topo, "e-cube");
   ASSERT_FALSE(compiled.empty());
   for (const UnionSpec& epoch : compiled.verification_epochs()) {
-    const auto relation = make_union_routing(topo, epoch);
+    const auto relation = RelationExpr(epoch).build(topo);
     EXPECT_EQ(core::verify(topo, *relation).conclusion,
               core::Conclusion::kDeadlockFree)
         << epoch.to_string();
@@ -224,8 +224,10 @@ TEST(ReconfigPlanner, StagedPlanCertificateChainMatchesGoldenFiles) {
 
   std::vector<const audit::Certificate*> chain;
   for (const exp::CertificateRecord& record : outcome.certificates) {
-    if (!record.certificate->transition.empty()) {
-      chain.push_back(record.certificate.get());
+    const audit::Certificate& cert = *record.certificate;
+    if (RelationExpr::parse(cert.relation, core::make_topology(cert.topology))
+            .transition) {
+      chain.push_back(&cert);
     }
   }
   ASSERT_EQ(chain.size(), 5u);  // four staged unions + the steady state
@@ -249,17 +251,16 @@ TEST(ReconfigPlanner, StagedPlanCertificateChainMatchesGoldenFiles) {
       EXPECT_EQ(json, expected.str()) << "golden drift in " << path;
     }
 
-    // Independent audit from the transition binding alone.
+    // Independent audit from the relation binding alone.
     const audit::ParseResult parsed = audit::parse_certificate(json);
     ASSERT_TRUE(parsed.certificate.has_value()) << parsed.error;
     const auto topo = core::make_topology(parsed.certificate->topology);
-    const auto relation = make_union_routing(
-        topo,
-        parse_union_spec(parsed.certificate->transition, topo.num_nodes()));
+    const auto relation =
+        RelationExpr::parse(parsed.certificate->relation, topo).build(topo);
     const audit::AuditResult audit =
         audit::check(topo, *relation, *parsed.certificate);
     EXPECT_TRUE(audit.ok())
-        << parsed.certificate->transition << ": " << audit.detail;
+        << parsed.certificate->relation << ": " << audit.detail;
     EXPECT_EQ(parsed.certificate->kind, audit::CertKind::kCertified);
   }
 }

@@ -199,9 +199,16 @@ TEST(ReconfigProperties, RowsCarryTheTransitionContract) {
 
 // --- certificates: audit round-trip + golden fixtures --------------------
 
+/// True when a certificate's relation binding is a transition union.
+bool binds_transition(const audit::Certificate& cert) {
+  return reconfig::RelationExpr::parse(cert.relation,
+                                       core::make_topology(cert.topology))
+      .transition.has_value();
+}
+
 /// Every transition certificate must survive a JSON round-trip byte-exactly
 /// and convince the independent auditor against the union relation rebuilt
-/// solely from its `transition` binding (never the in-memory one).
+/// solely from its `relation` binding (never the in-memory one).
 TEST(ReconfigProperties, TransitionCertificatesAuditIndependently) {
   const SweepOutcome outcome = campaign_outcome(1, /*certify=*/true);
   std::size_t certified_seen = 0;
@@ -209,7 +216,7 @@ TEST(ReconfigProperties, TransitionCertificatesAuditIndependently) {
   for (const CertificateRecord& record : outcome.certificates) {
     ASSERT_NE(record.certificate, nullptr);
     const audit::Certificate& cert = *record.certificate;
-    if (cert.transition.empty()) continue;
+    if (!binds_transition(cert)) continue;
     EXPECT_NE(record.key.find("|transition|"), std::string::npos);
 
     // JSON round-trip stability.
@@ -217,12 +224,12 @@ TEST(ReconfigProperties, TransitionCertificatesAuditIndependently) {
     const audit::ParseResult parsed = audit::parse_certificate(json);
     ASSERT_TRUE(parsed.certificate.has_value()) << parsed.error;
     EXPECT_EQ(parsed.certificate->to_json(), json);
-    EXPECT_EQ(parsed.certificate->transition, cert.transition);
+    EXPECT_EQ(parsed.certificate->relation, cert.relation);
 
     // Independent re-validation against the rebuilt union relation.
     const auto topo = core::make_topology(cert.topology);
-    const auto relation = reconfig::make_union_routing(
-        topo, reconfig::parse_union_spec(cert.transition, topo.num_nodes()));
+    const auto relation =
+        reconfig::RelationExpr::parse(cert.relation, topo).build(topo);
     const audit::AuditResult audit =
         audit::check(topo, *relation, *parsed.certificate);
     EXPECT_TRUE(audit.ok()) << record.key << ": " << audit.detail;
@@ -244,7 +251,7 @@ TEST(ReconfigProperties, TransitionCertificatesMatchGoldenFiles) {
   const audit::Certificate* refuted = nullptr;
   for (const CertificateRecord& record : outcome.certificates) {
     const audit::Certificate& cert = *record.certificate;
-    if (cert.transition.empty()) continue;
+    if (!binds_transition(cert)) continue;
     if (cert.kind == audit::CertKind::kCertified && certified == nullptr) {
       certified = &cert;
     }

@@ -98,7 +98,11 @@ TEST(TransitionGuard, CertifiedPlanProceedsEverywhere) {
   EXPECT_TRUE(guard.all_proceed());
   for (const GuardDecision& d : guard.step) {
     EXPECT_EQ(d.action, GuardAction::kProceed);
-    EXPECT_TRUE(d.fault_mask.empty());  // transition-only walk is pristine
+    // The judged epoch is canonical relation text, and a transition-only
+    // walk is pristine: a union with no fault mask.
+    const RelationExpr epoch = RelationExpr::parse(d.epoch, topo);
+    EXPECT_TRUE(epoch.transition.has_value()) << d.epoch;
+    EXPECT_TRUE(epoch.fault_mask.empty()) << d.epoch;
   }
 }
 
@@ -117,8 +121,9 @@ TEST(TransitionGuard, RollbackOfARefutedSwitchIsCertified) {
   const GuardDecision& d = guard.step[0];
   EXPECT_EQ(d.action, GuardAction::kRollback);
   EXPECT_TRUE(d.cutover.assignments.empty());
-  EXPECT_FALSE(d.rollback_epoch.empty());
-  EXPECT_FALSE(d.epoch.empty());
+  EXPECT_TRUE(RelationExpr::parse(d.epoch, topo).transition.has_value());
+  EXPECT_TRUE(
+      RelationExpr::parse(d.rollback_epoch, topo).transition.has_value());
 }
 
 // --- guard decisions + live repair, stub certifiers ----------------------
@@ -137,9 +142,8 @@ TEST(TransitionGuard, MidPlanRefutationRollsBackMigratedDests) {
   // Accept any epoch touching at most four destinations: stage one (4)
   // certifies, stage two (9) is refuted, and the rollback union (the four
   // already-migrated destinations plus base) certifies again.
-  const GuardCertifier accept_small = [&topo](const RelationExpr& relation) {
-    return non_base_dests(parse_union_spec(relation.transition,
-                                           topo.num_nodes())) <= 4;
+  const GuardCertifier accept_small = [](const RelationExpr& relation) {
+    return non_base_dests(*relation.transition) <= 4;
   };
   const TransitionGuard guard =
       build_transition_guard(topo, plan, nullptr, accept_small);

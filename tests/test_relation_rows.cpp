@@ -114,7 +114,7 @@ std::string all_rows() {
     spec.active.assign(2, std::vector<bool>(topo.num_nodes(), true));
     for (NodeId d = 0; d < topo.num_nodes(); d += 2) spec.active[1][d] = false;
     out += row_line("mesh:4x4:2", topo,
-                    *reconfig::make_union_routing(topo, spec));
+                    *reconfig::RelationExpr(spec).build(topo));
   }
   {
     const Topology topo = core::make_topology("ring:6:2");

@@ -96,8 +96,9 @@ void expect_derived_matches_fresh(const Topology& topo,
                                   const RelationExpr& parent,
                                   const StateGraph& parent_states,
                                   const std::vector<bool>& mask) {
-  const RelationExpr masked(parent.routing, parent.transition,
-                            ft::mask_to_hex(mask));
+  const RelationExpr masked = parent.transition
+                                  ? RelationExpr(*parent.transition, mask)
+                                  : RelationExpr(parent.routing, mask);
   SCOPED_TRACE(masked.key(topo.name()));
   const auto relation = masked.build(topo);
   const StateGraph derived(parent_states, *relation, mask);
@@ -144,16 +145,15 @@ TEST(StateGraphDerive, EveryRegistryRelationUnderRandomMasks) {
 TEST(StateGraphDerive, TransitionUnionsUnderMasks) {
   const struct {
     const char* topology;
-    const char* routing;
-    const char* transition;
+    const char* relation;
   } cases[] = {
-      {"mesh:4x4:2", "e-cube", "e-cube>west-first/ffff.00ff"},
-      {"hypercube:4:2", "e-cube", "e-cube>duato-hypercube/ffff.0f0f"},
+      {"mesh:4x4:2", "transition|e-cube>west-first/ffff.00ff"},
+      {"hypercube:4:2", "transition|e-cube>duato-hypercube/ffff.0f0f"},
   };
   std::uint64_t seed = 7;
   for (const auto& c : cases) {
     const Topology topo = core::make_topology(c.topology);
-    const RelationExpr parent(c.routing, c.transition);
+    const RelationExpr parent = RelationExpr::parse(c.relation, topo);
     const auto relation = parent.build(topo);
     const StateGraph parent_states(topo, *relation);
     for (const auto& mask : random_masks(topo, ++seed)) {
