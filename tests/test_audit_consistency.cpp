@@ -5,12 +5,14 @@
 // certificate alone.  A disagreement here means either the checker emitted
 // evidence the relation does not support (checker bug) or the auditor's
 // re-derivation of the semantics drifted (auditor bug) — both are
-// release-blocking.
+// release-blocking.  Every matrix certificate's audit result, and the
+// detail string of every excursion mutation, is pinned in
+// golden/audit_results.txt (regenerate with WORMNET_UPDATE_GOLDEN=1).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
-#include "test_helpers.hpp"
+#include "audit_fixtures.hpp"
 
 namespace wormnet::audit {
 namespace {
@@ -31,10 +33,20 @@ VerifyOptions matrix_options(Method method) {
   return options;
 }
 
+/// One golden line: the audit's code and counters for `subject`.
+std::string result_line(const std::string& subject, const AuditResult& audit) {
+  return subject + " " + to_string(audit.code) +
+         " states=" + std::to_string(audit.states_checked) +
+         " edges=" + std::to_string(audit.edges_checked);
+}
+
+/// Checks `result` against the auditor; when it carries a certificate and
+/// `lines` is set, appends the audit's golden line.
 void expect_consistent(const Topology& topo,
                        const routing::RoutingFunction& routing,
                        const CertifiedVerdict& result,
-                       const std::string& subject) {
+                       const std::string& subject,
+                       std::vector<std::string>* lines = nullptr) {
   const Conclusion conclusion = result.verdict.conclusion;
   if (conclusion == Conclusion::kUnknown) {
     EXPECT_FALSE(result.certificate.has_value())
@@ -67,9 +79,14 @@ void expect_consistent(const Topology& topo,
   EXPECT_TRUE(audit.ok()) << subject << ": " << to_string(audit.code) << ": "
                           << audit.detail;
   EXPECT_GT(audit.edges_checked, 0u) << subject;
+  if (lines != nullptr) {
+    lines->push_back(result_line(
+        subject + " " + cert.method + " " + to_string(cert.kind), audit));
+  }
 }
 
 TEST(AuditConsistency, RegistryMatrixDuatoAndCwg) {
+  std::vector<std::string> lines;
   for (const lint::ExampleExpectation& row : lint::example_matrix()) {
     const Topology topo = core::make_topology(row.topology_spec);
     const auto routing = core::make_algorithm(row.algorithm, topo);
@@ -77,7 +94,7 @@ TEST(AuditConsistency, RegistryMatrixDuatoAndCwg) {
     for (const Method method : {Method::kDuato, Method::kCwg}) {
       const CertifiedVerdict result =
           core::verify_certified(topo, *routing, matrix_options(method));
-      expect_consistent(topo, *routing, result, subject);
+      expect_consistent(topo, *routing, result, subject, &lines);
       // verify() and verify_certified() must agree — emission is a pure
       // side channel.
       const core::Verdict plain =
@@ -85,6 +102,18 @@ TEST(AuditConsistency, RegistryMatrixDuatoAndCwg) {
       EXPECT_EQ(plain.conclusion, result.verdict.conclusion) << subject;
     }
   }
+  // The excursion mutations' rejections, detail strings included.
+  const test::ExcursionFixture fx;
+  for (const test::AuditMutationCase& m : test::excursion_mutations()) {
+    Certificate cert = fx.cert;
+    m.apply(fx, cert);
+    const AuditResult audit = check(fx.topo, *fx.routing, cert);
+    lines.push_back(result_line(std::string("mutation ") + m.name, audit) +
+                    " " + audit.detail);
+  }
+  std::string golden;
+  for (const std::string& line : lines) golden += line + "\n";
+  test::compare_or_update("audit_results.txt", golden);
 }
 
 TEST(AuditConsistency, FaultEpochCertificatesAuditDegradedRelation) {
