@@ -1,8 +1,8 @@
 #include "wormnet/audit/check.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <map>
+#include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -46,16 +46,40 @@ const char* to_string(AuditCode code) {
 
 namespace {
 
-/// Shared scratch state for one audit: the binding plus lazily computed
-/// per-destination channel reachability (the auditor's own forward fixpoint,
-/// mirroring the state-graph semantics: injection states seed the frontier,
-/// sink states — head == dest — are reachable but never expanded).
+/// An index slot no certificate entry has claimed yet.
+constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
+
+/// One destination's relation as the auditor's own forward fixpoint found
+/// it (mirroring the state-graph semantics: injection states seed the
+/// frontier, sink states — head == dest — are reachable but never
+/// expanded).  The relation is evaluated once per state: every later check
+/// reads these flat rows instead of calling it again.
+struct DestRows {
+  std::vector<bool> reached;             ///< per channel
+  std::vector<std::uint32_t> first_at;   ///< per source, then one past end
+  std::vector<ChannelId> first;          ///< first hops, sources ascending
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> succ_at;  ///< ranges
+  std::vector<ChannelId> succ;  ///< successors of expanded states
+
+  /// R(kInvalidChannel, src, dest); empty for src == dest.
+  [[nodiscard]] std::span<const ChannelId> first_hops(NodeId src) const {
+    return {first.data() + first_at[src], first_at[src + 1] - first_at[src]};
+  }
+  /// R(c, head(c), dest) of an expanded state; empty for any other channel.
+  [[nodiscard]] std::span<const ChannelId> successors(ChannelId c) const {
+    const auto [begin, end] = succ_at[c];
+    return {succ.data() + begin, end - begin};
+  }
+};
+
+/// Shared scratch state for one audit: the binding plus the lazily built
+/// rows of each destination.
 class Auditor {
  public:
   Auditor(const Topology& topo, const RoutingFunction& routing,
           const Certificate& cert)
       : topo_(topo), routing_(routing), cert_(cert) {
-    reach_.resize(topo.num_nodes());
+    rows_.resize(topo.num_nodes());
   }
 
   AuditResult run() {
@@ -91,50 +115,66 @@ class Auditor {
     return topo_.channel(c).src;
   }
 
-  static bool contains(const ChannelSet& set, ChannelId c) {
+  static bool contains(std::span<const ChannelId> set, ChannelId c) {
     return std::find(set.begin(), set.end(), c) != set.end();
   }
 
-  /// Channels some message destined for `dest` can occupy (own fixpoint).
-  const std::vector<bool>& reach(NodeId dest) {
-    auto& row = reach_[dest];
-    if (!row.empty()) return row;
-    row.assign(topo_.num_channels(), false);
-    std::deque<ChannelId> frontier;
-    for (NodeId src = 0; src < topo_.num_nodes(); ++src) {
-      if (src == dest) continue;
-      for (ChannelId c : routing_.route(topology::kInvalidChannel, src, dest)) {
-        if (!row[c]) {
-          row[c] = true;
-          frontier.push_back(c);
+  /// Records certificate entry `i` in an index slot; false if another entry
+  /// already claimed it.
+  static bool claim(std::uint32_t& slot, std::size_t i) {
+    if (slot != kAbsent) return false;
+    slot = static_cast<std::uint32_t>(i);
+    return true;
+  }
+
+  /// The relation toward `dest` at every state some message destined for
+  /// `dest` can occupy (own fixpoint, one route_into call per state).
+  const DestRows& reach(NodeId dest) {
+    DestRows& rows = rows_[dest];
+    if (!rows.first_at.empty()) return rows;
+    rows.reached.assign(topo_.num_channels(), false);
+    rows.succ_at.assign(topo_.num_channels(), {0, 0});
+    frontier_.clear();
+    const auto discover = [&](std::span<const ChannelId> hops) {
+      for (const ChannelId c : hops) {
+        if (!rows.reached[c]) {
+          rows.reached[c] = true;
+          frontier_.push_back(c);
         }
       }
+    };
+    for (NodeId src = 0; src < topo_.num_nodes(); ++src) {
+      const auto begin = static_cast<std::uint32_t>(rows.first.size());
+      rows.first_at.push_back(begin);
+      if (src == dest) continue;
+      routing_.route_into(topology::kInvalidChannel, src, dest, rows.first);
+      discover(std::span<const ChannelId>(rows.first).subspan(begin));
     }
-    while (!frontier.empty()) {
-      const ChannelId c = frontier.front();
-      frontier.pop_front();
+    rows.first_at.push_back(static_cast<std::uint32_t>(rows.first.size()));
+    for (std::size_t i = 0; i < frontier_.size(); ++i) {
+      const ChannelId c = frontier_[i];
       if (head(c) == dest) continue;  // sink state: consumed, not expanded
       ++result_.states_checked;
-      for (ChannelId next : routing_.route(c, head(c), dest)) {
-        if (!row[next]) {
-          row[next] = true;
-          frontier.push_back(next);
-        }
-      }
+      const auto begin = static_cast<std::uint32_t>(rows.succ.size());
+      routing_.route_into(c, head(c), dest, rows.succ);
+      rows.succ_at[c] = {begin, static_cast<std::uint32_t>(rows.succ.size())};
+      discover(rows.successors(c));
     }
-    return row;
+    return rows;
   }
 
   [[nodiscard]] std::string state_name(ChannelId c, NodeId dest) const {
-    return "(" + topo_.channel_name(c) + ", dest " + std::to_string(dest) +
-           ")";
+    std::string name = "(";
+    name += topo_.channel_name(c);
+    name += ", dest " + std::to_string(dest) + ")";
+    return name;
   }
 
   // ---------------------------------------------------------- certified
 
   AuditResult run_certified() {
     const std::size_t channels = topo_.num_channels();
-    const NodeId nodes = topo_.num_nodes();
+    const std::size_t nodes = topo_.num_nodes();
 
     // Escape set: sorted, unique, in range.
     std::vector<bool> in_c1(channels, false);
@@ -175,59 +215,65 @@ class Auditor {
                       std::to_string(cert_.escape_channels.size()));
     }
 
-    // Index the claimed witnesses; duplicates are structural garbage.
-    std::map<std::pair<ChannelId, NodeId>, ChannelId> escapes;
-    for (const EscapeWitness& w : cert_.escapes) {
+    // Index the claimed witnesses densely — escapes by (dest, channel),
+    // injections and paths by (dest, src) — each slot holding the entry's
+    // position in the certificate.  Duplicates are structural garbage.
+    std::vector<std::uint32_t> escape_at(nodes * channels, kAbsent);
+    for (std::size_t i = 0; i < cert_.escapes.size(); ++i) {
+      const EscapeWitness& w = cert_.escapes[i];
       if (w.channel >= channels || w.dest >= nodes) {
         return fail(AuditCode::kMalformed, "escape witness out of range");
       }
-      if (!escapes.emplace(std::make_pair(w.channel, w.dest), w.via).second) {
+      if (!claim(escape_at[w.dest * channels + w.channel], i)) {
         return fail(AuditCode::kMalformed,
                     "duplicate escape witness for " +
                         state_name(w.channel, w.dest));
       }
     }
-    std::map<std::pair<NodeId, NodeId>, ChannelId> injections;
-    for (const InjectionEscape& w : cert_.injection_escapes) {
+    std::vector<std::uint32_t> injection_at(nodes * nodes, kAbsent);
+    for (std::size_t i = 0; i < cert_.injection_escapes.size(); ++i) {
+      const InjectionEscape& w = cert_.injection_escapes[i];
       if (w.src >= nodes || w.dest >= nodes || w.src == w.dest) {
         return fail(AuditCode::kMalformed, "injection escape out of range");
       }
-      if (!injections.emplace(std::make_pair(w.src, w.dest), w.via).second) {
+      if (!claim(injection_at[w.dest * nodes + w.src], i)) {
         return fail(AuditCode::kMalformed, "duplicate injection escape");
       }
     }
-    std::map<std::pair<NodeId, NodeId>, const WitnessPath*> paths;
-    for (const WitnessPath& w : cert_.witness_paths) {
+    std::vector<std::uint32_t> path_at(nodes * nodes, kAbsent);
+    for (std::size_t i = 0; i < cert_.witness_paths.size(); ++i) {
+      const WitnessPath& w = cert_.witness_paths[i];
       if (w.src >= nodes || w.dest >= nodes || w.src == w.dest) {
         return fail(AuditCode::kMalformed, "witness path out of range");
       }
-      if (!paths.emplace(std::make_pair(w.src, w.dest), &w).second) {
+      if (!claim(path_at[w.dest * nodes + w.src], i)) {
         return fail(AuditCode::kMalformed, "duplicate witness path");
       }
     }
 
     std::size_t escape_states = 0;
-    std::vector<bool> visited(channels, false);
+    std::vector<std::uint32_t> visited(channels, 0);  // excursion walk stamp
+    std::uint32_t walk = 0;
     std::vector<ChannelId> stack;
 
     for (NodeId dest = 0; dest < nodes; ++dest) {
-      const std::vector<bool>& row = reach(dest);
+      const DestRows& rows = reach(dest);
 
       // Escape-everywhere: every reachable blocked state names an escape
       // output the relation actually supplies.
+      const std::uint32_t* escapes = &escape_at[dest * channels];
       for (ChannelId c = 0; c < channels; ++c) {
-        if (!row[c] || head(c) == dest) continue;
+        if (!rows.reached[c] || head(c) == dest) continue;
         ++escape_states;
-        const auto it = escapes.find({c, dest});
-        if (it == escapes.end()) {
+        if (escapes[c] == kAbsent) {
           return fail(AuditCode::kMissingEscapeWitness,
                       "no escape witness for reachable state " +
                           state_name(c, dest));
         }
-        const ChannelId via = it->second;
+        const ChannelId via = cert_.escapes[escapes[c]].via;
         ++result_.edges_checked;
         if (via >= channels || !in_c1[via] ||
-            !contains(routing_.route(c, head(c), dest), via)) {
+            !contains(rows.successors(c), via)) {
           return fail(AuditCode::kEscapeWitnessInvalid,
                       "claimed escape " + std::to_string(via) + " at " +
                           state_name(c, dest) +
@@ -236,17 +282,16 @@ class Auditor {
       }
       for (NodeId src = 0; src < nodes; ++src) {
         if (src == dest) continue;
-        const auto it = injections.find({src, dest});
-        if (it == injections.end()) {
+        const std::uint32_t injection = injection_at[dest * nodes + src];
+        if (injection == kAbsent) {
           return fail(AuditCode::kMissingInjectionEscape,
                       "no injection escape for " + std::to_string(src) +
                           " -> " + std::to_string(dest));
         }
-        const ChannelId via = it->second;
+        const ChannelId via = cert_.injection_escapes[injection].via;
         ++result_.edges_checked;
         if (via >= channels || !in_c1[via] ||
-            !contains(routing_.route(topology::kInvalidChannel, src, dest),
-                      via)) {
+            !contains(rows.first_hops(src), via)) {
           return fail(AuditCode::kEscapeWitnessInvalid,
                       "claimed injection escape " + std::to_string(via) +
                           " for " + std::to_string(src) + " -> " +
@@ -255,14 +300,14 @@ class Auditor {
         }
 
         // Connectivity: the explicit escape path must exist and hold up.
-        const auto path_it = paths.find({src, dest});
-        if (path_it == paths.end()) {
+        const std::uint32_t path = path_at[dest * nodes + src];
+        if (path == kAbsent) {
           return fail(AuditCode::kMissingWitnessPath,
                       "no witness path for " + std::to_string(src) + " -> " +
                           std::to_string(dest));
         }
         const AuditResult bad =
-            check_witness_path(*path_it->second, in_c1, row);
+            check_witness_path(cert_.witness_paths[path], in_c1, rows);
         if (!bad.ok()) return bad;
       }
 
@@ -271,21 +316,22 @@ class Auditor {
       // emitted escape sets are uniform (one C1 for all destinations), so
       // all dependencies stay inside C1 and cross edges cannot arise.
       for (const ChannelId ci : cert_.escape_channels) {
-        if (!row[ci] || head(ci) == dest) continue;
-        const ChannelSet succ = routing_.route(ci, head(ci), dest);
+        if (!rows.reached[ci] || head(ci) == dest) continue;
+        const std::span<const ChannelId> succ = rows.successors(ci);
         for (ChannelId cj : succ) {
           if (in_c1[cj]) {
             const AuditResult bad = check_order(pos, ci, cj, dest, "direct");
             if (!bad.ok()) return bad;
           }
         }
-        // Indirect dependencies: excursions over non-escape channels the
-        // relation supplies for this destination.
-        std::fill(visited.begin(), visited.end(), false);
+        // Indirect dependencies: one excursion walk from this state over
+        // the non-escape channels the relation supplies for this
+        // destination.
+        ++walk;
         stack.clear();
         for (ChannelId mid : succ) {
-          if (!in_c1[mid] && !visited[mid]) {
-            visited[mid] = true;
+          if (!in_c1[mid] && visited[mid] != walk) {
+            visited[mid] = walk;
             stack.push_back(mid);
           }
         }
@@ -293,13 +339,13 @@ class Auditor {
           const ChannelId mid = stack.back();
           stack.pop_back();
           if (head(mid) == dest) continue;
-          for (ChannelId cj : routing_.route(mid, head(mid), dest)) {
+          for (ChannelId cj : rows.successors(mid)) {
             if (in_c1[cj]) {
               const AuditResult bad =
                   check_order(pos, ci, cj, dest, "indirect");
               if (!bad.ok()) return bad;
-            } else if (!visited[cj]) {
-              visited[cj] = true;
+            } else if (visited[cj] != walk) {
+              visited[cj] = walk;
               stack.push_back(cj);
             }
           }
@@ -307,8 +353,9 @@ class Auditor {
       }
     }
 
-    // Entries for states the relation cannot reach are unverifiable claims.
-    if (escapes.size() != escape_states) {
+    // Entries for states the relation cannot reach are unverifiable claims
+    // (every entry sits in its own slot, so the count is the slot count).
+    if (cert_.escapes.size() != escape_states) {
       return fail(AuditCode::kEscapeWitnessInvalid,
                   "certificate carries escape witnesses for unreachable "
                   "states");
@@ -331,7 +378,7 @@ class Auditor {
 
   AuditResult check_witness_path(const WitnessPath& w,
                                  const std::vector<bool>& in_c1,
-                                 const std::vector<bool>& row) {
+                                 const DestRows& rows) {
     const auto broken = [&](const std::string& why) {
       return fail(AuditCode::kWitnessPathBroken,
                   "witness path " + std::to_string(w.src) + " -> " +
@@ -350,9 +397,7 @@ class Auditor {
       }
       // The hop must be supplied by the relation toward this destination:
       // either as a first hop out of `at`, or mid-route (a reachable state).
-      if (!row[c] &&
-          !contains(routing_.route(topology::kInvalidChannel, at, w.dest),
-                    c)) {
+      if (!rows.reached[c] && !contains(rows.first_hops(at), c)) {
         return broken("hop " + topo_.channel_name(c) +
                       " is not supplied by the relation for dest " +
                       std::to_string(w.dest));
@@ -396,8 +441,9 @@ class Auditor {
                     "cycle edges do not close: " + topo_.channel_name(e.to) +
                         " != " + topo_.channel_name(next.from));
       }
-      if (!reach(e.dest)[e.from] || head(e.from) == e.dest ||
-          !contains(routing_.route(e.from, head(e.from), e.dest), e.to)) {
+      const DestRows& rows = reach(e.dest);
+      if (!rows.reached[e.from] || head(e.from) == e.dest ||
+          !contains(rows.successors(e.from), e.to)) {
         return fail(AuditCode::kCycleEdgeUnsupported,
                     "relation does not supply dependency " +
                         topo_.channel_name(e.from) + " -> " +
@@ -434,8 +480,8 @@ class Auditor {
       if (e.hold.empty() || e.hold.front() != e.from) {
         return unsupported("held path does not start at the held channel");
       }
-      const std::vector<bool>& row = reach(e.dest);
-      if (!row[e.hold.front()]) {
+      const DestRows& rows = reach(e.dest);
+      if (!rows.reached[e.hold.front()]) {
         return unsupported("held path starts at an unreachable state");
       }
       for (std::size_t j = 0; j < e.hold.size(); ++j) {
@@ -457,8 +503,10 @@ class Auditor {
         if (head(c) == e.dest) {
           return unsupported("message is at its destination, cannot block");
         }
+        // c is reachable: the first hop was checked above, each later one
+        // is a successor of the hop before it.
         if (j + 1 < e.hold.size() &&
-            !contains(routing_.route(c, head(c), e.dest), e.hold[j + 1])) {
+            !contains(rows.successors(c), e.hold[j + 1])) {
           return unsupported("held path hop " + topo_.channel_name(c) +
                              " -> " + topo_.channel_name(e.hold[j + 1]) +
                              " is not supplied by the relation");
@@ -495,7 +543,7 @@ class Auditor {
     if (d.channel >= topo_.num_channels()) {
       return fail(AuditCode::kMalformed, "disconnection out of range");
     }
-    if (!reach(d.dest)[d.channel] || head(d.channel) == d.dest) {
+    if (!reach(d.dest).reached[d.channel] || head(d.channel) == d.dest) {
       return fail(AuditCode::kDisconnectionUnsupported,
                   "claimed starved state " + state_name(d.channel, d.dest) +
                       " is not a reachable blocked state");
@@ -512,7 +560,8 @@ class Auditor {
   const RoutingFunction& routing_;
   const Certificate& cert_;
   AuditResult result_;
-  std::vector<std::vector<bool>> reach_;
+  std::vector<DestRows> rows_;       ///< per destination, built by reach()
+  std::vector<ChannelId> frontier_;  ///< reach()'s discovery queue
 };
 
 }  // namespace
