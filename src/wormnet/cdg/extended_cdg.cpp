@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "wormnet/obs/probe.hpp"
@@ -26,19 +28,6 @@ const char* to_string(DepKind kind) {
 namespace {
 
 using Word = std::uint64_t;
-
-/// A dense bitset over channels, one row of `words` 64-bit words.
-struct BitRows {
-  std::size_t words = 0;
-  std::vector<Word> bits;
-
-  BitRows(std::size_t rows, std::size_t row_words)
-      : words(row_words), bits(rows * row_words, 0) {}
-  [[nodiscard]] Word* row(std::size_t r) { return &bits[r * words]; }
-  [[nodiscard]] const Word* row(std::size_t r) const {
-    return &bits[r * words];
-  }
-};
 
 void set_bit(Word* row, ChannelId c) { row[c / 64] |= Word{1} << (c % 64); }
 
@@ -186,6 +175,12 @@ DepKind strongest_kind(bool direct_same, bool direct, bool indirect_same) {
 
 }  // namespace
 
+DepKind ExtendedCdg::kind(graph::Vertex from, graph::Vertex to) const {
+  assert(graph.has_edge(from, to));
+  return strongest_kind(direct_same.test(from, to), direct.test(from, to),
+                        indirect_same.test(from, to));
+}
+
 ExtendedCdg build_extended_cdg(const Subfunction& sub) {
   const obs::PhaseTimer timer("ecdg_build");
   obs::CheckerStats* const probe = obs::checker_probe();
@@ -265,14 +260,12 @@ ExtendedCdg build_extended_cdg(const Subfunction& sub) {
             static_cast<ChannelId>(w * 64 + std::countr_zero(bits));
         out.graph.add_edge(ci, cj);
         if (test_bit(direct.row(ci), cj)) out.direct_only.add_edge(ci, cj);
-        out.edge_kinds.emplace_hint(
-            out.edge_kinds.end(), std::make_pair(ci, cj),
-            strongest_kind(test_bit(direct_same.row(ci), cj),
-                           test_bit(direct.row(ci), cj),
-                           test_bit(indirect_same.row(ci), cj)));
       }
     }
   }
+  out.direct = std::move(direct);
+  out.direct_same = std::move(direct_same);
+  out.indirect_same = std::move(indirect_same);
   if (probe) {
     ++probe->ecdg_builds;
     probe->ecdg_direct_edges += out.direct_edges;

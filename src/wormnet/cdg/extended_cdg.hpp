@@ -21,8 +21,8 @@
 #pragma once
 
 #include <cstddef>
-#include <map>
-#include <utility>
+#include <cstdint>
+#include <vector>
 
 #include "wormnet/cdg/subfunction.hpp"
 #include "wormnet/graph/digraph.hpp"
@@ -41,6 +41,24 @@ enum class DepKind : std::uint8_t {
 
 [[nodiscard]] const char* to_string(DepKind kind);
 
+/// A dense bitset over channels per channel: row r holds `words` 64-bit
+/// words, bit c of row r set for the pair (r, c).
+struct BitRows {
+  std::size_t words = 0;
+  std::vector<std::uint64_t> bits;
+
+  BitRows() = default;
+  BitRows(std::size_t rows, std::size_t row_words)
+      : words(row_words), bits(rows * row_words, 0) {}
+  [[nodiscard]] std::uint64_t* row(std::size_t r) { return &bits[r * words]; }
+  [[nodiscard]] const std::uint64_t* row(std::size_t r) const {
+    return &bits[r * words];
+  }
+  [[nodiscard]] bool test(std::size_t r, std::size_t c) const {
+    return (bits[r * words + c / 64] >> (c % 64)) & 1;
+  }
+};
+
 struct ExtendedCdg {
   graph::Digraph graph;        ///< all dependency edges
   graph::Digraph direct_only;  ///< direct (+ direct cross) edges only
@@ -50,14 +68,16 @@ struct ExtendedCdg {
   std::size_t indirect_edges = 0;        ///< indirect edges not already direct
   std::size_t cross_edges = 0;           ///< edges whose target is escape only
                                          ///< for other destinations
-  /// Kind of every edge in `graph` — lets cycle witnesses explain each hop
-  /// (direct / indirect / direct-cross / indirect-cross).
-  std::map<std::pair<graph::Vertex, graph::Vertex>, DepKind> edge_kinds;
+  // How each edge u -> v was witnessed, row u bit v: directly (same or
+  // cross), directly with a target escape for the witnessing destination
+  // itself, and indirectly with such a target.
+  BitRows direct;
+  BitRows direct_same;
+  BitRows indirect_same;
 
-  [[nodiscard]] DepKind kind(graph::Vertex from, graph::Vertex to) const {
-    const auto it = edge_kinds.find({from, to});
-    return it == edge_kinds.end() ? DepKind::kDirect : it->second;
-  }
+  /// Kind of edge (from, to) of `graph` — lets cycle witnesses explain each
+  /// hop (direct / indirect / direct-cross / indirect-cross).
+  [[nodiscard]] DepKind kind(graph::Vertex from, graph::Vertex to) const;
 };
 
 /// Builds the extended CDG of `sub` over its state graph.
