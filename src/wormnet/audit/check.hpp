@@ -10,10 +10,10 @@
 // that emits a wrong certificate becomes a loud audit contradiction here
 // instead of a silently wrong verdict downstream.
 //
-// Cost: one pass over the reachable state space per destination named by
-// the certificate — linear in the dependency evidence (V = states, E =
-// relation edges), the same asymptotics as building the graphs the checker
-// searched, without any of the search.
+// Cost: one relation evaluation per reachable state of each destination the
+// certificate names (the rows it yields serve every later check), plus, for
+// a certified claim, one excursion walk over non-escape states per escape
+// state to enumerate the indirect dependencies.  No search.
 #pragma once
 
 #include <cstdint>
