@@ -13,7 +13,7 @@
 // and can be overridden to audit a certificate against a *different*
 // relation (which should fail, loudly).
 //
-// Exit status: 0 = every certificate audits valid,
+// Exit status (cli.hpp): 0 = every certificate audits valid,
 //              1 = at least one certificate was refuted by the auditor
 //                  (well-formed, but the relation does not support it),
 //              2 = usage error, unreadable input, malformed certificate
@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "cli.hpp"
 #include "wormnet/audit/certificate.hpp"
 #include "wormnet/audit/check.hpp"
 #include "wormnet/core/registry.hpp"
@@ -36,48 +37,37 @@ namespace {
 
 using namespace wormnet;
 
-int usage(const char* argv0) {
-  std::cerr
-      << "usage: " << argv0 << " [options] CERT.json [CERT.json ...]\n"
-      << "\n"
-      << "Audits proof-carrying certificates against the routing relation\n"
-      << "they describe, via the independent wormnet::audit checker.\n"
-      << "\n"
-      << "options:\n"
-      << "  --topology SPEC  override the certificate's topology binding\n"
-      << "  --relation EXPR  override the certificate's relation binding:\n"
-      << "                   ROUTING, ROUTING|MASK, transition|SPEC or\n"
-      << "                   transition|SPEC|MASK (canonical text only)\n"
-      << "  --quiet          only report failures\n"
-      << "\n"
-      << "exit: 0 = all valid, 1 = refuted by audit, 2 = malformed/usage\n";
-  return 2;
-}
+constexpr cli::Flag kFlags[] = {
+    {"--topology", "SPEC", "override the certificate's topology binding"},
+    {"--relation", "EXPR",
+     "override the certificate's relation binding:\nROUTING, ROUTING|MASK, "
+     "transition|SPEC or\ntransition|SPEC|MASK (canonical text only)"},
+    {"--quiet", "", "only report failures"},
+};
+
+const cli::Spec kSpec{
+    .forms = "[options] CERT.json [CERT.json ...]",
+    .flags = kFlags,
+    .notes = "Audits proof-carrying certificates against the routing relation\n"
+             "they describe, via the independent wormnet::audit checker.\n",
+    .positional = true,
+};
 
 /// One certificate: parse, bind, audit.  Returns the per-file exit code.
-int audit_file(const char* argv0, const std::string& path,
-               const std::string& topo_override,
-               const std::string& relation_override, bool quiet) {
+int audit_file(const cli::Args& args, const std::string& path) {
   std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    std::cerr << argv0 << ": cannot open " << path << "\n";
-    return 2;
-  }
+  if (!file) return args.error("cannot open " + path);
   std::ostringstream buffer;
   buffer << file.rdbuf();
 
   const audit::ParseResult parsed = audit::parse_certificate(buffer.str());
   if (!parsed.certificate.has_value()) {
-    std::cerr << argv0 << ": " << path << ": malformed certificate: "
-              << parsed.error << "\n";
-    return 2;
+    return args.error(path + ": malformed certificate: " + parsed.error);
   }
   const audit::Certificate& cert = *parsed.certificate;
 
-  const std::string topo_spec =
-      topo_override.empty() ? cert.topology : topo_override;
-  const std::string relation =
-      relation_override.empty() ? cert.relation : relation_override;
+  const std::string topo_spec = args.value("--topology", cert.topology);
+  const std::string relation = args.value("--relation", cert.relation);
 
   std::unique_ptr<routing::RoutingFunction> routing;
   std::unique_ptr<topology::Topology> topo;
@@ -85,9 +75,8 @@ int audit_file(const char* argv0, const std::string& path,
     topo = std::make_unique<topology::Topology>(core::make_topology(topo_spec));
     routing = reconfig::RelationExpr::parse(relation, *topo).build(*topo);
   } catch (const std::invalid_argument& e) {
-    std::cerr << argv0 << ": " << path << ": cannot construct binding "
-              << topo_spec << " / " << relation << ": " << e.what() << "\n";
-    return 2;
+    return args.error(path + ": cannot construct binding " + topo_spec +
+                      " / " + relation + ": " + e.what());
   }
 
   const audit::AuditResult result = audit::check(*topo, *routing, cert);
@@ -95,61 +84,28 @@ int audit_file(const char* argv0, const std::string& path,
     std::cerr << path << ": REFUTED BY AUDIT ["
               << audit::to_string(result.code) << "] " << result.detail
               << "\n";
-    return 1;
+    return cli::kFinding;
   }
-  if (!quiet) {
+  if (!args.has("--quiet")) {
     std::cout << path << ": valid " << audit::to_string(cert.kind) << " ("
               << cert.method << ", " << topo_spec << " / " << relation
               << "; " << result.states_checked << " states, "
               << result.edges_checked << " edges checked)\n";
   }
-  return 0;
+  return cli::kClean;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string topo_override;
-  std::string relation_override;
-  bool quiet = false;
-  std::vector<std::string> paths;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << argv[0] << ": " << arg << " needs a value\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--topology") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      topo_override = v;
-    } else if (arg == "--relation") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      relation_override = v;
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::cerr << argv[0] << ": unknown option " << arg << "\n";
-      return usage(argv[0]);
-    } else {
-      paths.push_back(arg);
-    }
-  }
-  if (paths.empty()) return usage(argv[0]);
+  const cli::Args args(argc, argv, kSpec);
+  if (args.exit_code) return *args.exit_code;
+  if (args.positional().empty()) return args.error("no certificate given");
 
   // Severity-max fold: malformed (2) dominates refuted (1) dominates valid.
-  int exit_code = 0;
-  for (const std::string& path : paths) {
-    exit_code = std::max(exit_code, audit_file(argv[0], path, topo_override,
-                                               relation_override, quiet));
+  int exit_code = cli::kClean;
+  for (const std::string& path : args.positional()) {
+    exit_code = std::max(exit_code, audit_file(args, path));
   }
   return exit_code;
 }

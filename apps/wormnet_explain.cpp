@@ -14,9 +14,10 @@
 // rejects nesting deeper than JsonParser::kMaxDepth and any bytes after the
 // document.
 //
-// Exit status: 0 = rendered, 1 = the artifact flags a theorem contradiction
-// (a Duato-certified configuration with an escape-confined runtime cycle),
-// 2 = usage or parse error.
+// Exit status (cli.hpp): 0 = rendered, 1 = the artifact flags a theorem
+// contradiction (a Duato-certified configuration with an escape-confined
+// runtime cycle), 2 = usage or parse error.
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -27,7 +28,18 @@
 #include <variant>
 #include <vector>
 
+#include "cli.hpp"
+
 namespace {
+
+using namespace wormnet;
+
+const cli::Spec kSpec{
+    .forms = "POSTMORTEM.json [MORE.json ...]",
+    .notes = "Renders wormnet-sweep --postmortem-dir artifacts as\n"
+             "human-readable blame reports.\n",
+    .positional = true,
+};
 
 // ---------------------------------------------------------------------------
 // Minimal JSON value + parser (objects, arrays, strings, numbers, booleans,
@@ -270,27 +282,21 @@ std::string channel_ref(const std::shared_ptr<JValue>& v) {
 // Report rendering
 // ---------------------------------------------------------------------------
 
-int explain(const std::string& path, std::ostream& os) {
+int explain(const cli::Args& args, const std::string& path,
+            std::ostream& os) {
   std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    std::cerr << "wormnet-explain: cannot open " << path << "\n";
-    return 2;
-  }
+  if (!file) return args.error("cannot open " + path);
   std::ostringstream buffer;
   buffer << file.rdbuf();
   const std::string text = buffer.str();
 
   JsonParser parser(text);
   const auto root = parser.parse();
-  if (parser.failed()) {
-    std::cerr << "wormnet-explain: " << path << ": " << parser.error() << "\n";
-    return 2;
-  }
+  if (parser.failed()) return args.error(path + ": " + parser.error());
   const auto& pm = get(root, "postmortem");
   if (!std::holds_alternative<JObject>(pm->v)) {
-    std::cerr << "wormnet-explain: " << path
-              << ": not a postmortem artifact (no \"postmortem\" object)\n";
-    return 2;
+    return args.error(path +
+                      ": not a postmortem artifact (no \"postmortem\" object)");
   }
 
   const std::string reason = as_string(get(pm, "reason"));
@@ -397,27 +403,21 @@ int explain(const std::string& path, std::ostream& os) {
           "CDG cycle shown above, which no escape subfunction breaks.  This\n"
           "is the expected failure mode the paper's condition rules out.\n";
   }
-  return contradiction ? 1 : 0;
+  return contradiction ? cli::kFinding : cli::kClean;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2 || std::string(argv[1]) == "--help" ||
-      std::string(argv[1]) == "-h") {
-    std::cerr << "usage: " << argv[0] << " POSTMORTEM.json [MORE.json...]\n"
-              << "\n"
-              << "Renders wormnet-sweep --postmortem-dir artifacts as\n"
-              << "human-readable blame reports.  Exit 1 if any artifact\n"
-              << "flags a theorem contradiction.\n";
-    return argc < 2 ? 2 : 0;
-  }
-  int worst = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (i > 1) std::cout << "\n";
-    const int rc = explain(argv[i], std::cout);
-    if (rc == 2) return 2;
-    if (rc > worst) worst = rc;
+  const cli::Args args(argc, argv, kSpec);
+  if (args.exit_code) return *args.exit_code;
+  if (args.positional().empty()) return args.error("no postmortem given");
+  int worst = cli::kClean;
+  for (std::size_t i = 0; i < args.positional().size(); ++i) {
+    if (i > 0) std::cout << "\n";
+    const int rc = explain(args, args.positional()[i], std::cout);
+    if (rc == cli::kBadInput) return rc;
+    worst = std::max(worst, rc);
   }
   return worst;
 }

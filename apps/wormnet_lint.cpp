@@ -1,62 +1,67 @@
 // wormnet-lint: compiler-style static diagnostics for routing functions.
 //
-//   wormnet-lint --topology mesh:4x4:2 --routing duato
-//   wormnet-lint --topology ring:8 --routing minimal-noescape --format json
-//   T="--topology torus:4x4:3 --routing duato"
+//   wormnet-lint --topology mesh:4x4:2 --relation duato-mesh
+//   wormnet-lint --topology ring:8 --relation unrestricted --format json
+//   T="--topology torus:4x4:3 --relation duato-torus"
 //   wormnet-lint $T --format sarif --fail-on warning > lint.sarif
+//   wormnet-lint --topology mesh:2x2:1
+//                --relation 'transition|e-cube>negative-first/f.f'
 //   wormnet-lint --all-examples
 //
-// Exit status: 0 = no finding at or above the --fail-on threshold,
-//              1 = findings (or, with --all-examples, expectation failures),
-//              2 = usage or configuration error.
-#include <cstring>
+// Exit status (cli.hpp): 0 = no finding at or above the --fail-on
+// threshold, 1 = findings (or, with --all-examples, expectation failures),
+// 2 = usage or configuration error.
 #include <iostream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli.hpp"
 #include "wormnet/core/registry.hpp"
 #include "wormnet/lint/engine.hpp"
 #include "wormnet/lint/examples.hpp"
 #include "wormnet/lint/render.hpp"
 #include "wormnet/obs/probe.hpp"
+#include "wormnet/reconfig/union_routing.hpp"
 
 namespace {
 
 using namespace wormnet;
 
-int usage(const char* argv0) {
-  std::cerr
-      << "usage: " << argv0 << " --topology SPEC --routing NAME [options]\n"
-      << "       " << argv0 << " --all-examples [options]\n"
-      << "       " << argv0 << " --list-rules\n"
-      << "\n"
-      << "options:\n"
-      << "  --topology SPEC     mesh:4x4[:VCS] | torus:8x8[:VCS] |\n"
-      << "                      hypercube:N[:VCS] | ring:N[:VCS] |\n"
-      << "                      uniring:N[:VCS] | incoherent\n"
-      << "  --routing NAME      registry name, or alias 'duato' /\n"
-      << "                      'minimal-noescape'\n"
-      << "  --format FORMAT     human (default) | json | sarif\n"
-      << "  --fail-on LEVEL     error (default) | warning | info | never\n"
-      << "  --rules IDS         comma-separated rule ids/names (default all)\n"
-      << "  --reconfig-plan P   declare a reconfiguration transition (WN024\n"
-      << "                      re-verifies every union epoch); base relation\n"
-      << "                      is the --routing name\n"
-      << "  --reconfig-target R declare a reconfiguration *target* relation\n"
-      << "                      (registry name, optional %HEXMASK); WN025\n"
-      << "                      reports when the staging-order planner finds\n"
-      << "                      no certified multi-stage path from the\n"
-      << "                      --routing relation to it\n"
-      << "  --planner-budget N  certifier-call budget for the WN025 planner\n"
-      << "                      search (default 64; budget-monotone)\n"
-      << "  --all-examples      lint the whole golden example matrix\n"
-      << "  --stats             print per-rule timings and checker counters\n"
-      << "                      to stderr\n"
-      << "  --list-rules        print the rule catalog and exit\n";
-  return 2;
-}
+constexpr cli::Flag kFlags[] = {
+    {"--topology", "SPEC",
+     "mesh:4x4[:VCS] | torus:8x8[:VCS] |\nhypercube:N[:VCS] | ring:N[:VCS] |\n"
+     "uniring:N[:VCS] | incoherent"},
+    {"--relation", "EXPR",
+     "ROUTING, ROUTING|MASK, transition|SPEC or\ntransition|SPEC|MASK "
+     "(canonical text only)"},
+    {"--format", "FORMAT", "human (default) | json | sarif"},
+    {"--fail-on", "LEVEL", "error (default) | warning | info | never"},
+    {"--rules", "IDS", "comma-separated rule ids/names (default all)"},
+    {"--reconfig-plan", "P",
+     "declare a reconfiguration transition (WN024\nre-verifies every union "
+     "epoch) from the\n--relation, a plain registry name"},
+    {"--reconfig-target", "R",
+     "declare a reconfiguration *target* relation\n(registry name, optional "
+     "%HEXMASK); WN025\nreports when the staging-order planner finds\nno "
+     "certified multi-stage path from the\n--relation (a plain registry "
+     "name) to it"},
+    {"--planner-budget", "N",
+     "certifier-call budget for the WN025 planner\nsearch (default 64; "
+     "budget-monotone)"},
+    {"--all-examples", "",
+     "lint the whole golden example matrix (exit 1\nalso on a missed "
+     "expectation)"},
+    {"--stats", "", "print per-rule timings and checker counters\nto stderr"},
+    {"--list-rules", "", "print the rule catalog and exit"},
+};
+
+const cli::Spec kSpec{
+    .forms = "--topology SPEC --relation EXPR [options]\n"
+             "--all-examples [options]\n--list-rules",
+    .flags = kFlags,
+};
 
 std::vector<std::string> split_list(const std::string& text) {
   std::vector<std::string> out;
@@ -71,94 +76,30 @@ std::vector<std::string> split_list(const std::string& text) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string topology_spec;
-  std::string routing_name;
-  std::string format = "human";
-  std::string fail_on = "error";
-  std::string reconfig_plan;
-  std::string reconfig_target;
+  const cli::Args args(argc, argv, kSpec);
+  if (args.exit_code) return *args.exit_code;
+  const std::string topology_spec = args.value("--topology");
+  const std::string relation = args.value("--relation");
+  const std::string format = args.value("--format", "human");
+  const std::string fail_on = args.value("--fail-on", "error");
+  const std::string reconfig_plan = args.value("--reconfig-plan");
+  const std::string reconfig_target = args.value("--reconfig-target");
   std::size_t planner_budget = 0;
-  std::vector<std::string> rule_filter;
-  bool all_examples = false;
-  bool list_rules = false;
-  bool stats = false;
+  if (!args.number("--planner-budget", planner_budget)) return cli::kBadInput;
+  const bool all_examples = args.has("--all-examples");
+  const bool stats = args.has("--stats");
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << argv[0] << ": " << arg << " needs a value\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--topology") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      topology_spec = v;
-    } else if (arg == "--routing") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      routing_name = v;
-    } else if (arg == "--format") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      format = v;
-    } else if (arg == "--fail-on") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      fail_on = v;
-    } else if (arg == "--rules") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      rule_filter = split_list(v);
-    } else if (arg == "--reconfig-plan") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      reconfig_plan = v;
-    } else if (arg == "--reconfig-target") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      reconfig_target = v;
-    } else if (arg == "--planner-budget") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      try {
-        std::size_t used = 0;
-        planner_budget = std::stoull(v, &used);
-        if (used != std::strlen(v)) throw std::invalid_argument(v);
-      } catch (const std::exception&) {
-        std::cerr << argv[0] << ": bad value for " << arg << ": " << v
-                  << "\n";
-        return 2;
-      }
-    } else if (arg == "--all-examples") {
-      all_examples = true;
-    } else if (arg == "--list-rules") {
-      list_rules = true;
-    } else if (arg == "--stats") {
-      stats = true;
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else {
-      std::cerr << argv[0] << ": unknown option " << arg << "\n";
-      return usage(argv[0]);
-    }
-  }
-
-  if (list_rules) {
+  if (args.has("--list-rules")) {
     for (const lint::Rule& rule : lint::all_rules()) {
       std::cout << rule.id << "  " << rule.name << "  ["
                 << lint::to_string(rule.default_severity) << "]\n"
                 << "       " << rule.summary << "\n";
     }
-    return 0;
+    return cli::kClean;
   }
 
   if (format != "human" && format != "json" && format != "sarif") {
-    std::cerr << argv[0] << ": unknown format " << format << "\n";
-    return 2;
+    return args.error("unknown format " + format);
   }
   lint::Severity threshold = lint::Severity::kError;
   bool never_fail = false;
@@ -171,8 +112,7 @@ int main(int argc, char** argv) {
   } else if (fail_on == "never") {
     never_fail = true;
   } else {
-    std::cerr << argv[0] << ": unknown --fail-on level " << fail_on << "\n";
-    return 2;
+    return args.error("unknown --fail-on level " + fail_on);
   }
 
   obs::CheckerStats checker_stats;
@@ -197,23 +137,28 @@ int main(int argc, char** argv) {
         units.push_back(std::move(unit));
       }
     } else {
-      if (topology_spec.empty() || routing_name.empty()) {
-        return usage(argv[0]);
+      if (topology_spec.empty() || relation.empty()) {
+        return args.error("--topology and --relation are required");
       }
       auto topo = std::make_shared<topology::Topology>(
           core::make_topology(topology_spec));
       keep_alive.push_back(topo);
-      const auto routing = core::make_algorithm(routing_name, *topo);
+      const reconfig::RelationExpr expr =
+          reconfig::RelationExpr::parse(relation, *topo);
+      const auto routing = expr.build(*topo);
       lint::LintOptions options;
-      options.rules = rule_filter;
+      options.rules = split_list(args.value("--rules"));
       if (!reconfig_plan.empty() || !reconfig_target.empty()) {
+        // A plan or staging target starts from one registry relation.
+        if (expr.transition || !expr.fault_mask.empty()) {
+          return args.error("--reconfig-plan and --reconfig-target need a "
+                            "plain registry relation as their base, not \"" +
+                            relation + "\"");
+        }
         options.reconfig_plan = reconfig_plan;
         options.reconfig_target = reconfig_target;
         options.planner_budget = planner_budget;
-        // The CLI knows the registry name the relation came from; resolve
-        // aliases so the compiled plan's base matches the built routing.
-        options.reconfig_base =
-            core::canonical_algorithm_name(routing_name, *topo);
+        options.reconfig_base = expr.routing;
       }
       lint::LintUnit unit;
       unit.subject = topology_spec + " " + routing->name();
@@ -222,8 +167,7 @@ int main(int argc, char** argv) {
       units.push_back(std::move(unit));
     }
   } catch (const std::invalid_argument& e) {
-    std::cerr << argv[0] << ": " << e.what() << "\n";
-    return 2;
+    return args.error(e.what());
   }
 
   if (format == "human") {
@@ -238,10 +182,10 @@ int main(int argc, char** argv) {
     std::cerr << "\n";
   }
 
-  if (all_examples && !expectations_met) return 1;
-  if (never_fail) return 0;
+  if (all_examples && !expectations_met) return cli::kFinding;
+  if (never_fail) return cli::kClean;
   for (const lint::LintUnit& unit : units) {
-    if (!unit.result.clean(threshold)) return 1;
+    if (!unit.result.clean(threshold)) return cli::kFinding;
   }
-  return 0;
+  return cli::kClean;
 }

@@ -10,19 +10,18 @@
 // Output (stdout or --output FILE) is byte-identical for any --threads
 // value, including 1 — the determinism contract the test suite pins.
 //
-// Exit status: 0 = sweep ran (deadlocks on *uncertified* configs are data,
-//                  not errors; so are drops on uncertified fault epochs and
-//                  deadlocks on uncertified reconfiguration transitions),
-//              1 = a certified configuration deadlocked — certified meaning
-//                  the pristine pair passed the Duato check AND every fault
-//                  epoch's degraded relation AND every transition epoch's
-//                  union relation AND every composed fault x reconfig
-//                  epoch re-certified (the library contradicting
-//                  the theorem — always a bug) — or, with --certify-out, an
-//                  emitted certificate failed its own audit (same class of
-//                  bug: the checker emitted evidence the relation does not
-//                  support),
-//              2 = usage or configuration error.
+// Exit status (cli.hpp):
+//   0 = sweep ran (deadlocks on *uncertified* configs are data, not errors;
+//       so are drops on uncertified fault epochs and deadlocks on
+//       uncertified reconfiguration transitions),
+//   1 = a certified configuration deadlocked — certified meaning the
+//       pristine pair passed the Duato check AND every fault epoch's
+//       degraded relation AND every transition epoch's union relation AND
+//       every composed fault x reconfig epoch re-certified (the library
+//       contradicting the theorem — always a bug) — or, with --certify-out,
+//       an emitted certificate failed its own audit (same class of bug: the
+//       checker emitted evidence the relation does not support),
+//   2 = usage or configuration error.
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -30,6 +29,7 @@
 #include <memory>
 #include <string>
 
+#include "cli.hpp"
 #include "wormnet/audit/check.hpp"
 #include "wormnet/cdg/cdg_builder.hpp"
 #include "wormnet/cdg/duato_checker.hpp"
@@ -48,63 +48,62 @@ namespace {
 
 using namespace wormnet;
 
-int usage(const char* argv0) {
-  std::cerr
-      << "usage: " << argv0 << " --grid SPEC [options]\n"
-      << "\n"
-      << "grid spec: ';'-separated key=value clauses\n"
-      << "  topo=mesh:4x4:2,ring:8      topology specs (required)\n"
-      << "  routing=e-cube,duato        registry names / aliases (required)\n"
-      << "  fault=none,kill:5-6@250     fault plans (default none); events\n"
-      << "                              joined by '+': kill/repair:SRC-DST@C,\n"
-      << "                              killch/repairch:CH@C, rand:N/SEED@C\n"
-      << "  reconfig=none,switch:duato-mesh@500   transition plans (default\n"
-      << "                              none); '+'-joined switch:NEW@C,\n"
-      << "                              stage:NEW/LO-HI@C, ramp:NEW/K/STRIDE@C\n"
-      << "  pattern=uniform,transpose   traffic patterns (default uniform)\n"
-      << "  load=0.05,0.2 or lo:hi:step offered loads (default 0.1)\n"
-      << "  reps=N                      replications per cell (default 1)\n"
-      << "  seed=N                      base seed of the jump chain\n"
-      << "\n"
-      << "options:\n"
-      << "  --threads N        worker threads (default hardware, 1 = inline)\n"
-      << "  --out FORMAT       jsonl (default) | csv\n"
-      << "  --output FILE      write rows to FILE instead of stdout\n"
-      << "  --progress         live done/total counter on stderr\n"
-      << "  --cwg              also compute the CWG verdict per pair\n"
-      << "  --metrics-out FILE dump sweep.* metrics as JSON\n"
-      << "  --warmup/--measure/--drain N   sim methodology cycles\n"
-      << "  --packet-length N  flits per packet (default 8)\n"
-      << "  --buffer-depth N   flits per VC FIFO (default 4)\n"
-      << "  --fault-plan PLAN  shorthand for a single-plan fault axis\n"
-      << "                     (equivalent to fault=PLAN in the grid)\n"
-      << "  --reconfig-plan P  shorthand for a single-plan reconfiguration\n"
-      << "                     axis (equivalent to reconfig=P in the grid)\n"
-      << "  --rollback         build a transition guard per reconfig point:\n"
-      << "                     refuted composed epochs trigger certified\n"
-      << "                     rollback (or drain-then-switch) at runtime\n"
-      << "                     instead of running uncertified\n"
-      << "  --recovery POLICY  halt (default) | abort-retry | drain\n"
-      << "  --retry-budget N   aborts per packet before dropping (default 8)\n"
-      << "  --packet-timeout N per-packet no-progress cycles before abort\n"
-      << "                     (default 0 = inherit --watchdog)\n"
-      << "  --watchdog N       global no-progress threshold (default 4000)\n"
-      << "  --certify-out DIR  emit one proof-carrying certificate JSON per\n"
-      << "                     analysed pair / fault epoch (audited on write\n"
-      << "                     by wormnet::audit; a contradiction exits 1)\n"
-      << "  --postmortem-dir D write one JSON per captured deadlock postmortem\n"
-      << "                     (postmortem_<point>_<n>.json, cross-referenced\n"
-      << "                     against the pair's static CDG; fault points are\n"
-      << "                     cross-referenced against the pristine relation;\n"
-      << "                     reconfig points additionally classify each edge\n"
-      << "                     old-only/new-only/shared and flag cycles that\n"
-      << "                     cross the transition union)\n"
-      << "  --profile FILE     self-profile the sweep: per-phase wall-time\n"
-      << "                     histograms to FILE, plus a point_ms column in\n"
-      << "                     the row output (breaks byte-determinism)\n"
-      << "  --summary          print the aggregate + timing to stderr\n";
-  return 2;
-}
+constexpr cli::Flag kFlags[] = {
+    {"--grid", "SPEC", "the sweep grid (required; see above)"},
+    {"--threads", "N", "worker threads (default hardware, 1 = inline)"},
+    {"--out", "FORMAT", "jsonl (default) | csv"},
+    {"--output", "FILE", "write rows to FILE instead of stdout"},
+    {"--progress", "", "live done/total counter on stderr"},
+    {"--cwg", "", "also compute the CWG verdict per pair"},
+    {"--metrics-out", "FILE", "dump sweep.* metrics as JSON"},
+    {"--warmup", "N", "warm-up cycles"},
+    {"--measure", "N", "measured cycles"},
+    {"--drain", "N", "drain cycles"},
+    {"--packet-length", "N", "flits per packet (default 8)"},
+    {"--buffer-depth", "N", "flits per VC FIFO (default 4)"},
+    {"--rollback", "",
+     "build a transition guard per reconfig point:\nrefuted composed epochs "
+     "trigger certified\nrollback (or drain-then-switch) at runtime\n"
+     "instead of running uncertified"},
+    {"--recovery", "POLICY", "halt (default) | abort-retry | drain"},
+    {"--retry-budget", "N", "aborts per packet before dropping (default 8)"},
+    {"--packet-timeout", "N",
+     "per-packet no-progress cycles before abort\n(default 0 = inherit "
+     "--watchdog)"},
+    {"--watchdog", "N", "global no-progress threshold (default 4000)"},
+    {"--certify-out", "DIR",
+     "emit one proof-carrying certificate JSON per\nanalysed pair / fault "
+     "epoch (audited on write\nby wormnet::audit; a contradiction exits 1)"},
+    {"--postmortem-dir", "D",
+     "write one JSON per captured deadlock postmortem\n(postmortem_<point>_"
+     "<n>.json, cross-referenced\nagainst the pair's static CDG; fault "
+     "points are\ncross-referenced against the pristine relation;\n"
+     "reconfig points additionally classify each edge\nold-only/new-only/"
+     "shared and flag cycles that\ncross the transition union)"},
+    {"--profile", "FILE",
+     "self-profile the sweep: per-phase wall-time\nhistograms to FILE, plus "
+     "a point_ms column in\nthe row output (breaks byte-determinism)"},
+    {"--summary", "", "print the aggregate + timing to stderr"},
+};
+
+const cli::Spec kSpec{
+    .forms = "--grid SPEC [options]",
+    .flags = kFlags,
+    .notes =
+        "grid spec: ';'-separated key=value clauses\n"
+        "  topo=mesh:4x4:2,ring:8      topology specs (required)\n"
+        "  routing=e-cube,duato        registry names / aliases (required)\n"
+        "  fault=none,kill:5-6@250     fault plans (default none); events\n"
+        "                              joined by '+': kill/repair:SRC-DST@C,\n"
+        "                              killch/repairch:CH@C, rand:N/SEED@C\n"
+        "  reconfig=none,switch:duato-mesh@500   transition plans (default\n"
+        "                              none); '+'-joined switch:NEW@C,\n"
+        "                              stage:NEW/LO-HI@C, ramp:NEW/K/STRIDE@C\n"
+        "  pattern=uniform,transpose   traffic patterns (default uniform)\n"
+        "  load=0.05,0.2 or lo:hi:step offered loads (default 0.1)\n"
+        "  reps=N                      replications per cell (default 1)\n"
+        "  seed=N                      base seed of the jump chain\n",
+};
 
 /// Memoized static context for postmortem cross-referencing: one state graph
 /// and Duato search per (topology spec, routing name) that deadlocked.
@@ -195,161 +194,54 @@ std::size_t write_certificates(const char* argv0, const std::string& dir,
   return contradictions;
 }
 
-std::uint64_t parse_u64_arg(const char* argv0, const std::string& flag,
-                            const char* text, bool& ok) {
-  try {
-    std::size_t used = 0;
-    const unsigned long long v = std::stoull(text, &used);
-    if (used != std::string(text).size()) throw std::invalid_argument(text);
-    return v;
-  } catch (const std::exception&) {
-    std::cerr << argv0 << ": bad value for " << flag << ": " << text << "\n";
-    ok = false;
-    return 0;
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string grid;
-  std::string fault_plan;
-  std::string reconfig_plan;
-  std::string out_format = "jsonl";
-  std::string output_path;
-  std::string metrics_path;
-  std::string postmortem_dir;
-  std::string certify_dir;
-  std::string profile_path;
+  const cli::Args args(argc, argv, kSpec);
+  if (args.exit_code) return *args.exit_code;
+  const std::string grid = args.value("--grid");
+  const std::string out_format = args.value("--out", "jsonl");
+  const std::string output_path = args.value("--output");
+  const std::string metrics_path = args.value("--metrics-out");
+  const std::string postmortem_dir = args.value("--postmortem-dir");
+  const std::string certify_dir = args.value("--certify-out");
+  const std::string profile_path = args.value("--profile");
+  const bool summary = args.has("--summary");
   exp::RunnerOptions runner;
+  runner.certify = args.has("--certify-out");
+  runner.rollback = args.has("--rollback");
+  runner.with_cwg = args.has("--cwg");
   sim::SimConfig base;
-  bool progress = false;
-  bool summary = false;
-  bool ok = true;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << argv[0] << ": " << arg << " needs a value\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--grid") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      grid = v;
-    } else if (arg == "--threads") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      runner.threads = parse_u64_arg(argv[0], arg, v, ok);
-    } else if (arg == "--out") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      out_format = v;
-    } else if (arg == "--output") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      output_path = v;
-    } else if (arg == "--metrics-out") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      metrics_path = v;
-    } else if (arg == "--postmortem-dir") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      postmortem_dir = v;
-    } else if (arg == "--certify-out") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      certify_dir = v;
-      runner.certify = true;
-    } else if (arg == "--profile") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      profile_path = v;
-    } else if (arg == "--warmup") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      base.warmup_cycles = parse_u64_arg(argv[0], arg, v, ok);
-    } else if (arg == "--measure") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      base.measure_cycles = parse_u64_arg(argv[0], arg, v, ok);
-    } else if (arg == "--drain") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      base.drain_cycles = parse_u64_arg(argv[0], arg, v, ok);
-    } else if (arg == "--packet-length") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      base.packet_length =
-          static_cast<std::uint32_t>(parse_u64_arg(argv[0], arg, v, ok));
-    } else if (arg == "--buffer-depth") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      base.buffer_depth =
-          static_cast<std::uint32_t>(parse_u64_arg(argv[0], arg, v, ok));
-    } else if (arg == "--fault-plan") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      fault_plan = v;
-    } else if (arg == "--reconfig-plan") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      reconfig_plan = v;
-    } else if (arg == "--recovery") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      const auto policy = ft::recovery_from_string(v);
-      if (!policy) {
-        std::cerr << argv[0] << ": unknown --recovery policy " << v
-                  << " (expected halt | abort-retry | drain)\n";
-        return 2;
-      }
-      base.recovery.policy = *policy;
-    } else if (arg == "--retry-budget") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      base.recovery.retry_budget =
-          static_cast<std::uint32_t>(parse_u64_arg(argv[0], arg, v, ok));
-    } else if (arg == "--packet-timeout") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      base.recovery.packet_timeout = parse_u64_arg(argv[0], arg, v, ok);
-    } else if (arg == "--watchdog") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      base.watchdog_cycles = parse_u64_arg(argv[0], arg, v, ok);
-    } else if (arg == "--rollback") {
-      runner.rollback = true;
-    } else if (arg == "--progress") {
-      progress = true;
-    } else if (arg == "--cwg") {
-      runner.with_cwg = true;
-    } else if (arg == "--summary") {
-      summary = true;
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else {
-      std::cerr << argv[0] << ": unknown option " << arg << "\n";
-      return usage(argv[0]);
-    }
+  if (!args.number("--threads", runner.threads) ||
+      !args.number("--warmup", base.warmup_cycles) ||
+      !args.number("--measure", base.measure_cycles) ||
+      !args.number("--drain", base.drain_cycles) ||
+      !args.number("--packet-length", base.packet_length) ||
+      !args.number("--buffer-depth", base.buffer_depth) ||
+      !args.number("--retry-budget", base.recovery.retry_budget) ||
+      !args.number("--packet-timeout", base.recovery.packet_timeout) ||
+      !args.number("--watchdog", base.watchdog_cycles)) {
+    return cli::kBadInput;
   }
-  if (!ok) return 2;
-  if (grid.empty()) return usage(argv[0]);
+  if (args.has("--recovery")) {
+    const std::string name = args.value("--recovery");
+    const auto policy = ft::recovery_from_string(name);
+    if (!policy) {
+      return args.error("unknown --recovery policy " + name +
+                        " (expected halt | abort-retry | drain)");
+    }
+    base.recovery.policy = *policy;
+  }
+  if (grid.empty()) return args.error("--grid is required");
   if (out_format != "jsonl" && out_format != "csv") {
-    std::cerr << argv[0] << ": unknown --out format " << out_format << "\n";
-    return 2;
+    return args.error("unknown --out format " + out_format);
   }
 
   obs::MetricsRegistry metrics;
   if (!metrics_path.empty()) runner.metrics = &metrics;
   obs::Profiler profiler;
   if (!profile_path.empty()) runner.profiler = &profiler;
-  if (progress) {
+  if (args.has("--progress")) {
     runner.progress = [](std::size_t done, std::size_t total) {
       std::cerr << "\r" << done << "/" << total << std::flush;
       if (done == total) std::cerr << "\n";
@@ -359,13 +251,10 @@ int main(int argc, char** argv) {
   exp::SweepOutcome outcome;
   try {
     exp::SweepSpec spec = exp::parse_grid(grid);
-    if (!fault_plan.empty()) spec.fault_plans = {fault_plan};
-    if (!reconfig_plan.empty()) spec.reconfig_plans = {reconfig_plan};
     spec.base = base;
     outcome = exp::run_sweep(spec, runner);
   } catch (const std::invalid_argument& e) {
-    std::cerr << argv[0] << ": " << e.what() << "\n";
-    return 2;
+    return args.error(e.what());
   }
 
   exp::SweepIoOptions io;
@@ -379,8 +268,7 @@ int main(int argc, char** argv) {
   } else {
     std::ofstream file(output_path, std::ios::binary);
     if (!file) {
-      std::cerr << argv[0] << ": cannot open " << output_path << "\n";
-      return 2;
+      return args.error("cannot open " + output_path);
     }
     if (out_format == "jsonl") {
       exp::write_jsonl(file, outcome, io);
@@ -393,9 +281,8 @@ int main(int argc, char** argv) {
     std::error_code ec;
     std::filesystem::create_directories(postmortem_dir, ec);
     if (ec) {
-      std::cerr << argv[0] << ": cannot create " << postmortem_dir << ": "
-                << ec.message() << "\n";
-      return 2;
+      return args.error("cannot create " + postmortem_dir + ": " +
+                        ec.message());
     }
     std::map<std::pair<std::string, std::string>,
              std::unique_ptr<XrefContext>> xrefs;
@@ -427,8 +314,7 @@ int main(int argc, char** argv) {
              std::to_string(n) + ".json");
         std::ofstream file(path, std::ios::binary);
         if (!file) {
-          std::cerr << argv[0] << ": cannot open " << path.string() << "\n";
-          return 2;
+          return args.error("cannot open " + path.string());
         }
         obs::write_postmortem_json(file, ctx.topo, report);
         ++written;
@@ -445,14 +331,13 @@ int main(int argc, char** argv) {
     bool io_ok = true;
     audit_contradictions =
         write_certificates(argv[0], certify_dir, outcome, summary, io_ok);
-    if (!io_ok) return 2;
+    if (!io_ok) return cli::kBadInput;
   }
 
   if (!profile_path.empty()) {
     std::ofstream file(profile_path, std::ios::binary);
     if (!file) {
-      std::cerr << argv[0] << ": cannot open " << profile_path << "\n";
-      return 2;
+      return args.error("cannot open " + profile_path);
     }
     profiler.write_json(file);
     file << "\n";
@@ -461,8 +346,7 @@ int main(int argc, char** argv) {
   if (!metrics_path.empty()) {
     std::ofstream file(metrics_path, std::ios::binary);
     if (!file) {
-      std::cerr << argv[0] << ": cannot open " << metrics_path << "\n";
-      return 2;
+      return args.error("cannot open " + metrics_path);
     }
     metrics.write_json(file);
     file << "\n";
@@ -500,6 +384,6 @@ int main(int argc, char** argv) {
     std::cerr << argv[0] << ": note: skipped inapplicable " << skip << "\n";
   }
   return outcome.aggregate.certified_deadlocks == 0 && audit_contradictions == 0
-             ? 0
-             : 1;
+             ? cli::kClean
+             : cli::kFinding;
 }
