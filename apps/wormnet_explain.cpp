@@ -9,26 +9,25 @@
 // The artifact is self-contained (channel names are embedded by
 // write_postmortem_json), so this tool deliberately does NOT link the
 // analysis layers: it is a pure JSON reader, usable on artifacts produced by
-// a different build or shipped from another machine.  The parser below is a
-// minimal recursive-descent reader of the JSON subset our writers emit; it
-// rejects nesting deeper than JsonParser::kMaxDepth and any bytes after the
-// document.
+// a different build or shipped from another machine.  It reads through the
+// project's one strict JSON reader (wormnet/audit/json.hpp, header-only), so
+// malformed JSON, duplicate keys, nesting deeper than 64 levels and bytes
+// after the document are all bad input.
 //
 // Exit status (cli.hpp): 0 = rendered, 1 = the artifact flags a theorem
 // contradiction (a Duato-certified configuration with an escape-confined
 // runtime cycle), 2 = usage or parse error.
 #include <algorithm>
-#include <cstdlib>
+#include <cmath>
 #include <fstream>
 #include <iostream>
-#include <map>
-#include <memory>
 #include <sstream>
 #include <string>
-#include <variant>
+#include <string_view>
 #include <vector>
 
 #include "cli.hpp"
+#include "wormnet/audit/json.hpp"
 
 namespace {
 
@@ -42,297 +41,114 @@ const cli::Spec kSpec{
 };
 
 // ---------------------------------------------------------------------------
-// Minimal JSON value + parser (objects, arrays, strings, numbers, booleans,
-// null) — just enough for postmortem artifacts.
+// Typed field access.  Missing optional fields are normal (the writer omits
+// them rather than emitting null) and render a default; a field present with
+// the wrong type is malformed input.
 // ---------------------------------------------------------------------------
 
-struct JValue;
-using JObject = std::map<std::string, std::shared_ptr<JValue>>;
-using JArray = std::vector<std::shared_ptr<JValue>>;
+namespace json = audit::json;
 
-struct JValue {
-  std::variant<std::nullptr_t, bool, double, std::string, JArray, JObject> v =
-      nullptr;
-};
-
-class JsonParser {
- public:
-  /// Postmortem artifacts nest a few levels; deeper input is refused
-  /// instead of recursed into.
-  static constexpr int kMaxDepth = 64;
-
-  explicit JsonParser(std::string_view text) : text_(text) {}
-
-  std::shared_ptr<JValue> parse() {
-    auto value = parse_value();
-    skip_ws();
-    if (pos_ < text_.size()) fail("trailing bytes after the document");
-    return value;
+/// The member `key` of `obj`, or nullptr when absent; throws unless `obj`
+/// is an object and the member, if present, has kind `kind`.
+const json::Value* field(const json::Value& obj, std::string_view key,
+                         json::Kind kind, const char* what) {
+  if (obj.kind() != json::Kind::kObject) {
+    throw json::Error("expected an object holding \"" + std::string(key) +
+                      "\"");
   }
-
-  bool failed() const { return failed_; }
-  const std::string& error() const { return error_; }
-
- private:
-  std::shared_ptr<JValue> fail(const std::string& what) {
-    if (!failed_) {
-      failed_ = true;
-      error_ = what + " at offset " + std::to_string(pos_);
-    }
-    return std::make_shared<JValue>();
+  const json::Value* value = obj.find(key);
+  if (value != nullptr && value->kind() != kind) {
+    throw json::Error("\"" + std::string(key) + "\" is not " + what);
   }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    return pos_ < text_.size() ? text_[pos_] : '\0';
-  }
-
-  bool consume(char c) {
-    if (peek() != c) return false;
-    ++pos_;
-    return true;
-  }
-
-  std::shared_ptr<JValue> parse_value() {
-    switch (peek()) {
-      case '{':
-      case '[': {
-        if (depth_ == kMaxDepth) {
-          return fail("nesting deeper than " + std::to_string(kMaxDepth) +
-                      " levels");
-        }
-        ++depth_;
-        auto out = peek() == '{' ? parse_object() : parse_array();
-        --depth_;
-        return out;
-      }
-      case '"': {
-        auto out = std::make_shared<JValue>();
-        out->v = parse_string();
-        return out;
-      }
-      case 't':
-      case 'f': return parse_literal();
-      case 'n': return parse_literal();
-      default: return parse_number();
-    }
-  }
-
-  std::shared_ptr<JValue> parse_object() {
-    auto out = std::make_shared<JValue>();
-    JObject obj;
-    if (!consume('{')) return fail("expected '{'");
-    if (!consume('}')) {
-      do {
-        if (peek() != '"') return fail("expected object key");
-        std::string key = parse_string();
-        if (!consume(':')) return fail("expected ':'");
-        obj[key] = parse_value();
-        if (failed_) return out;
-      } while (consume(','));
-      if (!consume('}')) return fail("expected '}'");
-    }
-    out->v = std::move(obj);
-    return out;
-  }
-
-  std::shared_ptr<JValue> parse_array() {
-    auto out = std::make_shared<JValue>();
-    JArray arr;
-    if (!consume('[')) return fail("expected '['");
-    if (!consume(']')) {
-      do {
-        arr.push_back(parse_value());
-        if (failed_) return out;
-      } while (consume(','));
-      if (!consume(']')) return fail("expected ']'");
-    }
-    out->v = std::move(arr);
-    return out;
-  }
-
-  std::string parse_string() {
-    if (!consume('"')) {
-      fail("expected '\"'");
-      return {};
-    }
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) {
-        char esc = text_[pos_++];
-        switch (esc) {
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'r': out += '\r'; break;
-          case 'u':
-            // Channel names are ASCII; render escapes opaquely.
-            if (pos_ + 4 <= text_.size()) pos_ += 4;
-            out += '?';
-            break;
-          default: out += esc; break;
-        }
-      } else {
-        out += c;
-      }
-    }
-    if (!consume('"')) fail("unterminated string");
-    return out;
-  }
-
-  std::shared_ptr<JValue> parse_literal() {
-    auto out = std::make_shared<JValue>();
-    if (text_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      out->v = true;
-    } else if (text_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      out->v = false;
-    } else if (text_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-    } else {
-      return fail("bad literal");
-    }
-    return out;
-  }
-
-  std::shared_ptr<JValue> parse_number() {
-    const char* begin = text_.data() + pos_;
-    char* end = nullptr;
-    const double value = std::strtod(begin, &end);
-    if (end == begin) return fail("bad number");
-    pos_ += static_cast<std::size_t>(end - begin);
-    auto out = std::make_shared<JValue>();
-    out->v = value;
-    return out;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  int depth_ = 0;
-  bool failed_ = false;
-  std::string error_;
-};
-
-// ---------------------------------------------------------------------------
-// Typed accessors with friendly defaults (missing optional fields are normal:
-// the writer omits them rather than emitting null).
-// ---------------------------------------------------------------------------
-
-const std::shared_ptr<JValue> kMissing = std::make_shared<JValue>();
-
-const std::shared_ptr<JValue>& get(const std::shared_ptr<JValue>& v,
-                                   const std::string& key) {
-  if (const auto* obj = std::get_if<JObject>(&v->v)) {
-    const auto it = obj->find(key);
-    if (it != obj->end()) return it->second;
-  }
-  return kMissing;
+  return value;
 }
 
-bool has(const std::shared_ptr<JValue>& v, const std::string& key) {
-  const auto* obj = std::get_if<JObject>(&v->v);
-  return obj != nullptr && obj->count(key) > 0;
+std::string text(const json::Value& obj, std::string_view key) {
+  const json::Value* v = field(obj, key, json::Kind::kString, "a string");
+  return v != nullptr ? v->as_string() : "?";
 }
 
-std::string as_string(const std::shared_ptr<JValue>& v,
-                      const std::string& fallback = "?") {
-  const auto* s = std::get_if<std::string>(&v->v);
-  return s != nullptr ? *s : fallback;
+bool flag(const json::Value& obj, std::string_view key) {
+  const json::Value* v = field(obj, key, json::Kind::kBool, "a boolean");
+  return v != nullptr && v->as_bool();
 }
 
-double as_number(const std::shared_ptr<JValue>& v) {
-  const auto* d = std::get_if<double>(&v->v);
-  return d != nullptr ? *d : 0.0;
+const std::vector<json::Value>& list(const json::Value& obj,
+                                     std::string_view key) {
+  static const std::vector<json::Value> kEmpty;
+  const json::Value* v = field(obj, key, json::Kind::kArray, "an array");
+  return v != nullptr ? v->as_array() : kEmpty;
 }
 
-std::uint64_t as_u64(const std::shared_ptr<JValue>& v) {
-  return static_cast<std::uint64_t>(as_number(v));
-}
-
-bool as_bool(const std::shared_ptr<JValue>& v) {
-  const auto* b = std::get_if<bool>(&v->v);
-  return b != nullptr && *b;
-}
-
-const JArray& as_array(const std::shared_ptr<JValue>& v) {
-  static const JArray kEmpty;
-  const auto* a = std::get_if<JArray>(&v->v);
-  return a != nullptr ? *a : kEmpty;
-}
-
-std::string channel_ref(const std::shared_ptr<JValue>& v) {
-  if (std::holds_alternative<JObject>(v->v)) {
-    return as_string(get(v, "name"));
+/// A count: a non-negative integer that a double holds exactly.
+std::uint64_t as_count(const json::Value& v, std::string_view what) {
+  constexpr double kExact = 9007199254740992.0;  // 2^53
+  const double d = v.kind() == json::Kind::kNumber ? v.as_number() : -1.0;
+  if (!(d >= 0.0 && d <= kExact && d == std::floor(d))) {
+    throw json::Error("\"" + std::string(what) + "\" is not a count");
   }
-  return as_string(v);
+  return static_cast<std::uint64_t>(d);
+}
+
+std::uint64_t count(const json::Value& obj, std::string_view key) {
+  const json::Value* v = field(obj, key, json::Kind::kNumber, "a count");
+  return v != nullptr ? as_count(*v, key) : 0;
+}
+
+/// A channel is an {"id", "name"} object or a bare name; "?" when absent.
+std::string channel_ref(const json::Value* v) {
+  if (v == nullptr) return "?";
+  if (v->kind() == json::Kind::kString) return v->as_string();
+  return text(*v, "name");
 }
 
 // ---------------------------------------------------------------------------
 // Report rendering
 // ---------------------------------------------------------------------------
 
-int explain(const cli::Args& args, const std::string& path,
-            std::ostream& os) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) return args.error("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  const std::string text = buffer.str();
-
-  JsonParser parser(text);
-  const auto root = parser.parse();
-  if (parser.failed()) return args.error(path + ": " + parser.error());
-  const auto& pm = get(root, "postmortem");
-  if (!std::holds_alternative<JObject>(pm->v)) {
-    return args.error(path +
-                      ": not a postmortem artifact (no \"postmortem\" object)");
+/// Renders one postmortem; throws json::Error on malformed input.
+int render(const json::Value& root, const std::string& path,
+           std::ostream& os) {
+  const json::Value* found = root.find("postmortem");
+  if (found == nullptr || found->kind() != json::Kind::kObject) {
+    throw json::Error("not a postmortem artifact (no \"postmortem\" object)");
   }
+  const json::Value& pm = *found;
 
-  const std::string reason = as_string(get(pm, "reason"));
-  const bool certified = as_bool(get(pm, "certified"));
-  const bool contradiction = as_bool(get(pm, "contradiction"));
+  const std::string reason = text(pm, "reason");
+  const bool certified = flag(pm, "certified");
+  const bool contradiction = flag(pm, "contradiction");
 
   os << "== Deadlock postmortem: " << path << " ==\n";
-  os << "reason     : " << reason << " (sim cycle "
-     << as_u64(get(pm, "cycle")) << ")\n";
-  os << "config     : " << as_string(get(pm, "topology")) << " / "
-     << as_string(get(pm, "routing")) << "\n";
+  os << "reason     : " << reason << " (sim cycle " << count(pm, "cycle")
+     << ")\n";
+  os << "config     : " << text(pm, "topology") << " / "
+     << text(pm, "routing") << "\n";
   os << "certified  : " << (certified ? "yes" : "no");
-  if (certified) os << "  (escape set: " << as_string(get(pm, "subfunction")) << ")";
+  if (certified) os << "  (escape set: " << text(pm, "subfunction") << ")";
   os << "\n";
-  if (has(pm, "victim")) {
-    os << "victim     : packet " << as_u64(get(pm, "victim"))
+  if (pm.has("victim")) {
+    os << "victim     : packet " << count(pm, "victim")
        << " (aborted by the recovery policy)\n";
   }
 
-  const JArray& wait_for = as_array(get(pm, "wait_for"));
+  const auto& wait_for = list(pm, "wait_for");
   os << "\n-- Terminal wait-for graph (" << wait_for.size()
      << " blocked packet" << (wait_for.size() == 1 ? "" : "s") << ") --\n";
   for (const auto& node : wait_for) {
-    os << "  packet " << as_u64(get(node, "packet")) << " @ node "
-       << as_u64(get(node, "node"));
-    if (has(node, "occupies")) {
-      os << ", holds " << channel_ref(get(node, "occupies"));
+    os << "  packet " << count(node, "packet") << " @ node "
+       << count(node, "node");
+    if (const json::Value* occupies = node.find("occupies")) {
+      os << ", holds " << channel_ref(occupies);
     } else {
       os << ", source-queued";
     }
     os << ", waits on";
-    const JArray& waits = as_array(get(node, "waiting_on"));
+    const auto& waits = list(node, "waiting_on");
     for (std::size_t i = 0; i < waits.size(); ++i) {
-      os << (i == 0 ? " " : ", ") << channel_ref(waits[i]);
-      if (has(waits[i], "owner")) {
-        os << " (owner p" << as_u64(get(waits[i], "owner")) << ")";
+      os << (i == 0 ? " " : ", ") << channel_ref(&waits[i]);
+      if (waits[i].has("owner")) {
+        os << " (owner p" << count(waits[i], "owner") << ")";
       } else {
         os << " (free)";
       }
@@ -340,50 +156,51 @@ int explain(const cli::Args& args, const std::string& path,
     os << "\n";
   }
 
-  const JArray& cycles = as_array(get(pm, "cycles"));
+  const auto& cycles = list(pm, "cycles");
   for (std::size_t ci = 0; ci < cycles.size(); ++ci) {
     const auto& cycle = cycles[ci];
-    const JArray& packets = as_array(get(cycle, "packets"));
+    const auto& packets = list(cycle, "packets");
     os << "\n-- Runtime wait cycle " << ci + 1 << "/" << cycles.size()
        << " (";
     for (std::size_t i = 0; i < packets.size(); ++i) {
-      os << (i == 0 ? "p" : " -> p") << as_u64(packets[i]);
+      os << (i == 0 ? "p" : " -> p") << as_count(packets[i], "packets");
     }
     os << ") --\n";
-    for (const auto& hop : as_array(get(cycle, "hops"))) {
-      os << "  packet " << as_u64(get(hop, "packet")) << " holds [";
-      const JArray& chain = as_array(get(hop, "chain"));
+    for (const auto& hop : list(cycle, "hops")) {
+      os << "  packet " << count(hop, "packet") << " holds [";
+      const auto& chain = list(hop, "chain");
       for (std::size_t i = 0; i < chain.size(); ++i) {
-        os << (i == 0 ? "" : " -> ") << channel_ref(chain[i]);
+        os << (i == 0 ? "" : " -> ") << channel_ref(&chain[i]);
       }
-      os << "] and waits for " << channel_ref(get(hop, "waits_for")) << "\n";
+      os << "] and waits for " << channel_ref(hop.find("waits_for")) << "\n";
     }
     os << "  lifted static channel cycle:\n";
-    for (const auto& edge : as_array(get(cycle, "edges"))) {
-      os << "    " << as_string(get(edge, "from")) << " -> "
-         << as_string(get(edge, "to")) << "  ["
-         << (as_bool(get(edge, "in_cdg")) ? "in CDG" : "NOT in CDG") << ", "
-         << as_string(get(edge, "kind"));
-      if (as_bool(get(edge, "escape"))) os << ", escape";
+    for (const auto& edge : list(cycle, "edges")) {
+      os << "    " << text(edge, "from") << " -> " << text(edge, "to")
+         << "  [" << (flag(edge, "in_cdg") ? "in CDG" : "NOT in CDG") << ", "
+         << text(edge, "kind");
+      if (flag(edge, "escape")) os << ", escape";
       os << "]\n";
     }
     os << "  maps onto static CDG: "
-       << (as_bool(get(cycle, "maps_to_cdg")) ? "yes" : "NO") << "; "
+       << (flag(cycle, "maps_to_cdg") ? "yes" : "NO") << "; "
        << "escape-confined: "
-       << (as_bool(get(cycle, "escape_confined")) ? "YES" : "no") << "\n";
+       << (flag(cycle, "escape_confined") ? "YES" : "no") << "\n";
   }
 
-  const auto& flight = get(pm, "flight");
-  const JArray& tail = as_array(get(flight, "tail"));
+  const json::Value* flight =
+      field(pm, "flight", json::Kind::kObject, "an object");
+  static const json::Value kNoFlight = json::parse("{}");  // renders empty
+  const json::Value& recorder = flight != nullptr ? *flight : kNoFlight;
+  const auto& tail = list(recorder, "tail");
   os << "\n-- Flight recorder (last " << tail.size() << " of "
-     << as_u64(get(flight, "recorded")) << " events, "
-     << as_u64(get(flight, "dropped")) << " dropped by wraparound) --\n";
+     << count(recorder, "recorded") << " events, "
+     << count(recorder, "dropped") << " dropped by wraparound) --\n";
   for (const auto& ev : tail) {
-    os << "  cycle " << as_u64(get(ev, "cycle")) << ": "
-       << as_string(get(ev, "kind"));
-    if (has(ev, "packet")) os << " p" << as_u64(get(ev, "packet"));
-    if (has(ev, "channel")) os << " " << as_string(get(ev, "channel"));
-    if (has(ev, "aux")) os << " (aux " << as_u64(get(ev, "aux")) << ")";
+    os << "  cycle " << count(ev, "cycle") << ": " << text(ev, "kind");
+    if (ev.has("packet")) os << " p" << count(ev, "packet");
+    if (ev.has("channel")) os << " " << text(ev, "channel");
+    if (ev.has("aux")) os << " (aux " << count(ev, "aux") << ")";
     os << "\n";
   }
 
@@ -404,6 +221,23 @@ int explain(const cli::Args& args, const std::string& path,
           "is the expected failure mode the paper's condition rules out.\n";
   }
   return contradiction ? cli::kFinding : cli::kClean;
+}
+
+int explain(const cli::Args& args, const std::string& path,
+            std::ostream& os) {
+  std::ifstream file(path, std::ios::binary);
+  if (!file) return args.error("cannot open " + path);
+  std::ostringstream buffer;
+  buffer << file.rdbuf();
+  // Render into a buffer so malformed input prints no partial report.
+  std::ostringstream report;
+  try {
+    const int rc = render(json::parse(buffer.str()), path, report);
+    os << report.str();
+    return rc;
+  } catch (const json::Error& e) {
+    return args.error(path + ": " + e.what());
+  }
 }
 
 }  // namespace

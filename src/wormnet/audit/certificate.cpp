@@ -1,7 +1,9 @@
 #include "wormnet/audit/certificate.hpp"
 
-#include <cctype>
+#include <algorithm>
 #include <sstream>
+
+#include "wormnet/audit/json.hpp"
 
 namespace wormnet::audit {
 
@@ -144,255 +146,67 @@ std::string Certificate::to_json() const {
 
 namespace {
 
-/// Minimal strict recursive-descent reader.  Errors are collected as plain
-/// strings; the first failure wins and aborts the parse.
-class Reader {
- public:
-  explicit Reader(std::string_view text) : text_(text) {}
-
-  [[nodiscard]] const std::string& error() const { return error_; }
-  [[nodiscard]] bool failed() const { return !error_.empty(); }
-
-  void fail(const std::string& message) {
-    if (error_.empty()) {
-      error_ = message + " (at byte " + std::to_string(pos_) + ")";
-    }
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  [[nodiscard]] char peek() {
-    skip_ws();
-    return pos_ < text_.size() ? text_[pos_] : '\0';
-  }
-
-  bool expect(char c) {
-    if (peek() != c) {
-      fail(std::string("expected '") + c + "'");
-      return false;
-    }
-    ++pos_;
-    return true;
-  }
-
-  bool at_end() {
-    skip_ws();
-    return pos_ >= text_.size();
-  }
-
-  std::string parse_string() {
-    std::string out;
-    if (!expect('"')) return out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) break;
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"':
-          case '\\':
-          case '/':
-            out += esc;
-            break;
-          case 'n':
-            out += '\n';
-            break;
-          case 't':
-            out += '\t';
-            break;
-          case 'r':
-            out += '\r';
-            break;
-          case 'b':
-            out += '\b';
-            break;
-          case 'f':
-            out += '\f';
-            break;
-          case 'u': {
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              if (pos_ >= text_.size()) {
-                fail("truncated \\u escape");
-                return out;
-              }
-              const char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') {
-                code |= static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                code |= static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                code |= static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                fail("malformed \\u escape");
-                return out;
-              }
-            }
-            // Certificates only ever escape control bytes; reject the rest
-            // rather than grow a UTF-16 decoder inside the trusted base.
-            if (code >= 0x80) {
-              fail("unsupported \\u escape above U+007F");
-              return out;
-            }
-            out += static_cast<char>(code);
-            break;
-          }
-          default:
-            fail("unknown escape");
-            return out;
-        }
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        fail("unescaped control character in string");
-        return out;
-      } else {
-        out += c;
-      }
-    }
-    expect('"');
-    return out;
-  }
-
-  std::uint64_t parse_uint(std::uint64_t max) {
-    skip_ws();
-    if (pos_ >= text_.size() ||
-        std::isdigit(static_cast<unsigned char>(text_[pos_])) == 0) {
-      fail("expected a non-negative integer");
-      return 0;
-    }
-    std::uint64_t value = 0;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0) {
-      value = value * 10 + static_cast<std::uint64_t>(text_[pos_] - '0');
-      if (value > max) {
-        fail("integer out of range");
-        return 0;
-      }
-      ++pos_;
-    }
-    return value;
-  }
-
-  bool parse_bool() {
-    skip_ws();
-    if (text_.substr(pos_).rfind("true", 0) == 0) {
-      pos_ += 4;
-      return true;
-    }
-    if (text_.substr(pos_).rfind("false", 0) == 0) {
-      pos_ += 5;
-      return false;
-    }
-    fail("expected true or false");
-    return false;
-  }
-
-  std::vector<ChannelId> parse_id_array() {
-    std::vector<ChannelId> out;
-    if (!expect('[')) return out;
-    if (peek() == ']') {
-      ++pos_;
-      return out;
-    }
-    while (!failed()) {
-      out.push_back(
-          static_cast<ChannelId>(parse_uint(topology::kInvalidChannel)));
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
+/// Certificate strings are ASCII: any byte >= 0x80, raw or escaped, is an
+/// error.
+std::string read_text(json::Reader& r) {
+  std::string text = r.string();
+  for (const char c : text) {
+    if (static_cast<unsigned char>(c) >= 0x80) {
+      r.fail("non-ASCII byte in certificate string");
       break;
     }
-    return out;
   }
+  return text;
+}
 
-  /// Parses `{ "k": v, ... }`, dispatching each key to `field`; the callback
-  /// must consume exactly one value and returns false for unknown keys.
-  template <typename Fn>
-  void parse_object(const Fn& field) {
-    if (!expect('{')) return;
-    if (peek() == '}') {
-      ++pos_;
-      return;
-    }
-    while (!failed()) {
-      const std::string key = parse_string();
-      if (failed()) return;
-      if (!expect(':')) return;
-      if (!field(key)) {
-        fail("unknown key \"" + key + "\"");
-        return;
-      }
-      if (failed()) return;
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return;
-    }
-  }
+ChannelId read_channel(json::Reader& r) {
+  return static_cast<ChannelId>(r.unsigned_int(topology::kInvalidChannel));
+}
 
-  /// Parses `[ e, ... ]`, calling `element` once per entry.
-  template <typename Fn>
-  void parse_array(const Fn& element) {
-    if (!expect('[')) return;
-    if (peek() == ']') {
-      ++pos_;
-      return;
-    }
-    while (!failed()) {
-      element();
-      if (failed()) return;
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
+NodeId read_node(json::Reader& r) {
+  return static_cast<NodeId>(r.unsigned_int(0xffffffffu));
+}
+
+std::vector<ChannelId> read_ids(json::Reader& r) {
+  std::vector<ChannelId> out;
+  r.array([&] { out.push_back(read_channel(r)); });
+  return out;
+}
+
+/// Reads an object holding exactly the members `keys` (at most 32), each
+/// once; `member(key)` consumes the value of one.
+template <typename Fn>
+void read_record(json::Reader& r, std::initializer_list<std::string_view> keys,
+                 const Fn& member) {
+  std::uint32_t seen = 0;
+  r.object([&](const std::string& key) {
+    const auto it = std::find(keys.begin(), keys.end(), key);
+    if (it == keys.end()) return false;
+    seen |= 1u << (it - keys.begin());
+    member(key);
+    return true;
+  });
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if ((seen >> i & 1u) == 0) {
+      r.fail("missing key \"" + std::string(keys.begin()[i]) + "\"");
       return;
     }
   }
-
- private:
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  std::string error_;
-};
+}
 
 }  // namespace
 
 ParseResult parse_certificate(std::string_view text) {
-  Reader r(text);
+  json::Reader r(text);
   Certificate cert;
-  bool saw_kind = false;
-  bool saw_evidence = false;
   std::vector<std::string> seen;
-  const auto once = [&](const std::string& key) {
-    for (const std::string& k : seen) {
-      if (k == key) {
-        r.fail("duplicate key \"" + key + "\"");
-        return false;
-      }
-    }
-    seen.push_back(key);
-    return true;
-  };
 
-  r.parse_object([&](const std::string& key) {
-    if (!once(key)) return true;
+  r.object([&](const std::string& key) {
+    seen.push_back(key);
     if (key == "schema") {
-      if (r.parse_string() != kCertificateSchema) {
-        r.fail("unsupported schema");
-      }
+      if (read_text(r) != kCertificateSchema) r.fail("unsupported schema");
     } else if (key == "kind") {
-      const std::string v = r.parse_string();
-      saw_kind = true;
+      const std::string v = read_text(r);
       if (v == "certified") {
         cert.kind = CertKind::kCertified;
       } else if (v == "refuted") {
@@ -401,79 +215,63 @@ ParseResult parse_certificate(std::string_view text) {
         r.fail("unknown kind \"" + v + "\"");
       }
     } else if (key == "method") {
-      cert.method = r.parse_string();
+      cert.method = read_text(r);
     } else if (key == "topology") {
-      cert.topology = r.parse_string();
+      cert.topology = read_text(r);
     } else if (key == "relation") {
-      cert.relation = r.parse_string();
+      cert.relation = read_text(r);
     } else if (key == "nodes") {
-      cert.num_nodes = static_cast<std::uint32_t>(r.parse_uint(0xffffffffu));
+      cert.num_nodes = static_cast<std::uint32_t>(r.unsigned_int(0xffffffffu));
     } else if (key == "channels") {
       cert.num_channels =
-          static_cast<std::uint32_t>(r.parse_uint(0xffffffffu));
+          static_cast<std::uint32_t>(r.unsigned_int(0xffffffffu));
     } else if (key == "subfunction") {
-      cert.subfunction = r.parse_string();
+      cert.subfunction = read_text(r);
     } else if (key == "escape_channels") {
-      cert.escape_channels = r.parse_id_array();
+      cert.escape_channels = read_ids(r);
     } else if (key == "topological_order") {
-      cert.topological_order = r.parse_id_array();
+      cert.topological_order = read_ids(r);
     } else if (key == "escapes") {
-      r.parse_array([&] {
-        EscapeWitness w;
-        r.parse_object([&](const std::string& k) {
+      r.array([&] {
+        EscapeWitness& w = cert.escapes.emplace_back();
+        read_record(r, {"channel", "dest", "via"}, [&](std::string_view k) {
           if (k == "channel") {
-            w.channel =
-                static_cast<ChannelId>(r.parse_uint(topology::kInvalidChannel));
+            w.channel = read_channel(r);
           } else if (k == "dest") {
-            w.dest = static_cast<NodeId>(r.parse_uint(0xffffffffu));
-          } else if (k == "via") {
-            w.via =
-                static_cast<ChannelId>(r.parse_uint(topology::kInvalidChannel));
+            w.dest = read_node(r);
           } else {
-            return false;
+            w.via = read_channel(r);
           }
-          return true;
         });
-        cert.escapes.push_back(w);
       });
     } else if (key == "injection_escapes") {
-      r.parse_array([&] {
-        InjectionEscape w;
-        r.parse_object([&](const std::string& k) {
+      r.array([&] {
+        InjectionEscape& w = cert.injection_escapes.emplace_back();
+        read_record(r, {"src", "dest", "via"}, [&](std::string_view k) {
           if (k == "src") {
-            w.src = static_cast<NodeId>(r.parse_uint(0xffffffffu));
+            w.src = read_node(r);
           } else if (k == "dest") {
-            w.dest = static_cast<NodeId>(r.parse_uint(0xffffffffu));
-          } else if (k == "via") {
-            w.via =
-                static_cast<ChannelId>(r.parse_uint(topology::kInvalidChannel));
+            w.dest = read_node(r);
           } else {
-            return false;
+            w.via = read_channel(r);
           }
-          return true;
         });
-        cert.injection_escapes.push_back(w);
       });
     } else if (key == "witness_paths") {
-      r.parse_array([&] {
-        WitnessPath w;
-        r.parse_object([&](const std::string& k) {
+      r.array([&] {
+        WitnessPath& w = cert.witness_paths.emplace_back();
+        read_record(r, {"src", "dest", "path"}, [&](std::string_view k) {
           if (k == "src") {
-            w.src = static_cast<NodeId>(r.parse_uint(0xffffffffu));
+            w.src = read_node(r);
           } else if (k == "dest") {
-            w.dest = static_cast<NodeId>(r.parse_uint(0xffffffffu));
-          } else if (k == "path") {
-            w.path = r.parse_id_array();
+            w.dest = read_node(r);
           } else {
-            return false;
+            w.path = read_ids(r);
           }
-          return true;
         });
-        cert.witness_paths.push_back(std::move(w));
       });
     } else if (key == "evidence") {
-      const std::string v = r.parse_string();
-      saw_evidence = true;
+      const std::string v = read_text(r);
       if (v == "dependency-cycle") {
         cert.evidence = Evidence::kDependencyCycle;
       } else if (v == "wait-cycle") {
@@ -484,51 +282,40 @@ ParseResult parse_certificate(std::string_view text) {
         r.fail("unknown evidence \"" + v + "\"");
       }
     } else if (key == "cycle") {
-      r.parse_array([&] {
-        CycleEdge e;
-        r.parse_object([&](const std::string& k) {
+      r.array([&] {
+        CycleEdge& e = cert.cycle.emplace_back();
+        read_record(r, {"from", "to", "dest", "hold"}, [&](std::string_view k) {
           if (k == "from") {
-            e.from =
-                static_cast<ChannelId>(r.parse_uint(topology::kInvalidChannel));
+            e.from = read_channel(r);
           } else if (k == "to") {
-            e.to =
-                static_cast<ChannelId>(r.parse_uint(topology::kInvalidChannel));
+            e.to = read_channel(r);
           } else if (k == "dest") {
-            e.dest = static_cast<NodeId>(r.parse_uint(0xffffffffu));
-          } else if (k == "hold") {
-            e.hold = r.parse_id_array();
+            e.dest = read_node(r);
           } else {
-            return false;
+            e.hold = read_ids(r);
           }
-          return true;
         });
-        cert.cycle.push_back(std::move(e));
       });
     } else if (key == "disconnection") {
-      r.parse_object([&](const std::string& k) {
-        if (k == "at_injection") {
-          cert.disconnection.at_injection = r.parse_bool();
-        } else if (k == "src") {
-          cert.disconnection.src =
-              static_cast<NodeId>(r.parse_uint(0xffffffffu));
-        } else if (k == "channel") {
-          cert.disconnection.channel =
-              static_cast<ChannelId>(r.parse_uint(topology::kInvalidChannel));
-        } else if (k == "dest") {
-          cert.disconnection.dest =
-              static_cast<NodeId>(r.parse_uint(0xffffffffu));
-        } else {
-          return false;
-        }
-        return true;
-      });
+      Disconnection& d = cert.disconnection;
+      read_record(r, {"at_injection", "src", "channel", "dest"},
+                  [&](std::string_view k) {
+                    if (k == "at_injection") {
+                      d.at_injection = r.boolean();
+                    } else if (k == "src") {
+                      d.src = read_node(r);
+                    } else if (k == "channel") {
+                      d.channel = read_channel(r);
+                    } else {
+                      d.dest = read_node(r);
+                    }
+                  });
     } else {
       return false;
     }
     return true;
   });
-
-  if (!r.failed() && !r.at_end()) r.fail("trailing bytes after certificate");
+  r.end();
 
   ParseResult result;
   if (r.failed()) {
@@ -542,15 +329,11 @@ ParseResult parse_certificate(std::string_view text) {
     return false;
   };
   for (const char* key : {"schema", "method", "topology", "relation", "nodes",
-                          "channels", "subfunction"}) {
+                          "channels", "subfunction", "kind"}) {
     if (!has(key)) {
       result.error = std::string("missing required key \"") + key + "\"";
       return result;
     }
-  }
-  if (!saw_kind) {
-    result.error = "missing required key \"kind\"";
-    return result;
   }
   if (cert.kind == CertKind::kCertified) {
     for (const char* key : {"escape_channels", "topological_order", "escapes",
@@ -561,12 +344,12 @@ ParseResult parse_certificate(std::string_view text) {
         return result;
       }
     }
-    if (saw_evidence || has("cycle") || has("disconnection")) {
+    if (has("evidence") || has("cycle") || has("disconnection")) {
       result.error = "certified certificate carries refutation evidence";
       return result;
     }
   } else {
-    if (!saw_evidence || !has("cycle")) {
+    if (!has("evidence") || !has("cycle")) {
       result.error = "refuted certificate missing evidence";
       return result;
     }

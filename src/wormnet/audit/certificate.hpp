@@ -135,9 +135,9 @@ struct ParseResult {
 };
 
 /// Strict parser for the schema above (unknown or duplicate keys, missing
-/// fields, wrong types and non-canonical enum strings are all errors).
-/// Self-contained on purpose: the rest of the library only *writes* JSON,
-/// and the trusted base cannot lean on test-only helpers.
+/// fields, nested ones included, wrong types, non-ASCII string bytes and
+/// non-canonical enum strings are all errors).  It reads through the one
+/// JSON reader (json.hpp), which lives in the trusted base for this reason.
 [[nodiscard]] ParseResult parse_certificate(std::string_view text);
 
 }  // namespace wormnet::audit

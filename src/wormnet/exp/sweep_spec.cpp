@@ -1,6 +1,7 @@
 #include "wormnet/exp/sweep_spec.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -22,11 +23,14 @@ std::vector<std::string> split(const std::string& text, char sep) {
   return out;
 }
 
-double parse_double(const std::string& text, const std::string& what) {
+/// A load, range bound or step: a finite, non-negative number.
+double parse_load(const std::string& text, const std::string& what) {
   try {
     std::size_t used = 0;
     const double v = std::stod(text, &used);
-    if (used != text.size()) throw std::invalid_argument(text);
+    if (used != text.size() || !std::isfinite(v) || v < 0.0) {
+      throw std::invalid_argument(text);
+    }
     return v;
   } catch (const std::exception&) {
     throw std::invalid_argument("sweep grid: bad " + what + " '" + text +
@@ -46,20 +50,28 @@ std::uint64_t parse_u64(const std::string& text, const std::string& what) {
   }
 }
 
+/// A load range yields at most this many points.
+constexpr double kMaxLoadPoints = 10000;
+
 /// "0.05:0.45:0.10" -> {0.05, 0.15, ..., 0.45}; "a,b,c" -> {a, b, c}.
 std::vector<double> parse_loads(const std::string& clause) {
   const auto range = split(clause, ':');
   if (range.size() == 3) {
-    const double lo = parse_double(range[0], "load");
-    const double hi = parse_double(range[1], "load");
-    const double step = parse_double(range[2], "load step");
+    const double lo = parse_load(range[0], "load");
+    const double hi = parse_load(range[1], "load");
+    const double step = parse_load(range[2], "load step");
     if (step <= 0.0 || hi < lo) {
       throw std::invalid_argument("sweep grid: bad load range '" + clause +
                                   "'");
     }
-    std::vector<double> out;
     // Integer stepping avoids drift deciding whether `hi` itself is hit.
-    const auto steps = static_cast<std::size_t>((hi - lo) / step + 1e-9);
+    const double points = (hi - lo) / step + 1e-9;
+    if (!(points < kMaxLoadPoints)) {
+      throw std::invalid_argument("sweep grid: load range '" + clause +
+                                  "' has more than 10000 points");
+    }
+    std::vector<double> out;
+    const auto steps = static_cast<std::size_t>(points);
     for (std::size_t i = 0; i <= steps; ++i) {
       out.push_back(lo + static_cast<double>(i) * step);
     }
@@ -67,7 +79,7 @@ std::vector<double> parse_loads(const std::string& clause) {
   }
   std::vector<double> out;
   for (const auto& part : split(clause, ',')) {
-    out.push_back(parse_double(part, "load"));
+    out.push_back(parse_load(part, "load"));
   }
   if (out.empty()) throw std::invalid_argument("sweep grid: empty load list");
   return out;
@@ -117,7 +129,7 @@ std::vector<ReconfigAxisValue> resolve_reconfig_axis(
           reconfig::resolve(plan, topo, base));
       reconfig::CompiledTransitionPlan compiled =
           reconfig::compile(*resolved, topo, base);
-      if (!compiled.is_identity()) {
+      if (!compiled.empty()) {
         value.text = plan.to_string();
         value.resolved = std::move(resolved);
         value.steps = std::move(compiled.steps);

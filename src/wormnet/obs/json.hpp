@@ -1,8 +1,9 @@
 // Minimal JSON emission helpers shared by every obs exporter (trace sinks,
 // metrics registry, SimStats::to_json, checker-stats dumps).
 //
-// Deliberately a writer, not a parser/DOM: the library only ever *produces*
-// JSON, and a streaming writer keeps the hot trace path allocation-free.
+// Deliberately a writer, not a parser/DOM: the one JSON reader is
+// audit/json.hpp, and a streaming writer keeps the hot trace path
+// allocation-free.
 // Numbers are formatted deterministically (shortest round-trip form for
 // doubles) so golden-file tests stay stable across platforms.
 #pragma once

@@ -143,11 +143,9 @@ class CompiledTransitionPlan {
   std::vector<std::unique_ptr<routing::RoutingFunction>> targets;
   std::vector<CompiledCutover> steps;
 
-  [[nodiscard]] bool empty() const noexcept { return steps.empty(); }
-
   /// True when the plan never changes routing (e.g. R -> R): compiles to
   /// zero steps, so the simulation is bit-identical to running with no plan.
-  [[nodiscard]] bool is_identity() const noexcept { return steps.empty(); }
+  [[nodiscard]] bool empty() const noexcept { return steps.empty(); }
 
   /// The relation before the first step: a union over every version (the
   /// base, then each target) with only the base active.

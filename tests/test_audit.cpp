@@ -422,6 +422,75 @@ TEST(CertificateParser, RejectsMixedKindPayloads) {
   EXPECT_FALSE(parsed.error.empty());
 }
 
+TEST(CertificateParser, EveryNestedRecordNeedsEachFieldOnce) {
+  Certificate certified;
+  certified.escape_channels = {1};
+  certified.topological_order = {1};
+  certified.escapes = {{5, 6, 7}};
+  certified.injection_escapes = {{2, 3, 4}};
+  certified.witness_paths = {{8, 9, {1}}};
+  Certificate refuted;
+  refuted.kind = CertKind::kRefuted;
+  refuted.evidence = Evidence::kNotWaitConnected;
+  refuted.cycle = {{1, 2, 3, {1}}};
+  refuted.disconnection = {true, 4, 5, 6};
+  ASSERT_TRUE(parse_certificate(certified.to_json()).certificate.has_value());
+  ASSERT_TRUE(parse_certificate(refuted.to_json()).certificate.has_value());
+
+  // One member of each nested record kind, spelled as to_json() writes it.
+  const struct {
+    const Certificate* cert;
+    std::string member;
+    std::string key;
+  } kCases[] = {
+      {&certified, "\"channel\": 5, ", "channel"},
+      {&certified, ", \"via\": 7", "via"},
+      {&certified, "\"src\": 2, ", "src"},
+      {&certified, ", \"dest\": 3", "dest"},
+      {&certified, ", \"path\": [1]", "path"},
+      {&refuted, "\"from\": 1, ", "from"},
+      {&refuted, ", \"hold\": [1]", "hold"},
+      {&refuted, "\"at_injection\": true, ", "at_injection"},
+      {&refuted, ", \"dest\": 6", "dest"},
+  };
+  for (const auto& c : kCases) {
+    const std::string json = c.cert->to_json();
+    const auto at = json.find(c.member);
+    ASSERT_NE(at, std::string::npos) << c.member;
+    std::string missing = json;
+    missing.erase(at, c.member.size());
+    const ParseResult no_key = parse_certificate(missing);
+    EXPECT_FALSE(no_key.certificate.has_value()) << c.member;
+    EXPECT_NE(no_key.error.find("missing key \"" + c.key + "\""),
+              std::string::npos)
+        << no_key.error;
+    std::string repeated = json;
+    repeated.insert(at, c.member);
+    const ParseResult twice = parse_certificate(repeated);
+    EXPECT_FALSE(twice.certificate.has_value()) << c.member;
+    EXPECT_NE(twice.error.find("duplicate key \"" + c.key + "\""),
+              std::string::npos)
+        << twice.error;
+  }
+}
+
+TEST(CertificateParser, StringsAreAscii) {
+  Certificate cert;
+  cert.escape_channels = {1};
+  cert.topological_order = {1};
+  cert.method = "duato";
+  ASSERT_TRUE(parse_certificate(cert.to_json()).certificate.has_value());
+  // Raw and escaped forms of a byte >= 0x80 are both refused.
+  for (const char* method : {"\"caf\xc3\xa9\"", "\"caf\\u00e9\""}) {
+    std::string json = cert.to_json();
+    json.replace(json.find("\"duato\""), 7, method);
+    const ParseResult parsed = parse_certificate(json);
+    EXPECT_FALSE(parsed.certificate.has_value()) << method;
+    EXPECT_NE(parsed.error.find("non-ASCII byte"), std::string::npos)
+        << parsed.error;
+  }
+}
+
 TEST(CertificateParser, RejectsNonCanonicalEnums) {
   const CertifiedFixture fx;
   std::string json = fx.result.certificate->to_json();

@@ -20,12 +20,6 @@
 namespace wormnet::exp {
 namespace {
 
-using test::JsonObject;
-using test::JsonParser;
-using test::as_bool;
-using test::as_number;
-using test::as_object;
-
 #ifndef WORMNET_GOLDEN_DIR
 #error "tests/CMakeLists.txt must define WORMNET_GOLDEN_DIR"
 #endif
@@ -99,23 +93,21 @@ TEST(FaultCampaign, RowsCarryTheRecoveryContract) {
   std::size_t certified_faulted = 0;
   std::size_t uncertified_with_drops = 0;
   while (std::getline(lines, line)) {
-    JsonParser parser(line);
-    const auto doc = parser.parse();
-    const JsonObject& obj = as_object(doc);
-    if (obj.count("aggregate")) continue;
-    const bool certified = as_bool(obj.at("certified"));
-    const auto created = as_number(obj.at("packets_created"));
-    const auto delivered = as_number(obj.at("packets_delivered"));
-    const auto dropped = as_number(obj.at("packets_dropped"));
-    EXPECT_FALSE(as_bool(obj.at("deadlocked")));
+    const audit::json::Value obj = audit::json::parse(line);
+    if (obj.has("aggregate")) continue;
+    const bool certified = obj.at("certified").as_bool();
+    const auto created = obj.at("packets_created").as_number();
+    const auto delivered = obj.at("packets_delivered").as_number();
+    const auto dropped = obj.at("packets_dropped").as_number();
+    EXPECT_FALSE(obj.at("deadlocked").as_bool());
     if (certified) {
       // The headline property: certified points (including fault epochs
       // that re-certified) deliver every accepted packet under abort-retry.
       EXPECT_EQ(dropped, 0.0) << line;
       EXPECT_EQ(delivered, created) << line;
-      if (as_number(obj.at("fault_epochs")) > 0) ++certified_faulted;
+      if (obj.at("fault_epochs").as_number() > 0) ++certified_faulted;
     } else {
-      EXPECT_GT(as_number(obj.at("uncertified_epochs")), 0.0) << line;
+      EXPECT_GT(obj.at("uncertified_epochs").as_number(), 0.0) << line;
       // Stranded packets are dropped via budget exhaustion, never lost
       // silently — the books still balance.
       EXPECT_EQ(delivered + dropped, created) << line;

@@ -3,13 +3,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cctype>
-#include <map>
-#include <memory>
-#include <string>
-#include <variant>
-#include <vector>
+#include <algorithm>
 
+#include "wormnet/audit/json.hpp"
 #include "wormnet/wormnet.hpp"
 
 namespace wormnet::test {
@@ -18,223 +14,9 @@ using topology::ChannelId;
 using topology::NodeId;
 using topology::Topology;
 
-// ------------------------------------------------------- minimal JSON DOM
-//
-// A tiny recursive-descent JSON reader shared by every test that checks a
-// renderer (lint SARIF/JSONL, sweep JSONL, metrics dumps).  Deliberately a
-// test-only tool: the library itself only ever *writes* JSON.
-
-struct JsonValue;
-using JsonObject = std::map<std::string, std::shared_ptr<JsonValue>>;
-using JsonArray = std::vector<std::shared_ptr<JsonValue>>;
-
-struct JsonValue {
-  std::variant<std::nullptr_t, bool, double, std::string, JsonArray,
-               JsonObject>
-      v;
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
-  explicit JsonParser(const char* text) : text_(text) {}
-  // The parser only borrows its input; a temporary std::string would dangle
-  // before parse() runs.  Bind the document to a named string first.
-  explicit JsonParser(std::string&&) = delete;
-
-  std::shared_ptr<JsonValue> parse() {
-    auto value = parse_value();
-    skip_ws();
-    EXPECT_EQ(pos_, text_.size()) << "trailing bytes after JSON document";
-    return value;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    EXPECT_LT(pos_, text_.size()) << "unexpected end of JSON";
-    return pos_ < text_.size() ? text_[pos_] : '\0';
-  }
-
-  void expect(char c) {
-    EXPECT_EQ(peek(), c);
-    ++pos_;
-  }
-
-  std::shared_ptr<JsonValue> parse_value() {
-    auto out = std::make_shared<JsonValue>();
-    switch (peek()) {
-      case '{': {
-        JsonObject obj;
-        expect('{');
-        if (peek() != '}') {
-          do {
-            std::string key = parse_string();
-            expect(':');
-            obj[key] = parse_value();
-          } while (consume_comma('}'));
-        }
-        expect('}');
-        out->v = std::move(obj);
-        break;
-      }
-      case '[': {
-        JsonArray arr;
-        expect('[');
-        if (peek() != ']') {
-          do {
-            arr.push_back(parse_value());
-          } while (consume_comma(']'));
-        }
-        expect(']');
-        out->v = std::move(arr);
-        break;
-      }
-      case '"':
-        out->v = parse_string();
-        break;
-      case 't':
-        pos_ += 4;
-        out->v = true;
-        break;
-      case 'f':
-        pos_ += 5;
-        out->v = false;
-        break;
-      case 'n':
-        pos_ += 4;
-        out->v = nullptr;
-        break;
-      default: {
-        std::size_t end = pos_;
-        while (end < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[end])) ||
-                text_[end] == '-' || text_[end] == '+' || text_[end] == '.' ||
-                text_[end] == 'e' || text_[end] == 'E')) {
-          ++end;
-        }
-        out->v = std::stod(std::string(text_.substr(pos_, end - pos_)));
-        pos_ = end;
-        break;
-      }
-    }
-    return out;
-  }
-
-  bool consume_comma(char closer) {
-    if (peek() == ',') {
-      ++pos_;
-      return true;
-    }
-    EXPECT_EQ(peek(), closer);
-    return false;
-  }
-
-  /// Reads the 4 hex digits of a \u escape; ~0u on malformed input.
-  unsigned parse_hex4() {
-    if (pos_ + 4 > text_.size()) return ~0u;
-    unsigned code = 0;
-    for (int i = 0; i < 4; ++i) {
-      const char h = text_[pos_ + static_cast<std::size_t>(i)];
-      code <<= 4;
-      if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-      else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-      else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-      else return ~0u;
-    }
-    pos_ += 4;
-    return code;
-  }
-
-  void append_utf8(std::string& out, unsigned code) {
-    if (code < 0x80) {
-      out += static_cast<char>(code);
-    } else if (code < 0x800) {
-      out += static_cast<char>(0xc0 | (code >> 6));
-      out += static_cast<char>(0x80 | (code & 0x3f));
-    } else if (code < 0x10000) {
-      out += static_cast<char>(0xe0 | (code >> 12));
-      out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
-      out += static_cast<char>(0x80 | (code & 0x3f));
-    } else {
-      out += static_cast<char>(0xf0 | (code >> 18));
-      out += static_cast<char>(0x80 | ((code >> 12) & 0x3f));
-      out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
-      out += static_cast<char>(0x80 | (code & 0x3f));
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) {
-        char esc = text_[pos_++];
-        switch (esc) {
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'r': out += '\r'; break;
-          case 'u': {
-            unsigned code = parse_hex4();
-            if (code == ~0u) {
-              ADD_FAILURE() << "malformed \\u escape";
-              break;
-            }
-            // UTF-16 surrogate pair: a high surrogate must be followed by
-            // \uDC00..\uDFFF; combine into the supplementary code point.
-            if (code >= 0xd800 && code <= 0xdbff && pos_ + 1 < text_.size() &&
-                text_[pos_] == '\\' && text_[pos_ + 1] == 'u') {
-              const std::size_t save = pos_;
-              pos_ += 2;
-              const unsigned low = parse_hex4();
-              if (low >= 0xdc00 && low <= 0xdfff) {
-                code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
-              } else {
-                pos_ = save;  // not a low surrogate: leave it for next loop
-              }
-            }
-            append_utf8(out, code);
-            break;
-          }
-          default: out += esc; break;
-        }
-      } else {
-        out += c;
-      }
-    }
-    expect('"');
-    return out;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-inline const JsonObject& as_object(const std::shared_ptr<JsonValue>& v) {
-  return std::get<JsonObject>(v->v);
-}
-inline const JsonArray& as_array(const std::shared_ptr<JsonValue>& v) {
-  return std::get<JsonArray>(v->v);
-}
-inline const std::string& as_string(const std::shared_ptr<JsonValue>& v) {
-  return std::get<std::string>(v->v);
-}
-inline double as_number(const std::shared_ptr<JsonValue>& v) {
-  return std::get<double>(v->v);
-}
-inline bool as_bool(const std::shared_ptr<JsonValue>& v) {
-  return std::get<bool>(v->v);
-}
+// Tests that check a renderer (lint SARIF/JSONL, sweep JSONL, metrics dumps,
+// postmortems) read its output with the library's one strict JSON reader:
+// audit::json::parse(text) returns a DOM and throws on malformed input.
 
 /// Checks that `routing` delivers every (src, dst) pair: from every reachable
 /// state the destination is reachable in the state graph, and every state

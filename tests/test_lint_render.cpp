@@ -17,13 +17,6 @@
 namespace wormnet {
 namespace {
 
-using test::JsonArray;
-using test::JsonObject;
-using test::JsonParser;
-using test::as_array;
-using test::as_object;
-using test::as_string;
-
 std::vector<lint::LintUnit> lint_ring_units(
     std::shared_ptr<topology::Topology>& topo_out) {
   topo_out =
@@ -46,51 +39,42 @@ TEST(LintRender, SarifShape) {
   std::ostringstream os;
   lint::render_sarif(os, units);
 
-  const std::string text = os.str();
-  JsonParser parser(text);
-  const auto doc = parser.parse();
-  const JsonObject& root = as_object(doc);
-  ASSERT_TRUE(root.count("$schema"));
-  ASSERT_TRUE(root.count("version"));
-  EXPECT_EQ(as_string(root.at("version")), "2.1.0");
+  const audit::json::Value root = audit::json::parse(os.str());
+  ASSERT_TRUE(root.has("$schema"));
+  ASSERT_TRUE(root.has("version"));
+  EXPECT_EQ(root.at("version").as_string(), "2.1.0");
 
-  const JsonArray& runs = as_array(root.at("runs"));
+  const auto& runs = root.at("runs").as_array();
   ASSERT_EQ(runs.size(), 1u);
-  const JsonObject& run = as_object(runs[0]);
+  const audit::json::Value& run = runs[0];
 
-  const JsonObject& driver =
-      as_object(as_object(run.at("tool")).at("driver"));
-  EXPECT_EQ(as_string(driver.at("name")), "wormnet-lint");
-  const JsonArray& rules = as_array(driver.at("rules"));
+  const audit::json::Value& driver = run.at("tool").at("driver");
+  EXPECT_EQ(driver.at("name").as_string(), "wormnet-lint");
+  const auto& rules = driver.at("rules").as_array();
   EXPECT_EQ(rules.size(), lint::all_rules().size());
-  for (const auto& rule : rules) {
-    const JsonObject& r = as_object(rule);
-    EXPECT_TRUE(r.count("id"));
-    EXPECT_TRUE(r.count("shortDescription"));
-    EXPECT_TRUE(r.count("defaultConfiguration"));
+  for (const auto& r : rules) {
+    EXPECT_TRUE(r.has("id"));
+    EXPECT_TRUE(r.has("shortDescription"));
+    EXPECT_TRUE(r.has("defaultConfiguration"));
   }
 
-  const JsonArray& results = as_array(run.at("results"));
+  const auto& results = run.at("results").as_array();
   ASSERT_FALSE(results.empty());
   bool saw_wn002 = false;
-  for (const auto& result : results) {
-    const JsonObject& r = as_object(result);
-    ASSERT_TRUE(r.count("ruleId"));
-    ASSERT_TRUE(r.count("level"));
-    ASSERT_TRUE(r.count("message"));
-    EXPECT_TRUE(as_object(r.at("message")).count("text"));
-    const JsonArray& locations = as_array(r.at("locations"));
+  for (const auto& r : results) {
+    ASSERT_TRUE(r.has("ruleId"));
+    ASSERT_TRUE(r.has("level"));
+    ASSERT_TRUE(r.has("message"));
+    EXPECT_TRUE(r.at("message").has("text"));
+    const auto& locations = r.at("locations").as_array();
     ASSERT_FALSE(locations.empty());
-    const JsonArray& logical =
-        as_array(as_object(locations[0]).at("logicalLocations"));
-    EXPECT_EQ(as_string(as_object(logical[0]).at("name")),
-              "ring:8 unrestricted");
-    if (as_string(r.at("ruleId")) == "WN002") {
+    const auto& logical = locations[0].at("logicalLocations").as_array();
+    EXPECT_EQ(logical[0].at("name").as_string(), "ring:8 unrestricted");
+    if (r.at("ruleId").as_string() == "WN002") {
       saw_wn002 = true;
-      EXPECT_EQ(as_string(r.at("level")), "error");
+      EXPECT_EQ(r.at("level").as_string(), "error");
       // The concrete dependency-cycle witness rides in properties.cycle.
-      const JsonObject& properties = as_object(r.at("properties"));
-      EXPECT_EQ(as_array(properties.at("cycle")).size(), 8u);
+      EXPECT_EQ(r.at("properties").at("cycle").as_array().size(), 8u);
     }
   }
   EXPECT_TRUE(saw_wn002);
@@ -109,13 +93,11 @@ TEST(LintRender, JsonlOneValidObjectPerDiagnostic) {
   std::size_t count = 0;
   while (std::getline(lines, line)) {
     ASSERT_FALSE(line.empty());
-    JsonParser parser(line);
-    const auto doc = parser.parse();
-    const JsonObject& obj = as_object(doc);
-    EXPECT_TRUE(obj.count("subject"));
-    EXPECT_TRUE(obj.count("rule"));
-    EXPECT_TRUE(obj.count("severity"));
-    EXPECT_TRUE(obj.count("message"));
+    const audit::json::Value obj = audit::json::parse(line);
+    EXPECT_TRUE(obj.has("subject"));
+    EXPECT_TRUE(obj.has("rule"));
+    EXPECT_TRUE(obj.has("severity"));
+    EXPECT_TRUE(obj.has("message"));
     ++count;
   }
   EXPECT_EQ(count, units[0].result.diagnostics.size());

@@ -82,19 +82,15 @@ TEST(ObsChromeGolden, TimestampsDeriveFromCyclesOnly) {
   // The determinism contract, asserted structurally: every "ts" in the
   // document is a whole number of trace microseconds equal to some event's
   // simulation cycle — no wall-clock epoch, no run-dependent offset.
-  const std::string text = render_chrome_trace();
-  test::JsonParser parser(text);
-  const auto root = parser.parse();
-  const auto& events =
-      test::as_array(test::as_object(root).at("traceEvents"));
+  const audit::json::Value root = audit::json::parse(render_chrome_trace());
+  const auto& events = root.at("traceEvents").as_array();
   ASSERT_FALSE(events.empty());
 
   std::map<double, int> ts_histogram;
   double max_ts = 0.0;
   for (const auto& event : events) {
-    const auto& obj = test::as_object(event);
-    if (obj.count("ts") == 0) continue;  // metadata records carry no ts
-    const double ts = test::as_number(obj.at("ts"));
+    if (!event.has("ts")) continue;  // metadata records carry no ts
+    const double ts = event.at("ts").as_number();
     EXPECT_GE(ts, 0.0);
     EXPECT_EQ(ts, static_cast<double>(static_cast<std::uint64_t>(ts)))
         << "fractional timestamp: " << ts;
@@ -110,14 +106,10 @@ TEST(ObsChromeGolden, TimestampsDeriveFromCyclesOnly) {
                                         cfg.measure_cycles +
                                         cfg.drain_cycles));
   // Rendering twice yields the identical timestamp multiset.
-  const std::string again = render_chrome_trace();
-  test::JsonParser parser2(again);
-  const auto root2 = parser2.parse();
+  const audit::json::Value root2 = audit::json::parse(render_chrome_trace());
   std::map<double, int> ts_histogram2;
-  for (const auto& event :
-       test::as_array(test::as_object(root2).at("traceEvents"))) {
-    const auto& obj = test::as_object(event);
-    if (obj.count("ts") != 0) ++ts_histogram2[test::as_number(obj.at("ts"))];
+  for (const auto& event : root2.at("traceEvents").as_array()) {
+    if (event.has("ts")) ++ts_histogram2[event.at("ts").as_number()];
   }
   EXPECT_EQ(ts_histogram, ts_histogram2);
 }

@@ -1,7 +1,8 @@
 // json_quote escaping: control characters, the standard short escapes, and
 // the UTF-8 contract — well-formed multi-byte sequences pass through raw,
 // malformed bytes become U+FFFD escapes, so the output is always both valid
-// JSON and valid UTF-8.  Round-trips go through the shared test parser.
+// JSON and valid UTF-8.  Round-trips go through the library's one JSON
+// reader (wormnet/audit/json.hpp).
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -19,13 +20,10 @@ std::string quote(std::string_view text) {
   return os.str();
 }
 
-/// Encode with json_quote, decode with the test parser: the fixed point for
+/// Encode with json_quote, decode with the reader: the fixed point for
 /// every string the writers can be handed.
 std::string round_trip(std::string_view text) {
-  const std::string quoted = quote(text);
-  test::JsonParser parser(quoted);
-  const auto value = parser.parse();
-  return test::as_string(value);
+  return audit::json::parse(quote(text)).as_string();
 }
 
 TEST(ObsJson, PlainAsciiPassesThrough) {
@@ -61,15 +59,14 @@ TEST(ObsJson, ValidUtf8PassesThroughRaw) {
             two_byte + three_byte + four_byte);
 }
 
-TEST(ObsJson, UnicodeEscapeDecodingInTestParser) {
-  // The parser side of the round trip: \uXXXX and surrogate pairs decode to
+TEST(ObsJson, UnicodeEscapeDecodingInReader) {
+  // The reader side of the round trip: \uXXXX and surrogate pairs decode to
   // UTF-8, so writer output using escapes compares equal to raw strings.
-  test::JsonParser basic("\"\\u00e9\"");
-  EXPECT_EQ(test::as_string(basic.parse()), "\xc3\xa9");
-  test::JsonParser bmp("\"\\u2192\"");
-  EXPECT_EQ(test::as_string(bmp.parse()), "\xe2\x86\x92");
-  test::JsonParser pair("\"\\ud83d\\udc1b\"");  // U+1F41B via surrogates
-  EXPECT_EQ(test::as_string(pair.parse()), "\xf0\x9f\x90\x9b");
+  EXPECT_EQ(audit::json::parse("\"\\u00e9\"").as_string(), "\xc3\xa9");
+  EXPECT_EQ(audit::json::parse("\"\\u2192\"").as_string(), "\xe2\x86\x92");
+  // U+1F41B via surrogates
+  EXPECT_EQ(audit::json::parse("\"\\ud83d\\udc1b\"").as_string(),
+            "\xf0\x9f\x90\x9b");
 }
 
 TEST(ObsJson, InvalidBytesBecomeReplacementCharacter) {
@@ -100,14 +97,9 @@ TEST(ObsJson, WriterFieldsRoundTrip) {
     w.field("bad", "\x80");
     w.end_object();
   }
-  // Bind before parsing: JsonParser holds a string_view over its input.
-  const std::string doc = os.str();
-  test::JsonParser parser(doc);
-  const auto root = parser.parse();
-  EXPECT_EQ(test::as_string(test::as_object(root).at("name")),
-            "ring\n\"8\" caf\xc3\xa9");
-  EXPECT_EQ(test::as_string(test::as_object(root).at("bad")),
-            "\xef\xbf\xbd");
+  const audit::json::Value root = audit::json::parse(os.str());
+  EXPECT_EQ(root.at("name").as_string(), "ring\n\"8\" caf\xc3\xa9");
+  EXPECT_EQ(root.at("bad").as_string(), "\xef\xbf\xbd");
 }
 
 }  // namespace

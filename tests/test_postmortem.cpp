@@ -326,20 +326,19 @@ TEST(Postmortem, GoldenRing8Artifact) {
   EXPECT_EQ(actual, expected.str()) << "golden drift in postmortem_ring8.json";
 
   // The artifact parses, and carries the acceptance property in-band.
-  test::JsonParser parser(actual);
-  const auto root = parser.parse();
-  const auto& pm = test::as_object(test::as_object(root).at("postmortem"));
-  EXPECT_EQ(test::as_string(pm.at("routing")), "unrestricted");
-  EXPECT_FALSE(test::as_bool(pm.at("certified")));
-  EXPECT_FALSE(test::as_bool(pm.at("contradiction")));
-  const auto& cycles = test::as_array(pm.at("cycles"));
+  const audit::json::Value root = audit::json::parse(actual);
+  const audit::json::Value& pm = root.at("postmortem");
+  EXPECT_EQ(pm.at("routing").as_string(), "unrestricted");
+  EXPECT_FALSE(pm.at("certified").as_bool());
+  EXPECT_FALSE(pm.at("contradiction").as_bool());
+  const auto& cycles = pm.at("cycles").as_array();
   ASSERT_FALSE(cycles.empty());
-  const auto& cycle = test::as_object(cycles.front());
-  EXPECT_TRUE(test::as_bool(cycle.at("maps_to_cdg")));
-  EXPECT_FALSE(test::as_bool(cycle.at("escape_confined")));
-  for (const auto& edge : test::as_array(cycle.at("edges"))) {
-    EXPECT_TRUE(test::as_bool(test::as_object(edge).at("in_cdg")));
-    EXPECT_FALSE(test::as_bool(test::as_object(edge).at("escape")));
+  const audit::json::Value& cycle = cycles.front();
+  EXPECT_TRUE(cycle.at("maps_to_cdg").as_bool());
+  EXPECT_FALSE(cycle.at("escape_confined").as_bool());
+  for (const auto& edge : cycle.at("edges").as_array()) {
+    EXPECT_TRUE(edge.at("in_cdg").as_bool());
+    EXPECT_FALSE(edge.at("escape").as_bool());
   }
 }
 

@@ -45,12 +45,6 @@
 namespace wormnet::exp {
 namespace {
 
-using test::JsonObject;
-using test::JsonParser;
-using test::as_bool;
-using test::as_number;
-using test::as_object;
-
 #ifndef WORMNET_GOLDEN_DIR
 #error "tests/CMakeLists.txt must define WORMNET_GOLDEN_DIR"
 #endif
@@ -174,23 +168,22 @@ TEST(ReconfigProperties, RowsCarryTheTransitionContract) {
   std::string line;
   std::size_t transition_rows = 0;
   while (std::getline(lines, line)) {
-    JsonParser parser(line);
-    const auto doc = parser.parse();
-    const JsonObject& obj = as_object(doc);
-    if (obj.count("aggregate")) continue;
-    const std::string plan = test::as_string(obj.at("reconfig"));
-    const auto epochs = as_number(obj.at("transition_epochs"));
-    const auto uncertified = as_number(obj.at("uncertified_transition_epochs"));
+    const audit::json::Value obj = audit::json::parse(line);
+    if (obj.has("aggregate")) continue;
+    const std::string plan = obj.at("reconfig").as_string();
+    const auto epochs = obj.at("transition_epochs").as_number();
+    const auto uncertified =
+        obj.at("uncertified_transition_epochs").as_number();
     if (plan == "none") {
       EXPECT_EQ(epochs, 0.0) << line;
       continue;
     }
     ++transition_rows;
     EXPECT_GT(epochs, 0.0) << line;
-    if (as_bool(obj.at("deadlocked"))) {
+    if (obj.at("deadlocked").as_bool()) {
       EXPECT_GT(uncertified, 0.0) << line;
     }
-    if (as_bool(obj.at("certified"))) {
+    if (obj.at("certified").as_bool()) {
       EXPECT_EQ(uncertified, 0.0) << line;
     }
   }

@@ -21,14 +21,6 @@
 namespace wormnet::exp {
 namespace {
 
-using test::JsonArray;
-using test::JsonObject;
-using test::JsonParser;
-using test::as_bool;
-using test::as_number;
-using test::as_object;
-using test::as_string;
-
 #ifndef WORMNET_GOLDEN_DIR
 #error "tests/CMakeLists.txt must define WORMNET_GOLDEN_DIR"
 #endif
@@ -102,29 +94,26 @@ TEST(SweepGolden, JsonlRowsParseAndCarryTheContract) {
   bool saw_summary = false;
   while (std::getline(lines, line)) {
     ASSERT_FALSE(line.empty());
-    JsonParser parser(line);
-    const auto doc = parser.parse();
-    const JsonObject& obj = as_object(doc);
-    if (obj.count("aggregate")) {
+    const audit::json::Value obj = audit::json::parse(line);
+    if (obj.has("aggregate")) {
       saw_summary = true;
-      const JsonObject& aggregate = as_object(obj.at("aggregate"));
-      EXPECT_EQ(as_number(aggregate.at("points")),
+      const audit::json::Value& aggregate = obj.at("aggregate");
+      EXPECT_EQ(aggregate.at("points").as_number(),
                 static_cast<double>(outcome.results.size()));
       // The theorem, in one field: certified configs never deadlock.
-      EXPECT_EQ(as_number(aggregate.at("certified_deadlocks")), 0.0);
+      EXPECT_EQ(aggregate.at("certified_deadlocks").as_number(), 0.0);
       // 2 topologies × 2 routings minus the skipped ring:6 × e-cube combo.
-      const JsonObject& cache = as_object(obj.at("cache"));
-      EXPECT_EQ(as_number(cache.at("misses")), 3.0);
+      EXPECT_EQ(obj.at("cache").at("misses").as_number(), 3.0);
       continue;
     }
     // Point rows: index matches line order, verdict fields are coherent.
-    EXPECT_EQ(as_number(obj.at("i")), static_cast<double>(rows));
-    EXPECT_TRUE(obj.count("topology"));
-    EXPECT_TRUE(obj.count("routing"));
-    EXPECT_TRUE(obj.count("seed"));
-    if (as_bool(obj.at("deadlocked"))) {
-      EXPECT_FALSE(as_bool(obj.at("certified")));
-      EXPECT_NE(as_string(obj.at("duato")), "deadlock-free");
+    EXPECT_EQ(obj.at("i").as_number(), static_cast<double>(rows));
+    EXPECT_TRUE(obj.has("topology"));
+    EXPECT_TRUE(obj.has("routing"));
+    EXPECT_TRUE(obj.has("seed"));
+    if (obj.at("deadlocked").as_bool()) {
+      EXPECT_FALSE(obj.at("certified").as_bool());
+      EXPECT_NE(obj.at("duato").as_string(), "deadlock-free");
     }
     ++rows;
   }

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -254,6 +255,30 @@ TEST(SweepProperties, InvalidSpecsThrow) {
                std::invalid_argument);
   EXPECT_THROW(parse_grid("topo=mesh:3x3;routing=e-cube;load=0.4:0.1:0.1"),
                std::invalid_argument);
+}
+
+TEST(SweepProperties, GridLoadsAreFiniteAndNonNegative) {
+  const auto error = [](const std::string& loads) -> std::string {
+    try {
+      (void)parse_grid("topo=mesh:3x3;routing=e-cube;load=" + loads);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_EQ(error("nan,-1"), "sweep grid: bad load 'nan'");
+  EXPECT_EQ(error("0.1,-1"), "sweep grid: bad load '-1'");
+  EXPECT_EQ(error("inf"), "sweep grid: bad load 'inf'");
+  EXPECT_EQ(error("nan:1:0.5"), "sweep grid: bad load 'nan'");
+  EXPECT_EQ(error("0:inf:0.5"), "sweep grid: bad load 'inf'");
+  EXPECT_EQ(error("0.5:0.1:-0.1"), "sweep grid: bad load step '-0.1'");
+  // The point count is checked before any allocation.
+  EXPECT_EQ(error("0:1:1e-9"),
+            "sweep grid: load range '0:1:1e-9' has more than 10000 points");
+  EXPECT_EQ(error("0:1e300:1e-300"),
+            "sweep grid: load range '0:1e300:1e-300' has more than 10000 "
+            "points");
+  EXPECT_EQ(error("0:0.5:0.25"), "");
 }
 
 TEST(SweepProperties, GridParserRoundTrips) {
