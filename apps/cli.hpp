@@ -1,5 +1,6 @@
 // cli.hpp: the argv reader and exit-code table every command-line tool
-// shares.  Standard library only, so wormnet-explain can stay unlinked.
+// shares.  Standard library and header-only util/number.hpp only, so
+// wormnet-explain can stay unlinked.
 //
 // A tool declares one flag table; parsing and --help both come from it.
 // Errors go to stderr as one line ("ARGV0: unknown option X",
@@ -7,17 +8,16 @@
 #pragma once
 
 #include <algorithm>
-#include <charconv>
 #include <cstdint>
 #include <iostream>
-#include <limits>
 #include <map>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <vector>
+
+#include "wormnet/util/number.hpp"
 
 namespace wormnet::cli {
 
@@ -93,24 +93,21 @@ class Args {
     return it == values_.end() ? fallback : it->second;
   }
 
-  /// Stores the flag's value in `out` when it was given.  The one strict
-  /// number parser: the whole value must be the number, and for an
-  /// unsigned T that means decimal digits only (no sign, space or suffix)
-  /// and a value that fits T.  Otherwise returns false after "bad value
-  /// for X: V".
+  /// Stores the flag's value in `out` when it was given, read by the one
+  /// strict number reader (util/number.hpp): the whole value must be a
+  /// number that fits T, so an unsigned T takes decimal digits only (no
+  /// sign, space or suffix) and a floating T a finite value.  Otherwise
+  /// returns false after "bad value for X: V".
   template <class T>
   [[nodiscard]] bool number(std::string_view flag, T& out) const {
     if (!has(flag)) return true;
     const std::string text = value(flag);
-    std::conditional_t<std::is_floating_point_v<T>, T, std::uint64_t> v{};
-    const char* end = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
-    if (text.empty() || ec != std::errc{} || ptr != end ||
-        v > std::numeric_limits<T>::max()) {
+    const auto v = util::read_number<T>(text);
+    if (!v) {
       error("bad value for " + std::string(flag) + ": " + text);
       return false;
     }
-    out = static_cast<T>(v);
+    out = v.value;
     return true;
   }
 

@@ -12,6 +12,7 @@
 #include "wormnet/routing/turn_model.hpp"
 #include "wormnet/routing/unrestricted.hpp"
 #include "wormnet/topology/builders.hpp"
+#include "wormnet/util/number.hpp"
 
 namespace wormnet::core {
 namespace {
@@ -193,16 +194,12 @@ std::vector<std::string> split_spec(const std::string& text, char sep) {
 }
 
 std::uint32_t parse_count(const std::string& text, const std::string& spec) {
-  try {
-    const unsigned long value = std::stoul(text);
-    if (value == 0 || value > 1u << 20) {
-      throw std::invalid_argument("out of range");
-    }
-    return static_cast<std::uint32_t>(value);
-  } catch (const std::exception&) {
+  const auto v = util::read_number<std::uint32_t>(text);
+  if (!v || v.value == 0 || v.value > 1u << 20) {
     throw std::invalid_argument("bad number '" + text + "' in topology spec '" +
                                 spec + "'");
   }
+  return v.value;
 }
 
 }  // namespace

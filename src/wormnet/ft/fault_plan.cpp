@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "wormnet/util/number.hpp"
 #include "wormnet/util/rng.hpp"
 
 namespace wormnet::ft {
@@ -22,15 +23,11 @@ std::string trim(const std::string& text) {
   return text.substr(begin, end - begin + 1);
 }
 
-std::uint64_t parse_u64(const std::string& text, const std::string& what) {
-  try {
-    std::size_t used = 0;
-    const unsigned long long v = std::stoull(text, &used);
-    if (used != text.size()) throw std::invalid_argument(text);
-    return v;
-  } catch (const std::exception&) {
-    bad("bad " + what + " '" + text + "'");
-  }
+template <class T = std::uint64_t>
+T parse_number(const std::string& text, const std::string& what) {
+  const auto v = util::read_number<T>(text);
+  if (!v) bad("bad " + what + " '" + text + "'");
+  return v.value;
 }
 
 FaultEvent parse_event(const std::string& text) {
@@ -43,7 +40,7 @@ FaultEvent parse_event(const std::string& text) {
   const std::string op = text.substr(0, colon);
   const std::string args = text.substr(colon + 1, at - colon - 1);
   FaultEvent ev;
-  ev.cycle = parse_u64(text.substr(at + 1), "cycle");
+  ev.cycle = parse_number(text.substr(at + 1), "cycle");
   if (op == "kill" || op == "repair") {
     const auto dash = args.find('-');
     if (dash == std::string::npos) {
@@ -51,20 +48,20 @@ FaultEvent parse_event(const std::string& text) {
     }
     ev.kind = op == "kill" ? FaultEvent::Kind::kLinkDown
                            : FaultEvent::Kind::kLinkUp;
-    ev.src = static_cast<NodeId>(parse_u64(args.substr(0, dash), "node"));
-    ev.dst = static_cast<NodeId>(parse_u64(args.substr(dash + 1), "node"));
+    ev.src = parse_number<NodeId>(args.substr(0, dash), "node");
+    ev.dst = parse_number<NodeId>(args.substr(dash + 1), "node");
   } else if (op == "killch" || op == "repairch") {
     ev.kind = op == "killch" ? FaultEvent::Kind::kChannelDown
                              : FaultEvent::Kind::kChannelUp;
-    ev.channel = static_cast<ChannelId>(parse_u64(args, "channel"));
+    ev.channel = parse_number<ChannelId>(args, "channel");
   } else if (op == "rand") {
     ev.kind = FaultEvent::Kind::kRandomLinks;
     const auto slash = args.find('/');
     if (slash == std::string::npos) {
-      ev.count = parse_u64(args, "count");
+      ev.count = parse_number<std::size_t>(args, "count");
     } else {
-      ev.count = parse_u64(args.substr(0, slash), "count");
-      ev.seed = parse_u64(args.substr(slash + 1), "seed");
+      ev.count = parse_number<std::size_t>(args.substr(0, slash), "count");
+      ev.seed = parse_number(args.substr(slash + 1), "seed");
     }
     if (ev.count == 0) bad("random campaign with count 0 in '" + text + "'");
   } else {
