@@ -119,7 +119,11 @@ TEST(Digraph, ReachableFrom) {
 TEST(Digraph, DotExportContainsEdges) {
   Digraph g(2);
   g.add_edge(0, 1);
-  auto dot = g.to_dot([](Vertex v) { return "v" + std::to_string(v); });
+  auto dot = g.to_dot([](Vertex v) {
+    std::string name = "v";
+    name += std::to_string(v);
+    return name;
+  });
   EXPECT_NE(dot.find("\"v0\" -> \"v1\""), std::string::npos);
 }
 

@@ -51,7 +51,8 @@ Topology random_topology(util::Xoshiro256& rng) {
     if (ch.src == ch.dst) continue;
     ch.vc = static_cast<std::uint8_t>(1 + e);
     ch.dir = ch.dst > ch.src ? Direction::kPos : Direction::kNeg;
-    ch.name = "x" + std::to_string(e);
+    ch.name = "x";
+    ch.name += std::to_string(e);
     channels.push_back(ch);
   }
   return Topology("fuzz", n, std::move(channels));

@@ -27,7 +27,9 @@ TEST(ObsMetrics, RegistryHandsOutStableReferences) {
   Counter& a = reg.counter("a");
   // Creating many more instruments must not invalidate the first reference.
   for (int i = 0; i < 100; ++i) {
-    reg.counter("c" + std::to_string(i)).inc();
+    std::string name = "c";
+    name += std::to_string(i);
+    reg.counter(name).inc();
   }
   a.inc(7);
   EXPECT_EQ(reg.counter("a").value(), 7u);
