@@ -7,7 +7,7 @@
 
 #include "wormnet/core/registry.hpp"
 #include "wormnet/ft/fault_plan.hpp"
-#include "wormnet/reconfig/guard.hpp"
+#include "wormnet/reconfig/schedule.hpp"
 #include "wormnet/reconfig/transition_plan.hpp"
 #include "wormnet/util/thread_pool.hpp"
 
@@ -41,7 +41,6 @@ SweepResult run_point(const SweepSpec& spec, const SweepPoint& point,
   // Fault axis: the plan expand() compiled, shared by the points; certify
   // every degraded epoch before running.
   if (point.faults) {
-    cfg.fault_plan = point.faults.get();
     const auto masks = point.faults->epoch_masks();
     // masks[0] is the pristine network — that verdict is `analysis`
     // itself; only the degraded epochs need a re-check.
@@ -51,19 +50,16 @@ SweepResult run_point(const SweepSpec& spec, const SweepPoint& point,
       ++result.fault_epochs;
       if (!epoch.certified) ++result.uncertified_epochs;
     }
-    result.epochs_certified = result.uncertified_epochs == 0;
   }
 
   // Reconfiguration axis: bind the plan expand() resolved to this point's
   // topology instance (planner-free, so cheap) and certify every cumulative
-  // union epoch (plus the steady state) before running.  The compiled plan
-  // is borrowed by the config, so it must outlive the simulation below.
+  // union epoch (plus the steady state) before running.
   reconfig::CompiledTransitionPlan transition;
-  reconfig::TransitionGuard guard;
+  std::optional<reconfig::GuardWalk> guard;
   if (point.transition) {
     transition =
         reconfig::compile(*point.transition, *analysis.topo, point.routing);
-    cfg.transition = &transition;
     for (const reconfig::UnionSpec& spec_epoch :
          transition.verification_epochs()) {
       const AnalysisEntry& epoch =
@@ -71,31 +67,35 @@ SweepResult run_point(const SweepSpec& spec, const SweepPoint& point,
       ++result.transition_epochs;
       if (!epoch.certified) ++result.uncertified_transition_epochs;
     }
-    // Composed space (DESIGN 3.13): when both axes are live, walk the
-    // merged fault x transition timeline and certify every composed
-    // epoch — the union relation under the then-current fault mask.
-    // The same walk yields the guard; the cache-backed certifier means
-    // every consulted epoch (rollback unions included) also flows
-    // through the certificate pipeline.
-    const bool composed_point = cfg.fault_plan != nullptr;
-    if (composed_point || options.rollback) {
-      const reconfig::GuardCertifier certifier =
-          [&](const reconfig::RelationExpr& relation) {
-            const AnalysisEntry& epoch = cache.get(point.topology, relation);
-            if (!relation.fault_mask.empty()) {
-              ++result.composed_epochs;
-              if (!epoch.certified) ++result.uncertified_composed_epochs;
-            }
-            return epoch.certified;
-          };
-      guard = reconfig::build_transition_guard(*analysis.topo, transition,
-                                               cfg.fault_plan, certifier);
-      if (options.rollback) cfg.guard = &guard;
+    // Composed space (DESIGN 3.13): when both axes are live, the guard
+    // walk certifies every composed epoch — the union relation under the
+    // then-current fault mask.  The cache-backed certifier means every
+    // consulted epoch (rollback unions included) also flows through the
+    // certificate pipeline; only --rollback hands the decisions on.
+    if (point.faults || options.rollback) {
+      guard = reconfig::GuardWalk{
+          .certify =
+              [&](const reconfig::RelationExpr& relation) {
+                const AnalysisEntry& epoch =
+                    cache.get(point.topology, relation);
+                if (!relation.fault_mask.empty()) {
+                  ++result.composed_epochs;
+                  if (!epoch.certified) ++result.uncertified_composed_epochs;
+                }
+                return epoch.certified;
+              },
+          .enforce = options.rollback};
     }
-    result.epochs_certified = result.uncertified_epochs == 0 &&
-                              result.uncertified_transition_epochs == 0 &&
-                              result.uncertified_composed_epochs == 0;
   }
+  if (point.faults || point.transition) {
+    cfg.schedule = reconfig::build_epoch_schedule(
+        *analysis.topo,
+        point.faults ? *point.faults : ft::CompiledFaultPlan{},
+        std::move(transition), guard);
+  }
+  result.epochs_certified = result.uncertified_epochs == 0 &&
+                            result.uncertified_transition_epochs == 0 &&
+                            result.uncertified_composed_epochs == 0;
 
   {
     // Direct Simulator (not the sim::run wrapper) so captured postmortems

@@ -93,8 +93,9 @@ struct RunnerOptions {
   /// pairs and fault epochs alike); they surface in
   /// SweepOutcome::certificates in deterministic cache-key order.
   bool certify = false;
-  /// Build a TransitionGuard per reconfig point and hand it to the
-  /// simulator: refuted composed epochs trigger certified rollback (or
+  /// Hand each reconfig point's guard decisions to the simulator (the
+  /// schedule's guard walk runs on composed points either way): refuted
+  /// composed epochs trigger certified rollback (or
   /// drain-then-switch) instead of running uncertified.  Off by default so
   /// the differential property stays non-vacuous — uncertified composed
   /// points must be able to deadlock for "deadlock implies uncertified"

@@ -1,12 +1,14 @@
 // Cycle-stamped event queue for the simulator's timed work (DESIGN 3.11).
 //
-// Everything that fires at a known future cycle — compiled fault-plan steps,
+// Everything that fires at a known future cycle — epoch schedule steps,
 // abort-retry re-injections — is queued here instead of being re-scanned
 // every cycle.  The queue is a binary min-heap ordered by the stable key
 // (cycle, kind, seq): `kind` reproduces the legacy phase order within a
-// cycle (fault steps before retries), and `seq` (a monotone push counter)
+// cycle (epoch steps before retries), and `seq` (a monotone push counter)
 // reproduces insertion order within a kind — the tie-break contract that
 // keeps event-driven runs bit-identical to the polled core they replaced.
+// Epoch steps are pushed in schedule order, so within a cycle they pop in
+// it, and a deferred barrier cutover re-pushed at runtime pops after them.
 //
 // Scripted injections stay outside this queue: they are known at
 // construction, so a pre-sorted flat vector with a cursor is cheaper and
@@ -22,14 +24,13 @@ namespace wormnet::sim {
 
 /// Timed-event kinds, in within-cycle processing order.
 enum class TimedKind : std::uint8_t {
-  kFaultStep = 0,       ///< payload: index into CompiledFaultPlan::steps
-  kTransitionStep = 1,  ///< payload: index into CompiledTransitionPlan::steps
-  kRetry = 2,           ///< payload: PacketId awaiting re-injection
+  kEpochStep = 0,  ///< payload: index into EpochSchedule::steps
+  kRetry = 1,      ///< payload: PacketId awaiting re-injection
 };
 
 struct TimedEvent {
   std::uint64_t cycle = 0;
-  TimedKind kind = TimedKind::kFaultStep;
+  TimedKind kind = TimedKind::kEpochStep;
   std::uint32_t seq = 0;  ///< push order; last component of the sort key
   std::uint32_t payload = 0;
 

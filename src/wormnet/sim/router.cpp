@@ -9,12 +9,12 @@ RouteAllocator::RouteAllocator(const Topology& topo,
                                const RoutingFunction& routing,
                                SelectionPolicy selection,
                                WaitOverride wait_override, std::uint64_t seed,
-                               const std::vector<bool>* faulty,
-                               const reconfig::TransitionOverlay* transition)
+                               const LiveEpoch* epoch)
     : topo_(&topo), routing_(&routing), selection_(selection),
-      wait_override_(wait_override), rng_(seed),
-      faulty_(faulty), transition_(transition),
-      tables_(transition != nullptr ? transition->num_versions() : 1) {
+      wait_override_(wait_override), rng_(seed), epoch_(epoch),
+      faults_(epoch != nullptr && epoch->faults()),
+      versions_(epoch != nullptr && epoch->versions()),
+      tables_(epoch != nullptr ? epoch->num_versions() : 1) {
   for (std::uint32_t v = 0; v < tables_.size(); ++v) {
     tables_[v].by_node =
         relation(v).form() == routing::RelationForm::kNodeDest;
@@ -22,12 +22,12 @@ RouteAllocator::RouteAllocator(const Topology& topo,
 }
 
 std::uint32_t RouteAllocator::version_for(const Packet& pkt) const {
-  if (transition_ == nullptr) return 0;
-  return pkt.injecting ? pkt.route_version : transition_->current(pkt.dst);
+  if (!versions_) return 0;
+  return pkt.injecting ? pkt.route_version : epoch_->current(pkt.dst);
 }
 
 const RoutingFunction& RouteAllocator::relation(std::uint32_t version) const {
-  return transition_ != nullptr ? transition_->relation(version) : *routing_;
+  return epoch_ != nullptr ? epoch_->relation(version) : *routing_;
 }
 
 WaitMode RouteAllocator::effective_wait_mode() const {
@@ -98,7 +98,7 @@ template <class RowFn>
 std::span<const ChannelId> RouteAllocator::live_candidates(
     const Packet& pkt, RowFn&& row, routing::ChannelSet& scratch) const {
   const auto live = [this](ChannelId c) {
-    return faulty_ == nullptr || !(*faulty_)[c];
+    return !faults_ || !epoch_->is_dead(c);
   };
   scratch.clear();
   if (!pkt.forced_path.empty()) {
@@ -113,7 +113,7 @@ std::span<const ChannelId> RouteAllocator::live_candidates(
     return scratch;
   }
   const std::span<const ChannelId> cands = row();
-  if (faulty_ == nullptr) return cands;
+  if (!faults_) return cands;
   for (const ChannelId c : cands) {
     if (live(c)) scratch.push_back(c);
   }
@@ -153,7 +153,7 @@ std::optional<ChannelId> RouteAllocator::attempt(Packet& pkt, ChannelId input,
     // granted.
     for (const ChannelId c :
          relation(version_for(pkt)).waiting(input, current, pkt.dst)) {
-      if (faulty_ == nullptr || !(*faulty_)[c]) {
+      if (!faults_ || !epoch_->is_dead(c)) {
         pkt.committed_wait = c;
         cands_.assign(1, c);  // the next attempt evaluates only this one
         last_ = cands_;

@@ -10,16 +10,16 @@
 // Route computation reads a per-run relation table (DESIGN 3.11): one row
 // per (routing version, input or node, destination), filled by one
 // route_into call the first time it is needed and kept as a slice of one
-// flat array.  The live fault mask is applied after the lookup, so rows
-// never depend on it.
+// flat array.  The live epoch's dead mask is applied after the lookup, so
+// rows never depend on it.
 #pragma once
 
 #include <optional>
 #include <span>
 
-#include "wormnet/reconfig/overlay.hpp"
 #include "wormnet/routing/routing_function.hpp"
 #include "wormnet/routing/selection.hpp"
+#include "wormnet/sim/live_epoch.hpp"
 #include "wormnet/sim/network.hpp"
 #include "wormnet/util/rng.hpp"
 
@@ -35,19 +35,16 @@ enum class WaitOverride : std::uint8_t { kFollowRouting, kForceAny, kForceSpecif
 
 class RouteAllocator {
  public:
-  /// `faulty`, when set, is a borrowed live fault mask (the simulator's ft
-  /// overlay): faulty channels are removed from every candidate set —
-  /// relation candidates, forced paths and wait commitments alike — and a
-  /// blocked header only ever commits to a live waiting channel.
-  /// `transition`, when set, is the simulator's borrowed reconfig overlay:
-  /// injected packets route by the pure relation of their stamped
-  /// `route_version`, source-queued packets by the destination's current
-  /// version (in-flight coherence rule, DESIGN 3.12).
+  /// `epoch`, when set, is the simulator's borrowed live epoch.  When its
+  /// schedule has fault steps, dead channels are removed from every
+  /// candidate set — relation candidates, forced paths and wait commitments
+  /// alike — and a blocked header only ever commits to a live waiting
+  /// channel.  When it has cutovers, injected packets route by the pure
+  /// relation of their stamped `route_version`, source-queued packets by the
+  /// destination's current version (in-flight coherence rule, DESIGN 3.12).
   RouteAllocator(const Topology& topo, const RoutingFunction& routing,
                  SelectionPolicy selection, WaitOverride wait_override,
-                 std::uint64_t seed,
-                 const std::vector<bool>* faulty = nullptr,
-                 const reconfig::TransitionOverlay* transition = nullptr);
+                 std::uint64_t seed, const LiveEpoch* epoch = nullptr);
 
   /// Attempts to allocate the next channel for `pkt`, whose header sits at
   /// node `current` having arrived on `input` (kInvalidChannel at the
@@ -108,8 +105,8 @@ class RouteAllocator {
                                              routing::ChannelSet& scratch) const;
 
   /// The routing version `pkt` follows right now (its stamp once injecting,
-  /// its destination's current version at the source; always 0 without a
-  /// transition overlay).
+  /// its destination's current version at the source; always 0 without
+  /// cutovers).
   [[nodiscard]] std::uint32_t version_for(const Packet& pkt) const;
   [[nodiscard]] const RoutingFunction& relation(std::uint32_t version) const;
   /// One routing version's rows: row_at maps each key to its row's offset
@@ -148,8 +145,9 @@ class RouteAllocator {
   SelectionPolicy selection_;
   WaitOverride wait_override_;
   util::Xoshiro256 rng_;
-  const std::vector<bool>* faulty_;
-  const reconfig::TransitionOverlay* transition_;
+  const LiveEpoch* epoch_;
+  bool faults_;    ///< epoch_ can have dead channels: read the mask
+  bool versions_;  ///< epoch_ can have non-base versions: read them
   // The relation table: one Table per routing version, and the rows of all
   // of them, each stored as its length followed by its channels.
   std::vector<Table> tables_;

@@ -9,39 +9,20 @@ namespace wormnet::sim {
 Simulator::Simulator(const Topology& topo,
                      const routing::RoutingFunction& routing, SimConfig config)
     : topo_(&topo), routing_(&routing), config_(std::move(config)),
-      overlay_(topo.num_channels()),
-      transition_(routing, config_.transition),
+      epoch_(topo, routing, config_.schedule.get()),
       net_(topo),
       allocator_(topo, routing, config_.selection, config_.wait_override,
-                 config_.seed ^ 0xa5a5a5a5ULL,
-                 config_.fault_plan != nullptr ? &overlay_.mask() : nullptr,
-                 transition_.active() ? &transition_ : nullptr),
+                 config_.seed ^ 0xa5a5a5a5ULL, &epoch_),
       traffic_(topo, config_.pattern, config_.seed, config_.hotspot_fraction,
                config_.hotspots),
       rng_(config_.seed ^ 0x5a5a5a5aULL), sources_(topo.num_nodes()),
       channel_moves_(topo.num_channels(), 0), trace_(config_.trace),
       metrics_(config_.metrics), flight_(config_.flight_capacity) {
-  if (config_.fault_plan != nullptr &&
-      config_.fault_plan->num_channels != topo.num_channels()) {
+  if (config_.schedule != nullptr &&
+      (config_.schedule->num_channels != topo.num_channels() ||
+       config_.schedule->num_nodes != topo.num_nodes())) {
     throw std::invalid_argument(
-        "fault plan was compiled against a different topology");
-  }
-  if (config_.transition != nullptr &&
-      config_.transition->num_nodes != topo.num_nodes()) {
-    throw std::invalid_argument(
-        "transition plan was compiled against a different topology");
-  }
-  if (config_.guard != nullptr) {
-    const std::size_t plan_steps =
-        config_.transition != nullptr ? config_.transition->steps.size() : 0;
-    const std::size_t fault_steps =
-        config_.fault_plan != nullptr ? config_.fault_plan->steps.size() : 0;
-    if (config_.guard->step.size() != plan_steps ||
-        config_.guard->fault_step.size() != fault_steps) {
-      throw std::invalid_argument(
-          "transition guard was built against a different plan/fault "
-          "timeline");
-    }
+        "epoch schedule was built against a different topology");
   }
   gen_end_ = config_.warmup_cycles + config_.measure_cycles;
 
@@ -63,23 +44,14 @@ Simulator::Simulator(const Topology& topo,
     }
   }
 
-  // Compiled fault steps are known up front; queue them all.
-  if (fault_active()) {
-    const auto& steps = config_.fault_plan->steps;
+  // Epoch steps are known up front; queue them all, in schedule order
+  // (identity plans compiled to zero steps queue nothing and leave the run
+  // bit-identical to no plan).
+  if (config_.schedule != nullptr) {
+    const auto& steps = config_.schedule->steps;
     timed_.reserve(steps.size());
-    for (std::size_t i = 0; i < steps.size(); ++i) {
-      timed_.push(steps[i].cycle, TimedKind::kFaultStep,
-                  static_cast<std::uint32_t>(i));
-    }
-  }
-  // Likewise compiled reconfiguration cutovers (identity plans compiled to
-  // zero steps queue nothing and leave the run bit-identical to no plan).
-  if (transition_active()) {
-    const auto& steps = config_.transition->steps;
-    timed_.reserve(steps.size());
-    for (std::size_t i = 0; i < steps.size(); ++i) {
-      timed_.push(steps[i].cycle, TimedKind::kTransitionStep,
-                  static_cast<std::uint32_t>(i));
+    for (std::uint32_t i = 0; i < steps.size(); ++i) {
+      timed_.push(steps[i].cycle, TimedKind::kEpochStep, i);
     }
   }
 
@@ -296,7 +268,7 @@ void Simulator::allocate_outputs() {
       if (attempt(pkt, kInvalidChannel, node)) {
         // Stamp the routing version the packet injects under: it keeps this
         // pure relation for its whole flight (in-flight coherence rule).
-        pkt.route_version = transition_.current(pkt.dst);
+        pkt.route_version = epoch_.current(pkt.dst);
         pkt.injecting = true;
         pkt.first_injected = cycle_;
         touch_source(node);
@@ -394,12 +366,12 @@ void Simulator::move_flits() {
   // occupancies before any mutation below, so they see start-of-cycle state.
   // Order within a link: forwarding channels ascending, then injections
   // ascending — the candidate order of the legacy full scan.
-  const bool faults = fault_active();
+  const bool faults = epoch_.faults();
   movable_.for_each([&](std::uint32_t c) {
     const ChannelId out = net_.out(c);
     // A dead channel accepts no new flits; anything already queued beyond
     // the dead link keeps draining toward its destination.
-    if (faults && overlay_.is_faulty(out)) return;
+    if (faults && epoch_.is_dead(out)) return;
     if (net_.occupancy(out) < config_.buffer_depth) {
       const std::size_t l = net_.link_index(out);
       if (links_touched_.insert(l)) link_cand_count_[l] = 0;
@@ -410,7 +382,7 @@ void Simulator::move_flits() {
   inject_srcs_.for_each([&](std::uint32_t node) {
     const Packet& pkt = packets_[sources_[node].queue.front()];
     const ChannelId target = pkt.path.front();
-    if (faults && overlay_.is_faulty(target)) return;
+    if (faults && epoch_.is_dead(target)) return;
     if (net_.occupancy(target) < config_.buffer_depth) {
       const std::size_t l = net_.link_index(target);
       if (links_touched_.insert(l)) link_cand_count_[l] = 0;
@@ -584,13 +556,22 @@ void Simulator::finish_packet(Packet& pkt) {
   }
 }
 
-void Simulator::apply_fault_step(std::size_t step_index) {
-  ft::FaultOverlay::Delta delta =
-      overlay_.apply(config_.fault_plan->steps[step_index]);
+void Simulator::apply_epoch_step(std::uint32_t index) {
+  const reconfig::EpochStep& step = config_.schedule->steps[index];
+  if (step.kind == reconfig::EpochStep::Kind::kFault) {
+    apply_fault_step(step);
+  } else {
+    apply_cutover(index, step);
+  }
+}
+
+void Simulator::apply_fault_step(const reconfig::EpochStep& step) {
+  LiveEpoch::FaultDelta delta =
+      epoch_.apply(config_.schedule->faults.steps[step.index]);
   ++stats_.fault_epochs;
   stats_.fault_events += delta.downed.size();
   stats_.repair_events += delta.repaired.size();
-  const std::uint64_t epoch = overlay_.epoch();
+  const std::uint64_t epoch = epoch_.fault_epoch();
   const bool downed = !delta.downed.empty();
   if (downed) {
     emit({.kind = obs::EventKind::kFault, .cycle = cycle_, .value = epoch,
@@ -608,7 +589,7 @@ void Simulator::apply_fault_step(std::size_t step_index) {
     for (const std::uint32_t id : scratch_packets_) {
       Packet& pkt = packets_[id];
       if (pkt.committed_wait != kInvalidChannel &&
-          overlay_.is_faulty(pkt.committed_wait)) {
+          epoch_.is_dead(pkt.committed_wait)) {
         void_wait(pkt, epoch);
       }
     }
@@ -617,30 +598,27 @@ void Simulator::apply_fault_step(std::size_t step_index) {
   // it): every blocked header gets a fresh attempt.
   wake_blocked();
   // A fault epoch can refute an already-certified union mid-transition; the
-  // guard pre-walked the composed timeline and carries the repair here.
-  if (config_.guard != nullptr && !transition_aborted_) {
-    const reconfig::GuardDecision& decision =
-        config_.guard->fault_step[step_index];
-    if (decision.action != reconfig::GuardAction::kProceed) {
-      apply_guard_repair(decision, step_index);
-    }
+  // guard walk pre-judged the composed timeline and carries the repair here.
+  if (config_.schedule->guarded && !transition_aborted_ &&
+      step.decision.action != reconfig::GuardAction::kProceed) {
+    apply_guard_repair(step.decision);
   }
 }
 
-void Simulator::apply_transition_step(std::size_t step_index) {
-  // A guard repair cancels every remaining step; the queued events still
+void Simulator::apply_cutover(std::uint32_t index,
+                              const reconfig::EpochStep& step) {
+  // A guard repair cancels every remaining cutover; the queued events still
   // fire but consume nothing.
   if (transition_aborted_) return;
-  // Steps execute strictly in index order.  Out-of-order due events (a
+  // Cutovers execute strictly in plan order.  Out-of-order due events (a
   // barrier ahead of us is still waiting) park one cycle and retry.
-  if (step_index != next_transition_step_) {
-    timed_.push(cycle_ + 1, TimedKind::kTransitionStep,
-                static_cast<std::uint32_t>(step_index));
+  if (step.index != next_transition_step_) {
+    timed_.push(cycle_ + 1, TimedKind::kEpochStep, index);
     return;
   }
-  const reconfig::CompiledCutover& step =
-      config_.transition->steps[step_index];
-  if (step.barrier) {
+  const reconfig::CompiledCutover& cutover =
+      config_.schedule->plan.steps[step.index];
+  if (cutover.barrier) {
     // Drain gate: the barrier lifts only once no stamped packet still rides
     // a superseded version (the union reset is only sound then).  Packets
     // still in their source queue carry no stamp yet — they will take the
@@ -650,30 +628,26 @@ void Simulator::apply_transition_step(std::size_t step_index) {
     for (const std::uint32_t id : scratch_packets_) {
       const Packet& pkt = packets_[id];
       if (!pkt.injecting && pkt.path.empty()) continue;  // unstamped
-      if (pkt.route_version != transition_.current(pkt.dst)) {
-        timed_.push(cycle_ + 1, TimedKind::kTransitionStep,
-                    static_cast<std::uint32_t>(step_index));
+      if (pkt.route_version != epoch_.current(pkt.dst)) {
+        timed_.push(cycle_ + 1, TimedKind::kEpochStep, index);
         return;
       }
     }
   }
-  // The guard re-certified this step against the live fault mask when it
-  // was built; a non-proceed decision replaces the step with its repair.
-  if (config_.guard != nullptr) {
-    const reconfig::GuardDecision& decision = config_.guard->step[step_index];
-    if (decision.action != reconfig::GuardAction::kProceed) {
-      ++next_transition_step_;
-      apply_guard_repair(decision, step_index);
-      return;
-    }
-  }
   ++next_transition_step_;
+  // The guard walk certified this cutover against the live fault mask; a
+  // non-proceed decision replaces the cutover with its repair.
+  if (config_.schedule->guarded &&
+      step.decision.action != reconfig::GuardAction::kProceed) {
+    apply_guard_repair(step.decision);
+    return;
+  }
   obs::TraceEvent ev{.kind = obs::EventKind::kSwitch, .cycle = cycle_,
-                     .list = transition_.apply(step)};
+                     .list = epoch_.apply(cutover)};
   if (ev.list.empty()) return;  // cannot happen: compile prunes no-ops
   ++stats_.reconfig_epochs;
   stats_.dests_switched += ev.list.size();
-  ev.value = transition_.epoch();
+  ev.value = epoch_.transition_epoch();
   emit(ev);
   void_switched_waits(ev.list, ev.value);
   // Source-front headers toward switched destinations now draw candidates
@@ -704,18 +678,17 @@ void Simulator::void_switched_waits(const std::vector<NodeId>& switched,
   }
 }
 
-void Simulator::apply_guard_repair(const reconfig::GuardDecision& decision,
-                                   std::uint64_t epoch_index) {
+void Simulator::apply_guard_repair(const reconfig::GuardDecision& decision) {
   transition_aborted_ = true;
   if (decision.action == reconfig::GuardAction::kRollback) {
     // Revert every migrated destination to the base relation.  In-flight
     // packets keep their stamped versions (coherence holds: the rollback
     // epoch's union was certified before this decision was emitted).
     obs::TraceEvent ev{.kind = obs::EventKind::kRollback, .cycle = cycle_,
-                       .list = transition_.apply(decision.cutover)};
+                       .list = epoch_.apply(decision.cutover)};
     ++stats_.rollbacks;
     stats_.rollback_dests += ev.list.size();
-    ev.value = transition_.epoch();
+    ev.value = epoch_.transition_epoch();
     emit(ev);
     void_switched_waits(ev.list, ev.value);
     wake_blocked();
@@ -724,13 +697,12 @@ void Simulator::apply_guard_repair(const reconfig::GuardDecision& decision,
   // Drain-then-switch: even the rollback union was uncertifiable, so the
   // only safe move is through an empty network.  Park the steady cutover;
   // step() applies it once the last in-flight worm retires.
-  (void)epoch_index;
   drain_was_engaged_ = draining_;
   pending_switch_ = decision.cutover;
   drain_switch_pending_ = true;
   ++stats_.drain_switches;
   obs::TraceEvent ev{.kind = obs::EventKind::kDrainSwitch, .cycle = cycle_,
-                     .value = transition_.epoch()};
+                     .value = epoch_.transition_epoch()};
   if (trace_) {
     for (const reconfig::CutoverAssignment& a : pending_switch_.assignments) {
       ev.list.push_back(a.dest);
@@ -746,8 +718,8 @@ void Simulator::complete_drain_switch() {
   // because drains drop (and count) refused packets, never lose them.
   drain_switch_pending_ = false;
   obs::TraceEvent ev{.kind = obs::EventKind::kDrainSwitch, .cycle = cycle_,
-                     .list = transition_.apply(pending_switch_)};
-  ev.value = transition_.epoch();
+                     .list = epoch_.apply(pending_switch_)};
+  ev.value = epoch_.transition_epoch();
   emit(ev);
   // Resume admissions unless a recovery-policy drain had independently
   // engaged before the guard's (that one is permanent).
@@ -998,25 +970,15 @@ void Simulator::step() {
   if (timed_.has_due(cycle_)) {
     due_events_.clear();
     while (timed_.has_due(cycle_)) due_events_.push_back(timed_.pop());
-    // Legacy phase order within a cycle: every fault step, then every
-    // transition cutover, then every retry (each in schedule order).
+    // Pop order is the legacy phase order within a cycle: the epoch steps
+    // in schedule order (fault steps before cutovers), then every retry.
     for (const TimedEvent& ev : due_events_) {
-      if (ev.kind == TimedKind::kFaultStep) {
-        apply_fault_step(ev.payload);
-        ++activity_;
-      }
-    }
-    for (const TimedEvent& ev : due_events_) {
-      if (ev.kind == TimedKind::kTransitionStep) {
-        apply_transition_step(ev.payload);
-        ++activity_;
-      }
-    }
-    for (const TimedEvent& ev : due_events_) {
-      if (ev.kind == TimedKind::kRetry) {
+      if (ev.kind == TimedKind::kEpochStep) {
+        apply_epoch_step(ev.payload);
+      } else {
         fire_retry(static_cast<PacketId>(ev.payload));
-        ++activity_;
       }
+      ++activity_;
     }
   }
   generate_traffic();
@@ -1123,7 +1085,7 @@ void Simulator::export_final_metrics() {
   m.counter("route_fills").set(allocator_.route_fills());
   // Resilience counters only exist for runs that could have used them, so
   // pre-ft metric dumps stay byte-identical.
-  if (fault_active() ||
+  if (epoch_.faults() ||
       config_.recovery.policy != ft::RecoveryPolicy::kHalt) {
     m.counter("fault_epochs").set(stats_.fault_epochs);
     m.counter("fault_events").set(stats_.fault_events);
@@ -1136,13 +1098,13 @@ void Simulator::export_final_metrics() {
   }
   // Reconfiguration counters likewise only exist for runs with a live
   // transition plan, keeping identity-plan metric dumps byte-identical.
-  if (transition_active()) {
+  if (epoch_.versions()) {
     m.counter("reconfig_epochs").set(stats_.reconfig_epochs);
     m.counter("dests_switched").set(stats_.dests_switched);
   }
   // Self-healing counters only exist for guarded runs, keeping unguarded
   // transition metric dumps byte-identical.
-  if (config_.guard != nullptr) {
+  if (config_.schedule != nullptr && config_.schedule->guarded) {
     m.counter("rollbacks").set(stats_.rollbacks);
     m.counter("rollback_dests").set(stats_.rollback_dests);
     m.counter("drain_switches").set(stats_.drain_switches);

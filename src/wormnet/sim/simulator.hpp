@@ -16,7 +16,7 @@
 // The core is event-driven (DESIGN 3.11): each phase iterates index sets of
 // pending work instead of polling every channel and node, a blocked header
 // re-arbitrates only when one of the channels it waits on is released (or an
-// epoch change reshapes every candidate set), timed work (fault steps, abort
+// epoch change reshapes every candidate set), timed work (epoch steps, abort
 // retries) sits in a cycle-stamped event queue, and run() jumps quiescent
 // spans directly to the next scheduled event.  All of it is bit-exact with
 // per-cycle polling: the visit orders reproduce the polled scan orders, and
@@ -31,20 +31,17 @@
 #include <memory>
 #include <optional>
 
-#include "wormnet/ft/fault_plan.hpp"
-#include "wormnet/ft/overlay.hpp"
 #include "wormnet/ft/recovery.hpp"
 #include "wormnet/obs/flight.hpp"
 #include "wormnet/obs/metrics.hpp"
 #include "wormnet/obs/postmortem.hpp"
 #include "wormnet/obs/trace.hpp"
-#include "wormnet/reconfig/guard.hpp"
-#include "wormnet/reconfig/overlay.hpp"
-#include "wormnet/reconfig/transition_plan.hpp"
+#include "wormnet/reconfig/schedule.hpp"
 #include "wormnet/routing/routing_function.hpp"
 #include "wormnet/sim/active_set.hpp"
 #include "wormnet/sim/deadlock_detector.hpp"
 #include "wormnet/sim/event_queue.hpp"
+#include "wormnet/sim/live_epoch.hpp"
 #include "wormnet/sim/network.hpp"
 #include "wormnet/sim/router.hpp"
 #include "wormnet/sim/stats.hpp"
@@ -90,34 +87,23 @@ struct SimConfig {
   /// way; the off position exists so parity tests can compare the two paths.
   bool fast_forward = true;
 
-  // Resilience (wormnet::ft).  `fault_plan` is a borrowed compiled plan
-  // (nullable; must be compiled against the same topology and outlive the
-  // run): its steps fire between cycles and re-filter the live routing
-  // relation through a mutable fault overlay.  `recovery` decides what the
-  // detector and the per-packet no-progress timeout do about the resulting
-  // stalls; the default halt policy is byte-identical to the pre-ft
-  // simulator.
-  const ft::CompiledFaultPlan* fault_plan = nullptr;
-  ft::RecoveryConfig recovery;
-
-  // Dynamic reconfiguration (wormnet::reconfig).  `transition` is a borrowed
-  // compiled plan (nullable; must be compiled against the same topology with
-  // this run's routing as base, and outlive the run): its cutover steps fire
-  // between cycles, restamping which routing version new injections toward
+  // Epoch timeline (DESIGN 3.13; null = no epoch changes): the run's fault
+  // steps, cutovers and guard decisions, built by
+  // reconfig::build_epoch_schedule against the same topology, with this
+  // run's routing as the transition plan's base.  Its steps fire between
+  // cycles.  A fault step re-filters the live relation through the dead
+  // mask.  A cutover restamps which routing version new injections toward
   // each destination use, while in-flight packets keep the pure relation
-  // they were stamped with (in-flight coherence rule, DESIGN 3.12).
-  // Composes with `fault_plan`: the allocator filters the stamped relation
-  // through the live fault mask, and verification covers the composed
-  // (union x degraded) epochs (DESIGN 3.13).
-  const reconfig::CompiledTransitionPlan* transition = nullptr;
+  // they were stamped with (in-flight coherence rule, DESIGN 3.12).  In a
+  // guarded schedule a kRollback decision reverts migrated destinations to
+  // the base relation, and a kDrainThenSwitch decision drains the network
+  // and applies the steady state through it.
+  std::shared_ptr<const reconfig::EpochSchedule> schedule;
 
-  // Self-healing guard (DESIGN 3.13; nullable, borrowed, must be built from
-  // the same plan/fault timeline).  Consulted before each transition step
-  // and after each fault step: a kRollback decision reverts migrated
-  // destinations to the base relation, a kDrainThenSwitch decision drains
-  // the network and applies the steady state through it.  Null = every step
-  // proceeds unconditionally (PR 9 behaviour).
-  const reconfig::TransitionGuard* guard = nullptr;
+  // Resilience (wormnet::ft): what the detector and the per-packet
+  // no-progress timeout do about stalls.  The default halt policy is
+  // byte-identical to the pre-ft simulator.
+  ft::RecoveryConfig recovery;
 
   // Observability (borrowed handles; callers own the sinks and must keep
   // them alive for the run).  Null = disabled; the disabled path costs one
@@ -237,21 +223,14 @@ class Simulator {
   /// metrics epoch), capped at `horizon`.
   [[nodiscard]] std::uint64_t next_event_cycle(std::uint64_t horizon) const;
 
-  // --- resilience (ft; all no-ops without a fault plan / under halt) ------
-  [[nodiscard]] bool fault_active() const noexcept {
-    return config_.fault_plan != nullptr;
-  }
-  void apply_fault_step(std::size_t step_index);
-
-  // --- reconfiguration (reconfig; no-ops without a transition plan) -------
-  [[nodiscard]] bool transition_active() const noexcept {
-    return config_.transition != nullptr && !config_.transition->empty();
-  }
-  void apply_transition_step(std::size_t step_index);
+  // --- epoch steps and resilience (no-ops without a schedule / under halt)
+  /// Applies schedule step `index`: a fault step or a cutover.
+  void apply_epoch_step(std::uint32_t index);
+  void apply_fault_step(const reconfig::EpochStep& step);
+  void apply_cutover(std::uint32_t index, const reconfig::EpochStep& step);
   /// Applies a guard repair decision (rollback or drain-then-switch) in
-  /// place of transition step `step_index`; cancels the remaining steps.
-  void apply_guard_repair(const reconfig::GuardDecision& decision,
-                          std::uint64_t epoch_index);
+  /// place of a step; cancels the remaining cutovers.
+  void apply_guard_repair(const reconfig::GuardDecision& decision);
   /// Completes a pending drain-then-switch once the network is empty.
   void complete_drain_switch();
   void fire_retry(PacketId id);
@@ -285,14 +264,11 @@ class Simulator {
   const Topology* topo_;
   const routing::RoutingFunction* routing_;  ///< base relation (borrowed)
   SimConfig config_;
-  // Fault overlay state: the live mask the allocator borrows (when a fault
-  // plan is present) to drop dead channels.  Declared before allocator_ so
-  // the allocator can borrow it in the member-init list.
-  ft::FaultOverlay overlay_;
-  // Reconfig overlay state: current routing version per destination plus
+  // The live epoch: dead mask, current routing version per destination and
   // the pure relation for every version.  Declared before allocator_ so the
-  // allocator can borrow it in the member-init list; inert without a plan.
-  reconfig::TransitionOverlay transition_;
+  // allocator can borrow it in the member-init list; inert without a
+  // schedule.
+  LiveEpoch epoch_;
   NetworkState net_;
   RouteAllocator allocator_;
   TrafficGenerator traffic_;
@@ -308,7 +284,7 @@ class Simulator {
   std::uint64_t last_progress_ = 0;
   std::optional<DeadlockInfo> deadlock_;
 
-  // Timed events: compiled fault steps (queued at construction) and abort
+  // Timed events: epoch schedule steps (queued at construction) and abort
   // retries (queued on abort).  Scripted injections are a pre-sorted flat
   // vector with a cursor — sorted by (inject_cycle, node, script order),
   // the exact firing order of the legacy per-node scan.
@@ -373,10 +349,11 @@ class Simulator {
   bool draining_ = false;  ///< drain policy engaged: no new admissions
   double recovery_latency_sum_ = 0.0;
 
-  // Self-healing transition state (DESIGN 3.13).  Steps execute strictly in
-  // index order (next_transition_step_); a barrier step whose stale stamped
-  // packets are still injecting re-queues itself one cycle later.  A guard
-  // repair sets transition_aborted_ (remaining steps become no-ops); a
+  // Self-healing transition state (DESIGN 3.13).  Cutovers execute strictly
+  // in plan order (next_transition_step_); a barrier cutover whose stale
+  // stamped packets are still injecting re-queues itself one cycle later.
+  // A guard repair sets transition_aborted_ (remaining cutovers become
+  // no-ops); a
   // drain-then-switch repair parks its cutover in pending_switch_ until the
   // network is empty, then restores draining_ unless a recovery-policy
   // drain had already engaged it.

@@ -7,9 +7,8 @@
 //   cwg       — [companion] channel waiting graphs, True/False Resource
 //               cycles, CWG' reduction
 //   sim       — flit-level wormhole network simulator
-//   ft        — runtime fault injection (deterministic FaultPlans, the live
-//               fault overlay) and deadlock recovery policies
-//               (halt / abort-retry / drain)
+//   ft        — runtime fault injection (deterministic FaultPlans) and
+//               deadlock recovery policies (halt / abort-retry / drain)
 //   obs       — structured event tracing (JSONL / Chrome trace_event),
 //               metrics registry, checker phase timers and work counters
 //   analysis  — degree of adaptiveness, path counting
@@ -47,7 +46,6 @@
 #include "wormnet/exp/sweep_runner.hpp"
 #include "wormnet/exp/sweep_spec.hpp"
 #include "wormnet/ft/fault_plan.hpp"
-#include "wormnet/ft/overlay.hpp"
 #include "wormnet/ft/recovery.hpp"
 #include "wormnet/cwg/cycle_classify.hpp"
 #include "wormnet/cwg/reduction.hpp"
@@ -63,7 +61,7 @@
 #include "wormnet/obs/probe.hpp"
 #include "wormnet/obs/profiler.hpp"
 #include "wormnet/obs/trace.hpp"
-#include "wormnet/reconfig/overlay.hpp"
+#include "wormnet/reconfig/schedule.hpp"
 #include "wormnet/reconfig/transition_plan.hpp"
 #include "wormnet/reconfig/union_routing.hpp"
 #include "wormnet/routing/dateline.hpp"

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "test_helpers.hpp"
@@ -110,8 +111,8 @@ TEST(Fault, MarkLinkFaultyReportsNonAdjacentPairs) {
 
 TEST(Fault, AllocatorFollowsLiveMask) {
   // The simulator routes a fault run by the pure relation; the allocator
-  // filters it through the overlay's live mask.  hpl-minimal from (0,1) to
-  // (0,0) routes — and waits, wait-specific — on both VCs of the one
+  // filters it through the live epoch's dead mask.  hpl-minimal from (0,1)
+  // to (0,0) routes — and waits, wait-specific — on both VCs of the one
   // southward link, so the mask alone decides candidates and commitment.
   const Topology topo = make_mesh({4, 4}, 2);
   const auto base = core::make_algorithm("hpl-minimal", topo);
@@ -124,10 +125,24 @@ TEST(Fault, AllocatorFollowsLiveMask) {
   ASSERT_EQ(base->waiting(topology::kInvalidChannel, at, dest),
             (ChannelSet{vc0, vc1}));
 
-  std::vector<bool> mask(topo.num_channels(), false);
+  // The schedule's steps, applied by hand below: vc0 dies, then vc1, then
+  // both come back.
+  std::string plan = "killch:";
+  plan += std::to_string(vc0);
+  plan += "@1+killch:";
+  plan += std::to_string(vc1);
+  plan += "@2+repairch:";
+  plan += std::to_string(vc0);
+  plan += "@3+repairch:";
+  plan += std::to_string(vc1);
+  plan += "@3";
+  const auto schedule = reconfig::build_epoch_schedule(
+      topo, ft::compile(ft::parse_fault_plan(plan), topo));
+  const auto& steps = schedule->faults.steps;
+  sim::LiveEpoch epoch(topo, *base, schedule.get());
   sim::RouteAllocator allocator(topo, *base, SelectionPolicy::kInOrder,
                                 sim::WaitOverride::kFollowRouting,
-                                /*seed=*/1, &mask);
+                                /*seed=*/1, &epoch);
   sim::NetworkState net(topo);
   sim::Packet pkt;
   pkt.id = 1;
@@ -139,7 +154,7 @@ TEST(Fault, AllocatorFollowsLiveMask) {
   EXPECT_EQ(candidates(), (ChannelSet{vc0, vc1}));
 
   // Kill vc0 mid-lifetime: the candidates follow with no rebuild.
-  mask[vc0] = true;
+  (void)epoch.apply(steps[0]);
   EXPECT_EQ(candidates(), (ChannelSet{vc1}));
 
   // Blocked on the busy survivor, the header commits to the first *live*
@@ -151,7 +166,7 @@ TEST(Fault, AllocatorFollowsLiveMask) {
 
   // A commitment to a channel that dies later is filtered out too (the
   // simulator voids it at the fault step).
-  mask[vc1] = true;
+  (void)epoch.apply(steps[1]);
   EXPECT_TRUE(candidates().empty());
 
   // With every waiting channel dead there is nothing to commit to, and a
@@ -159,7 +174,7 @@ TEST(Fault, AllocatorFollowsLiveMask) {
   pkt.committed_wait = topology::kInvalidChannel;
   EXPECT_FALSE(allocator.attempt(pkt, topology::kInvalidChannel, at, net));
   EXPECT_EQ(pkt.committed_wait, topology::kInvalidChannel);
-  std::fill(mask.begin(), mask.end(), false);
+  (void)epoch.apply(steps[2]);
   EXPECT_EQ(candidates(), (ChannelSet{vc0, vc1}));
 }
 

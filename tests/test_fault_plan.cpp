@@ -1,13 +1,13 @@
 // wormnet::ft unit tests: the fault-plan grammar, compilation against a
-// topology, the cumulative epoch masks, and the live overlay.
+// topology, the cumulative epoch masks, and fault steps on the live epoch.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
 #include "wormnet/core/registry.hpp"
 #include "wormnet/ft/fault_plan.hpp"
-#include "wormnet/ft/overlay.hpp"
 #include "wormnet/ft/recovery.hpp"
+#include "wormnet/sim/live_epoch.hpp"
 
 namespace wormnet::ft {
 namespace {
@@ -100,23 +100,29 @@ TEST(FaultPlan, RandCampaignIsSeedDeterministic) {
   EXPECT_NE(a.steps[0].down, c.steps[0].down);
 }
 
-TEST(FaultOverlay, AppliesDeltasIdempotently) {
+TEST(LiveEpoch, AppliesDeltasIdempotently) {
   const auto topo = core::make_topology("mesh:4x4:2");
+  const auto routing = core::make_algorithm("duato-mesh", topo);
   const auto compiled = compile(parse_fault_plan("kill:5-6@10"), topo);
-  FaultOverlay overlay(topo.num_channels());
-  EXPECT_EQ(overlay.fault_count(), 0u);
+  sim::LiveEpoch epoch(topo, *routing, nullptr);
+  const auto dead_count = [&] {
+    std::size_t n = 0;
+    for (ChannelId c = 0; c < topo.num_channels(); ++c) n += epoch.is_dead(c);
+    return n;
+  };
+  EXPECT_EQ(dead_count(), 0u);
 
-  const auto delta = overlay.apply(compiled.steps[0]);
+  const auto delta = epoch.apply(compiled.steps[0]);
   EXPECT_EQ(delta.downed.size(), 2u);
   EXPECT_TRUE(delta.repaired.empty());
-  EXPECT_EQ(overlay.fault_count(), 2u);
-  EXPECT_EQ(overlay.epoch(), 1u);
-  for (const ChannelId c : delta.downed) EXPECT_TRUE(overlay.is_faulty(c));
+  EXPECT_EQ(dead_count(), 2u);
+  EXPECT_EQ(epoch.fault_epoch(), 1u);
+  for (const ChannelId c : delta.downed) EXPECT_TRUE(epoch.is_dead(c));
 
   // Re-applying the same step transitions nothing.
-  const auto again = overlay.apply(compiled.steps[0]);
+  const auto again = epoch.apply(compiled.steps[0]);
   EXPECT_TRUE(again.downed.empty());
-  EXPECT_EQ(overlay.fault_count(), 2u);
+  EXPECT_EQ(dead_count(), 2u);
 }
 
 TEST(Recovery, BackoffIsExponentialAndCapped) {

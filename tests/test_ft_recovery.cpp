@@ -61,12 +61,11 @@ TEST(FtRecovery, HaltWithEmptyPlanIsByteIdenticalToFaultFree) {
 
   const SimStats plain = run(m.topo, *m.routing, cfg);
 
-  // Same run with the whole ft pipeline armed but idle: an empty compiled
-  // plan routes everything through the overlay wrapper and the allocator's
-  // fault filter, which must be perfectly transparent.
+  // Same run with the whole ft pipeline armed but idle: a schedule built
+  // from an empty compiled plan must be perfectly transparent.
   const ft::CompiledFaultPlan empty =
       ft::compile(ft::parse_fault_plan("none"), m.topo);
-  cfg.fault_plan = &empty;
+  cfg.schedule = reconfig::build_epoch_schedule(m.topo, empty);
   const SimStats overlaid = run(m.topo, *m.routing, cfg);
 
   EXPECT_EQ(plain.to_json(), overlaid.to_json());
@@ -82,7 +81,7 @@ TEST(FtRecovery, HaltStillHaltsOnRealDeadlock) {
   cfg.packet_length = 12;
   const ft::CompiledFaultPlan empty =
       ft::compile(ft::parse_fault_plan("none"), topo);
-  cfg.fault_plan = &empty;
+  cfg.schedule = reconfig::build_epoch_schedule(topo, empty);
   const SimStats stats = run(topo, routing, cfg);
   EXPECT_TRUE(stats.deadlocked);
   EXPECT_EQ(stats.packets_aborted, 0u);
@@ -106,7 +105,7 @@ TEST(FtRecovery, ComposedRunCommitsToLiveWaitingChannel) {
 
   const ft::CompiledFaultPlan faults = ft::compile(
       ft::parse_fault_plan("killch:" + std::to_string(vc0) + "@2"), topo);
-  const reconfig::CompiledTransitionPlan plan = reconfig::compile(
+  reconfig::CompiledTransitionPlan plan = reconfig::compile(
       reconfig::parse_transition_plan("switch:hpl@100000"), topo,
       "hpl-minimal");
   ASSERT_FALSE(plan.empty());
@@ -116,8 +115,8 @@ TEST(FtRecovery, ComposedRunCommitsToLiveWaitingChannel) {
   cfg.warmup_cycles = 0;
   cfg.measure_cycles = 100;
   cfg.drain_cycles = 2000;
-  cfg.fault_plan = &faults;
-  cfg.transition = &plan;
+  cfg.schedule =
+      reconfig::build_epoch_schedule(topo, faults, std::move(plan));
   cfg.script = {{at, dest, 64, 0, {vc1}},  // blocker
                 {at, dest, 8, 10, {}}};    // victim
   const SimStats stats = run(topo, *routing, cfg);
@@ -135,7 +134,7 @@ TEST(FtRecovery, SameSeedSamePlanIsBitIdentical) {
     cfg.injection_rate = 0.4;
     cfg.measure_cycles = 1500;
     cfg.drain_cycles = 5000;
-    cfg.fault_plan = &plan;
+    cfg.schedule = reconfig::build_epoch_schedule(m.topo, plan);
     cfg.recovery.policy = ft::RecoveryPolicy::kAbortRetry;
     cfg.recovery.packet_timeout = 150;
     cfg.recovery.retry_budget = 4;
@@ -172,7 +171,7 @@ TEST(FtRecovery, AbortRetryDeliversEverythingOnCertifiedDegradedRelation) {
   cfg.drain_cycles = 6000;
   cfg.deadlock_check_interval = 64;
   cfg.seed = 12966619160104079557ULL;
-  cfg.fault_plan = &plan;
+  cfg.schedule = reconfig::build_epoch_schedule(m.topo, plan);
   cfg.recovery.policy = ft::RecoveryPolicy::kAbortRetry;
   cfg.recovery.packet_timeout = 100;
   cfg.recovery.retry_budget = 20;
@@ -203,7 +202,7 @@ TEST(FtRecovery, EscapeDisconnectingPlanDropsViaBudgetAndTerminates) {
   cfg.warmup_cycles = 100;
   cfg.measure_cycles = 500;
   cfg.drain_cycles = 6000;
-  cfg.fault_plan = &plan;
+  cfg.schedule = reconfig::build_epoch_schedule(m.topo, plan);
   cfg.recovery.policy = ft::RecoveryPolicy::kAbortRetry;
   cfg.recovery.packet_timeout = 150;
   cfg.recovery.retry_budget = 3;
@@ -251,7 +250,7 @@ TEST(FtRecovery, DrainStopsAdmittingInsteadOfRetrying) {
   cfg.warmup_cycles = 100;
   cfg.measure_cycles = 500;
   cfg.drain_cycles = 6000;
-  cfg.fault_plan = &plan;
+  cfg.schedule = reconfig::build_epoch_schedule(m.topo, plan);
   cfg.recovery.policy = ft::RecoveryPolicy::kDrain;
   cfg.recovery.packet_timeout = 150;
 
@@ -273,7 +272,7 @@ TEST(FtRecovery, TraceCarriesFaultAndRecoveryEvents) {
   cfg.warmup_cycles = 100;
   cfg.measure_cycles = 500;
   cfg.drain_cycles = 6000;
-  cfg.fault_plan = &plan;
+  cfg.schedule = reconfig::build_epoch_schedule(m.topo, plan);
   cfg.recovery.policy = ft::RecoveryPolicy::kAbortRetry;
   cfg.recovery.packet_timeout = 150;
   cfg.recovery.retry_budget = 3;

@@ -32,7 +32,7 @@
 #include "wormnet/obs/flight.hpp"
 #include "wormnet/obs/json.hpp"
 #include "wormnet/obs/trace.hpp"
-#include "wormnet/reconfig/guard.hpp"
+#include "wormnet/reconfig/schedule.hpp"
 #include "wormnet/reconfig/transition_plan.hpp"
 #include "wormnet/reconfig/union_routing.hpp"
 #include "wormnet/routing/dimension_order.hpp"
@@ -151,7 +151,7 @@ void fault_retry_run(const Runner& run) {
   config.drain_cycles = 4000;
   config.deadlock_check_interval = 32;
   config.seed = 17;
-  config.fault_plan = &plan;
+  config.schedule = reconfig::build_epoch_schedule(topo, plan);
   config.recovery.policy = ft::RecoveryPolicy::kAbortRetry;
   config.recovery.packet_timeout = 40;
   config.recovery.retry_budget = 1;
@@ -181,7 +181,7 @@ std::size_t non_base_dests(const reconfig::UnionSpec& spec) {
 void guarded_run(bool rollback, const Runner& run) {
   const topology::Topology topo = core::make_topology("mesh:3x3:1");
   const auto routing = core::make_algorithm("e-cube", topo);
-  const reconfig::CompiledTransitionPlan plan = reconfig::compile(
+  reconfig::CompiledTransitionPlan plan = reconfig::compile(
       reconfig::parse_transition_plan(
           "stage:west-first/0-3@300+stage:west-first/4-8@600"),
       topo, "e-cube");
@@ -196,8 +196,6 @@ void guarded_run(bool rollback, const Runner& run) {
       return ++calls == 1;
     };
   }
-  const reconfig::TransitionGuard guard =
-      reconfig::build_transition_guard(topo, plan, nullptr, certifier);
   sim::SimConfig config;
   config.injection_rate = 0.4;
   config.seed = 9;
@@ -207,8 +205,8 @@ void guarded_run(bool rollback, const Runner& run) {
   config.measure_cycles = 600;
   config.drain_cycles = 6000;
   config.deadlock_check_interval = 64;
-  config.transition = &plan;
-  config.guard = &guard;
+  config.schedule = reconfig::build_epoch_schedule(
+      topo, {}, std::move(plan), reconfig::GuardWalk{certifier});
   run(topo, *routing, config);
 }
 

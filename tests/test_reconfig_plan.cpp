@@ -279,7 +279,7 @@ RunArtifacts run_mesh(const std::string& plan_text, double load = 0.2) {
   CompiledTransitionPlan compiled;
   if (plan_text != "none") {
     compiled = compile(parse_transition_plan(plan_text), topo, "e-cube");
-    config.transition = &compiled;
+    config.schedule = build_epoch_schedule(topo, {}, std::move(compiled));
   }
 
   std::ostringstream trace_os;

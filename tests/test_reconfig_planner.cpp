@@ -94,7 +94,7 @@ TEST(ReconfigPlanner, AcceptanceEcubeToNegativeFirstOn2x2) {
 
   // Every stage the planner certified is exactly an epoch the per-epoch
   // verifier re-checks: compile the emitted plan and re-verify each.
-  const CompiledTransitionPlan compiled =
+  CompiledTransitionPlan compiled =
       compile(parse_transition_plan(plan.plan.to_string()), topo, "e-cube");
   ASSERT_FALSE(compiled.empty());
   for (const UnionSpec& epoch : compiled.verification_epochs()) {
@@ -115,7 +115,7 @@ TEST(ReconfigPlanner, AcceptanceEcubeToNegativeFirstOn2x2) {
   cfg.measure_cycles = 2000;
   cfg.drain_cycles = 6000;
   cfg.deadlock_check_interval = 64;
-  cfg.transition = &compiled;
+  cfg.schedule = build_epoch_schedule(topo, {}, std::move(compiled));
   const sim::SimStats stats = sim::run(topo, *routing, cfg);
   EXPECT_FALSE(stats.deadlocked);
   EXPECT_GT(stats.reconfig_epochs, 0u);

@@ -88,7 +88,7 @@ RunArtifacts run_workload(const Workload& w, bool fast_forward,
   ft::CompiledFaultPlan compiled;
   if (fault_plan != "none") {
     compiled = ft::compile(ft::parse_fault_plan(fault_plan), topo);
-    config.fault_plan = &compiled;
+    config.schedule = reconfig::build_epoch_schedule(topo, compiled);
     config.recovery.policy = ft::RecoveryPolicy::kAbortRetry;
     config.recovery.packet_timeout = 150;
     config.recovery.retry_budget = 3;

@@ -140,7 +140,7 @@ TEST(SimInvariants, HoldAcrossFaultAbortRetry) {
   cfg.drain_cycles = 3000;
   cfg.deadlock_check_interval = 64;
   cfg.seed = 11;
-  cfg.fault_plan = &plan;
+  cfg.schedule = reconfig::build_epoch_schedule(topo, plan);
   cfg.recovery.policy = ft::RecoveryPolicy::kAbortRetry;
   cfg.recovery.packet_timeout = 120;
   cfg.recovery.retry_budget = 3;
@@ -156,7 +156,7 @@ TEST(SimInvariants, HoldAcrossTransitionCutovers) {
   // destination re-route under the new relation after each cutover.
   const topology::Topology topo = make_mesh({4, 4});
   const routing::DimensionOrder routing(topo);
-  const reconfig::CompiledTransitionPlan plan = reconfig::compile(
+  reconfig::CompiledTransitionPlan plan = reconfig::compile(
       reconfig::parse_transition_plan("ramp:west-first/4/100@200"), topo,
       "e-cube");
   SimConfig cfg;
@@ -167,7 +167,7 @@ TEST(SimInvariants, HoldAcrossTransitionCutovers) {
   cfg.measure_cycles = 1500;
   cfg.drain_cycles = 2000;
   cfg.seed = 13;
-  cfg.transition = &plan;
+  cfg.schedule = reconfig::build_epoch_schedule(topo, {}, std::move(plan));
   Simulator sim(topo, routing, cfg);
   step_checked(sim, 2000);
   const SimStats stats = sim.run();
