@@ -1,9 +1,7 @@
 #include "wormnet/obs/postmortem.hpp"
 
 #include <algorithm>
-#include <map>
 #include <optional>
-#include <set>
 #include <utility>
 
 #include "wormnet/cdg/cdg_builder.hpp"
@@ -28,110 +26,26 @@ std::vector<topology::ChannelId> RuntimeCycle::channel_cycle() const {
   return out;
 }
 
-std::vector<RuntimeCycle> extract_wait_cycles(
-    const std::vector<sim::BlockedPacket>& blocked,
-    const std::function<sim::PacketId(topology::ChannelId)>& owner_of,
-    const std::function<const std::vector<topology::ChannelId>&(
-        sim::PacketId)>& path_of) {
-  using sim::kNoPacket;
-  using sim::PacketId;
-  using topology::ChannelId;
-
-  // Greatest-fixpoint knot, mirroring find_wait_cycle()'s semantics exactly
-  // (including self-waits being permanent) but over an *ordered* map so every
-  // walk below starts from the smallest unvisited packet id and the whole
-  // extraction is deterministic enough to golden-test.
-  std::map<PacketId, const sim::BlockedPacket*> in_set;
-  for (const auto& b : blocked) in_set.emplace(b.packet, &b);
-
-  bool changed = true;
-  while (changed && !in_set.empty()) {
-    changed = false;
-    for (auto it = in_set.begin(); it != in_set.end();) {
-      bool all_held_inside = true;
-      for (const ChannelId c : it->second->waiting_on) {
-        const PacketId owner = owner_of(c);
-        if (owner == it->first) continue;  // self-wait: can never resolve
-        if (owner == kNoPacket || !in_set.count(owner)) {
-          all_held_inside = false;
-          break;
-        }
-      }
-      if (!all_held_inside) {
-        it = in_set.erase(it);
-        changed = true;
-      } else {
-        ++it;
-      }
-    }
+RuntimeCycle lift_wait_cycle(
+    const std::vector<sim::WaitHop>& hops,
+    const std::vector<std::span<const topology::ChannelId>>& paths) {
+  // Concatenated chains close into a static channel cycle: within a chain
+  // consecutive channels are path-contiguity CDG edges, and chain end ->
+  // next chain start is the wait CDG edge.
+  RuntimeCycle rc;
+  const std::size_t k = hops.size();
+  rc.hops.resize(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    CycleHop& hop = rc.hops[i];
+    hop.packet = hops[i].packet;
+    hop.waits_for = hops[i].waits_for;
+    const topology::ChannelId held = hops[(i + k - 1) % k].waits_for;
+    const std::span<const topology::ChannelId> path = paths[i];
+    auto from = std::find(path.begin(), path.end(), held);
+    if (from == path.end()) from = path.begin();  // defensive; cannot happen
+    hop.chain.assign(from, path.end());
   }
-
-  // One deterministic walk per unvisited knot packet: follow "first waiting
-  // channel held by a set member" edges until a packet repeats, exactly as
-  // the live detector does, then keep the closed portion.  Distinct walks can
-  // funnel into an already-reported cycle (a wait *tail* leading into it);
-  // those re-discoveries are dropped.
-  std::vector<RuntimeCycle> cycles;
-  std::set<PacketId> visited;
-  std::set<PacketId> reported;
-  for (const auto& [start, unused] : in_set) {
-    if (visited.count(start)) continue;
-    std::map<PacketId, std::size_t> position;
-    std::vector<std::pair<PacketId, ChannelId>> walk;
-    PacketId current = start;
-    while (!position.count(current)) {
-      position[current] = walk.size();
-      const sim::BlockedPacket* bp = in_set.at(current);
-      PacketId next = kNoPacket;
-      ChannelId via = topology::kInvalidChannel;
-      for (const ChannelId c : bp->waiting_on) {
-        const PacketId owner = owner_of(c);
-        if (owner == current) {  // self-deadlock
-          next = current;
-          via = c;
-          break;
-        }
-        if (owner != kNoPacket && in_set.count(owner)) {
-          next = owner;
-          via = c;
-          break;
-        }
-      }
-      walk.emplace_back(current, via);
-      current = next;
-    }
-    for (const auto& [p, via] : walk) visited.insert(p);
-
-    std::vector<std::pair<PacketId, ChannelId>> cyc(
-        walk.begin() + static_cast<std::ptrdiff_t>(position[current]),
-        walk.end());
-    const bool fresh =
-        std::none_of(cyc.begin(), cyc.end(),
-                     [&](const auto& hop) { return reported.count(hop.first); });
-    if (!fresh) continue;
-    for (const auto& [p, via] : cyc) reported.insert(p);
-
-    // Hop i's chain: packet p_i's acquired-path suffix from the channel the
-    // previous hop waits on (p_i owns it, so it sits somewhere on p_i's path)
-    // through p_i's head channel.  Concatenated chains close into a static
-    // channel cycle: within a chain consecutive channels are path-contiguity
-    // CDG edges, and chain end -> next chain start is the wait CDG edge.
-    RuntimeCycle rc;
-    const std::size_t k = cyc.size();
-    rc.hops.resize(k);
-    for (std::size_t i = 0; i < k; ++i) {
-      CycleHop& hop = rc.hops[i];
-      hop.packet = cyc[i].first;
-      hop.waits_for = cyc[i].second;
-      const ChannelId held = cyc[(i + k - 1) % k].second;
-      const std::vector<ChannelId>& path = path_of(hop.packet);
-      auto from = std::find(path.begin(), path.end(), held);
-      if (from == path.end()) from = path.begin();  // defensive; cannot happen
-      hop.chain.assign(from, path.end());
-    }
-    cycles.push_back(std::move(rc));
-  }
-  return cycles;
+  return rc;
 }
 
 PostmortemReport cross_reference(const cdg::StateGraph& states,

@@ -24,8 +24,8 @@
 // channel names embedded so `wormnet-explain` needs no topology access).
 #pragma once
 
-#include <functional>
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -88,15 +88,13 @@ struct RuntimePostmortem {
   std::uint64_t flight_dropped = 0;
 };
 
-/// Extracts EVERY wait cycle in the terminal knot of `blocked` (the live
-/// detector extracts one and stops).  `owner_of` maps a channel to its
-/// current owner; `path_of` returns a packet's acquired channel path.
-/// Deterministic: knot membership and walk order follow packet-id order.
-[[nodiscard]] std::vector<RuntimeCycle> extract_wait_cycles(
-    const std::vector<sim::BlockedPacket>& blocked,
-    const std::function<sim::PacketId(topology::ChannelId)>& owner_of,
-    const std::function<const std::vector<topology::ChannelId>&(
-        sim::PacketId)>& path_of);
+/// Lifts one knot cycle (an element of sim::WaitAnalysis::cycles()) into a
+/// runtime cycle: hop i's chain is its packet's acquired path `paths[i]`
+/// from the channel hop i-1 waits on (which that packet holds) through its
+/// head channel.
+[[nodiscard]] RuntimeCycle lift_wait_cycle(
+    const std::vector<sim::WaitHop>& hops,
+    const std::vector<std::span<const topology::ChannelId>>& paths);
 
 /// One static-CDG edge of a lifted runtime cycle, classified.
 struct EdgeXref {
