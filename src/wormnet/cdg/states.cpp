@@ -223,6 +223,13 @@ bool relation_minimal(const StateGraph& states) {
   return true;
 }
 
+bool condition_exact(const StateGraph& states) {
+  const RoutingFunction& routing = states.routing();
+  return routing.form() == routing::RelationForm::kNodeDest &&
+         routing.wait_mode() == routing::WaitMode::kAnyOf &&
+         relation_minimal(states);
+}
+
 std::vector<std::pair<ChannelId, NodeId>> StateGraph::states() const {
   std::vector<std::pair<ChannelId, NodeId>> out;
   out.reserve(num_reachable_);

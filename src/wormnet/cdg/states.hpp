@@ -170,4 +170,9 @@ struct ConnectivityReport {
 /// (e.g. the incoherent example) fall outside the condition's exact scope.
 [[nodiscard]] bool relation_minimal(const StateGraph& states);
 
+/// True iff Duato's condition is exact (necessary AND sufficient) for the
+/// relation: N x N form, wait-on-any and minimal (minimality implies
+/// coherence).  Outside this scope a failed search proves nothing.
+[[nodiscard]] bool condition_exact(const StateGraph& states);
+
 }  // namespace wormnet::cdg

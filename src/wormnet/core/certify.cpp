@@ -153,12 +153,9 @@ std::optional<audit::Certificate> certify_duato(
     return certify_subfunction(states, search.c1,
                                search.report.subfunction_label);
   }
-  const routing::RoutingFunction& routing = states.routing();
-  const bool in_scope =
-      routing.form() == routing::RelationForm::kNodeDest &&
-      routing.wait_mode() == routing::WaitMode::kAnyOf &&
-      cdg::relation_minimal(states);
-  if (!search.exhaustive_complete || !in_scope) return std::nullopt;
+  if (!search.exhaustive_complete || !cdg::condition_exact(states)) {
+    return std::nullopt;
+  }
   auto cert = certify_dependency_cycle(
       states, search.full_set_report.witness_cycle, "duato");
   if (cert) cert->subfunction = "none (exhaustive search)";

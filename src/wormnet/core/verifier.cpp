@@ -13,7 +13,6 @@
 namespace wormnet::core {
 namespace {
 
-using routing::RelationForm;
 using routing::WaitMode;
 
 /// Certificate sink threaded through the checkers: null means the caller
@@ -70,7 +69,6 @@ Verdict verify_cdg(const cdg::StateGraph& states, CertSink cert = nullptr) {
 
 Verdict verify_duato(const cdg::StateGraph& states,
                      const cdg::SearchOptions& options,
-                     const routing::RoutingFunction& routing,
                      CertSink cert = nullptr) {
   Verdict verdict;
   verdict.method = "duato";
@@ -88,9 +86,7 @@ Verdict verify_duato(const cdg::StateGraph& states,
     verdict.detail = os.str();
     return verdict;
   }
-  const bool in_scope = routing.form() == RelationForm::kNodeDest &&
-                        routing.wait_mode() == WaitMode::kAnyOf &&
-                        cdg::relation_minimal(states);
+  const bool in_scope = cdg::condition_exact(states);
   // Either way the failed search carries the full-set (plain-CDG) witness
   // cycle — the concrete dependency cycle no candidate managed to break.
   verdict.witness_channels = result.full_set_report.witness_cycle;
@@ -284,7 +280,7 @@ Verdict verify_states(const cdg::StateGraph& states,
         verdict = verify_cdg(states, cert);
         break;
       case Method::kDuato:
-        verdict = verify_duato(states, options.duato, routing, cert);
+        verdict = verify_duato(states, options.duato, cert);
         break;
       case Method::kCwg:
         verdict = verify_cwg(states, options.cwg, routing, cert);
@@ -381,7 +377,7 @@ FullReport verify_all(const topology::Topology& topo,
   FullReport report;
   const cdg::StateGraph states(topo, routing);
   report.cdg = verify_cdg(states);
-  report.duato = verify_duato(states, options.duato, routing);
+  report.duato = verify_duato(states, options.duato);
   report.cwg = verify_cwg(states, options.cwg, routing);
   report.message_flow = verify_message_flow(states);
   report.simulation = verify_sim(topo, routing, options.sim);

@@ -23,18 +23,6 @@
 #include "wormnet/lint/rules_internal.hpp"
 
 namespace wormnet::lint::rules {
-namespace {
-
-/// The exact scope of the necessary-and-sufficient condition (mirrors the
-/// verifier's gate): input-independent, wait-on-any, coherent (via minimal).
-bool condition_in_scope(LintContext& ctx) {
-  const routing::RoutingFunction& routing = ctx.routing();
-  return routing.form() == routing::RelationForm::kNodeDest &&
-         routing.wait_mode() == routing::WaitMode::kAnyOf &&
-         cdg::relation_minimal(ctx.states());
-}
-
-}  // namespace
 
 void certificate_audit_mismatch(LintContext& ctx,
                                 std::vector<Diagnostic>& out) {
@@ -90,7 +78,7 @@ void certificate_missing(LintContext& ctx, std::vector<Diagnostic>& out) {
   // and out-of-scope outcomes are kUnknown — no certificate is expected.
   const bool decisive =
       search.found ||
-      (search.exhaustive_complete && condition_in_scope(ctx));
+      (search.exhaustive_complete && cdg::condition_exact(ctx.states()));
   if (!decisive) return;
   if (ctx.certificate().has_value()) return;
 

@@ -18,15 +18,7 @@ void extended_cdg_cyclic(LintContext& ctx, std::vector<Diagnostic>& out) {
   const cdg::SearchResult& search = ctx.duato_search();
   if (search.found) return;
 
-  const cdg::StateGraph& states = ctx.states();
-  const routing::RoutingFunction& routing = ctx.routing();
-  // The condition is exact (necessary AND sufficient) only for
-  // input-independent, wait-on-any, coherent relations; minimality implies
-  // coherence, so this is the certified scope.
-  const bool in_scope =
-      routing.form() == routing::RelationForm::kNodeDest &&
-      routing.wait_mode() == routing::WaitMode::kAnyOf &&
-      cdg::relation_minimal(states);
+  const bool in_scope = cdg::condition_exact(ctx.states());
 
   Diagnostic d;
   d.rule_id = "WN002";
