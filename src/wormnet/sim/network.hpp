@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "wormnet/sim/flit.hpp"
@@ -45,6 +46,8 @@ class NetworkState {
   // --- SoA channel state ------------------------------------------------
   [[nodiscard]] PacketId owner(ChannelId c) const { return owner_[c]; }
   [[nodiscard]] PacketId& owner(ChannelId c) { return owner_[c]; }
+  /// Every channel's owner, indexed by channel id.
+  [[nodiscard]] std::span<const PacketId> owners() const { return owner_; }
   [[nodiscard]] ChannelId out(ChannelId c) const { return out_[c]; }
   [[nodiscard]] bool out_assigned(ChannelId c) const {
     return out_assigned_[c] != 0;
