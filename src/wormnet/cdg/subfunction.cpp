@@ -80,18 +80,12 @@ SubfunctionWitness Subfunction::connectivity_witness() const {
       for (ChannelId c : topo.in_channels(v)) {
         const NodeId u = topo.channel(c).src;
         if (ok[u] || u == dest) continue;
-        if (!in_c1(c, dest)) continue;
-        // The hop must actually be supplied by R at u for dest (wildcard
-        // injection input keeps this conservative for C x N x N relations).
-        const auto first_hops = states_->injection(u, dest);
-        bool supplied = std::ranges::find(first_hops, c) != first_hops.end();
-        // Also accept hops supplied mid-route (reachable state with this
-        // successor) — needed for relations whose first hop differs.
-        if (!supplied && states_->reachable(c, dest)) supplied = true;
-        if (supplied) {
-          ok[u] = true;
-          stack.push_back(u);
-        }
+        // The hop must actually be supplied by R for dest, as a first hop
+        // at u or mid-route: exactly when (c, dest) is a reachable state,
+        // since every first hop is one.
+        if (!in_c1(c, dest) || !states_->reachable(c, dest)) continue;
+        ok[u] = true;
+        stack.push_back(u);
       }
     }
     for (NodeId u = 0; u < nodes; ++u) {

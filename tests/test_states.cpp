@@ -100,5 +100,42 @@ TEST(StateGraph, StatesListMatchesCount) {
   EXPECT_GT(states.num_reachable_states(), 0u);
 }
 
+// Every first hop is a reachable state: the fixpoint enqueues each
+// injection list, so "supplied as a first hop at u" implies reachable(c, d).
+// Subfunction::connectivity_witness relies on this, for fresh and derived
+// graphs alike.
+TEST(StateGraph, InjectionFirstHopsAreReachableStates) {
+  const auto expect_first_hops_reachable = [](const StateGraph& states) {
+    const Topology& topo = states.topo();
+    for (NodeId d = 0; d < topo.num_nodes(); ++d) {
+      for (NodeId s = 0; s < topo.num_nodes(); ++s) {
+        if (s == d) continue;
+        for (const ChannelId c : states.injection(s, d)) {
+          ASSERT_TRUE(states.reachable(c, d))
+              << states.routing().name() << ": first hop "
+              << topo.channel_name(c) << " of " << s << " -> " << d;
+        }
+      }
+    }
+  };
+  std::size_t relations = 0;
+  for (const char* spec : {"mesh:4x4:2", "torus:4x4:3", "ring:6:2"}) {
+    const Topology topo = core::make_topology(spec);
+    for (const core::AlgorithmEntry* entry : core::algorithms_for(topo)) {
+      SCOPED_TRACE(std::string(spec) + " " + entry->name);
+      const auto relation = entry->make(topo);
+      const StateGraph states(topo, *relation);
+      expect_first_hops_reachable(states);
+      std::vector<bool> dead(topo.num_channels(), false);
+      dead[relations % topo.num_channels()] = true;
+      dead[(7 * relations + 3) % topo.num_channels()] = true;
+      const auto masked = reconfig::RelationExpr(entry->name, dead).build(topo);
+      expect_first_hops_reachable(StateGraph(states, *masked, dead));
+      ++relations;
+    }
+  }
+  EXPECT_GE(relations, 10u);
+}
+
 }  // namespace
 }  // namespace wormnet::cdg
