@@ -877,15 +877,18 @@ void Simulator::check_deadlock() {
       deadlock_ = std::move(info);
       return;
     }
-    if (config_.recovery.policy == ft::RecoveryPolicy::kDrain) {
-      engage_drain();
-    }
     // Break the knot: abort the youngest packet of the reported cycle (the
     // highest id — a pure function of the detector's deterministic output,
     // and the victim with the least sunk progress on average).
     PacketId victim = info->packet_cycle.front();
     for (const PacketId p : info->packet_cycle) victim = std::max(victim, p);
+    // Capture before draining: engage_drain drops the source-queued packets
+    // the analysis saw blocked, and the artifact describes the knot as
+    // detected.
     capture_postmortem(obs::PostmortemReason::kWaitCycle, victim, &wait_for);
+    if (config_.recovery.policy == ft::RecoveryPolicy::kDrain) {
+      engage_drain();
+    }
     abort_packet(packets_[victim], &wait_for);
     // The wait-for graph changed; the next check interval re-probes, and
     // any residual knot selects its next victim then.

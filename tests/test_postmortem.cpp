@@ -420,6 +420,60 @@ TEST(Postmortem, RetryExhaustionCapturesPostmortem) {
   EXPECT_EQ(stats.postmortems_emitted, simulator.postmortems().size());
 }
 
+/// Records the cycle of every packet drop.
+class DropLog : public TraceSink {
+ public:
+  void emit(const TraceEvent& event) override {
+    if (event.kind == EventKind::kDrop) dropped_at[event.packet] = event.cycle;
+  }
+  std::map<sim::PacketId, std::uint64_t> dropped_at;
+};
+
+TEST(Postmortem, DrainPostmortemPrecedesTheDrainsDrops) {
+  // Engaging drain refuses every source-queued packet that never began
+  // injecting, blocked source fronts included.  The wait-cycle postmortem
+  // of the check that engages it is captured first, so the artifact shows
+  // the knot as detected: its flight tail drops no packet its wait_for
+  // still lists as blocked.
+  std::size_t blocked_then_dropped = 0;
+  const struct {
+    const char* topology;
+    std::uint64_t seed;
+  } kRuns[] = {{"ring:8", 13},     {"ring:16", 6},     {"mesh:4x4:1", 5},
+               {"torus:4x4:1", 6}, {"torus:8x8:1", 9}};
+  for (const auto& run : kRuns) {
+    SCOPED_TRACE(std::string(run.topology) + " seed " +
+                 std::to_string(run.seed));
+    const topology::Topology topo = core::make_topology(run.topology);
+    const auto routing = core::make_algorithm("unrestricted", topo);
+    DropLog drops;
+    sim::SimConfig cfg = ring_wedge_config();
+    cfg.seed = run.seed;
+    cfg.recovery.policy = ft::RecoveryPolicy::kDrain;
+    cfg.trace = &drops;
+    sim::Simulator simulator(topo, *routing, cfg);
+    (void)simulator.run();
+    for (const RuntimePostmortem& pm : simulator.postmortems()) {
+      if (pm.reason != PostmortemReason::kWaitCycle) continue;
+      for (const WaitForNode& node : pm.wait_for) {
+        const auto it = drops.dropped_at.find(node.packet);
+        if (it != drops.dropped_at.end() && it->second == pm.cycle) {
+          ++blocked_then_dropped;
+        }
+        for (const FlightEvent& event : pm.flight_tail) {
+          EXPECT_FALSE(event.kind == EventKind::kDrop &&
+                       event.packet == node.packet)
+              << "blocked packet " << node.packet
+              << " dropped in the flight tail at cycle " << event.cycle;
+        }
+      }
+    }
+  }
+  // The drain must refuse packets the analysis saw blocked, or the order of
+  // capture and drain would not matter.
+  EXPECT_GT(blocked_then_dropped, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Golden artifact
 // ---------------------------------------------------------------------------
