@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 #include <sstream>
 
 namespace wormnet::graph {
@@ -16,6 +17,15 @@ bool Digraph::add_edge(Vertex u, Vertex v) {
   row.insert(it, v);
   ++num_edges_;
   return true;
+}
+
+void Digraph::set_out(Vertex u, std::span<const Vertex> sorted) {
+  assert(u < adj_.size());
+  assert(std::ranges::adjacent_find(sorted, std::greater_equal<>()) ==
+         sorted.end());
+  auto& row = adj_[u];
+  num_edges_ = num_edges_ - row.size() + sorted.size();
+  row.assign(sorted.begin(), sorted.end());
 }
 
 bool Digraph::remove_edge(Vertex u, Vertex v) {

@@ -29,6 +29,10 @@ class Digraph {
   /// Adds edge u -> v; duplicates are ignored.  Returns true if inserted.
   bool add_edge(Vertex u, Vertex v);
 
+  /// Replaces the out-edges of u by `sorted`, which must be strictly
+  /// ascending.  Reuses the row's storage.
+  void set_out(Vertex u, std::span<const Vertex> sorted);
+
   /// Removes edge u -> v if present.  Returns true if removed.
   bool remove_edge(Vertex u, Vertex v);
 
