@@ -15,6 +15,9 @@
 //   4. greedy cycle-breaking (drop a cycle channel, keep connectivity,
 //      retry — with backtracking up to a budget),
 //   5. exhaustive enumeration of channel subsets for tiny networks.
+// Stages 4 and 5 evaluate their candidates on one SearchState
+// (search_state.hpp), edited per candidate instead of rebuilt; stages 1-3
+// and check() build each candidate's subfunction and ECDG from scratch.
 //
 // The search is exponential in the worst case (as the paper itself notes for
 // such procedures), so a failed search yields verdict kNoSubfunctionFound —
