@@ -6,15 +6,17 @@
 // emitted certificate (what wormnet-audit / WN021 pay per re-validation).
 // Emission rides the checker's own structures, so its overhead should be a
 // modest constant factor; the audit evaluates the relation once per
-// reachable state and walks one excursion per escape state, and should stay
-// cheaper than the verification it checks — the point of the numbers here
+// reachable state, runs one reverse BFS per destination and walks one
+// excursion per escape state, and should stay cheaper than the verification
+// it checks — the point of the numbers here
 // is to keep both claims honest.  JSON serialize/parse round-trip is priced separately: it is the
 // persistence cost, not the verification cost.
 //
 // Every benchmark reports items_per_second, gated in CI by
 // scripts/check_bench_regression.py (tolerance 0.20) against the committed
-// BENCH_audit.json: dependency/witness edges audited per second for the
-// audit, reachable (channel, destination) states per second for the others.
+// BENCH_audit.json: extended-CDG dependencies checked against the order per
+// second for the audit, reachable (channel, destination) states per second
+// for the others.
 #include <benchmark/benchmark.h>
 
 #include <iterator>

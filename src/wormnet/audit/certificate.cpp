@@ -96,29 +96,6 @@ std::string Certificate::to_json() const {
     write_ids(os, escape_channels);
     os << ",\n  \"topological_order\": ";
     write_ids(os, topological_order);
-    os << ",\n  \"escapes\": [";
-    for (std::size_t i = 0; i < escapes.size(); ++i) {
-      os << (i == 0 ? "\n" : ",\n") << "    {\"channel\": "
-         << escapes[i].channel << ", \"dest\": " << escapes[i].dest
-         << ", \"via\": " << escapes[i].via << '}';
-    }
-    os << (escapes.empty() ? "]" : "\n  ]");
-    os << ",\n  \"injection_escapes\": [";
-    for (std::size_t i = 0; i < injection_escapes.size(); ++i) {
-      os << (i == 0 ? "\n" : ",\n") << "    {\"src\": "
-         << injection_escapes[i].src
-         << ", \"dest\": " << injection_escapes[i].dest
-         << ", \"via\": " << injection_escapes[i].via << '}';
-    }
-    os << (injection_escapes.empty() ? "]" : "\n  ]");
-    os << ",\n  \"witness_paths\": [";
-    for (std::size_t i = 0; i < witness_paths.size(); ++i) {
-      os << (i == 0 ? "\n" : ",\n") << "    {\"src\": " << witness_paths[i].src
-         << ", \"dest\": " << witness_paths[i].dest << ", \"path\": ";
-      write_ids(os, witness_paths[i].path);
-      os << '}';
-    }
-    os << (witness_paths.empty() ? "]" : "\n  ]");
   } else {
     os << ",\n  \"evidence\": \"" << to_string(evidence) << "\"";
     os << ",\n  \"cycle\": [";
@@ -231,45 +208,6 @@ ParseResult parse_certificate(std::string_view text) {
       cert.escape_channels = read_ids(r);
     } else if (key == "topological_order") {
       cert.topological_order = read_ids(r);
-    } else if (key == "escapes") {
-      r.array([&] {
-        EscapeWitness& w = cert.escapes.emplace_back();
-        read_record(r, {"channel", "dest", "via"}, [&](std::string_view k) {
-          if (k == "channel") {
-            w.channel = read_channel(r);
-          } else if (k == "dest") {
-            w.dest = read_node(r);
-          } else {
-            w.via = read_channel(r);
-          }
-        });
-      });
-    } else if (key == "injection_escapes") {
-      r.array([&] {
-        InjectionEscape& w = cert.injection_escapes.emplace_back();
-        read_record(r, {"src", "dest", "via"}, [&](std::string_view k) {
-          if (k == "src") {
-            w.src = read_node(r);
-          } else if (k == "dest") {
-            w.dest = read_node(r);
-          } else {
-            w.via = read_channel(r);
-          }
-        });
-      });
-    } else if (key == "witness_paths") {
-      r.array([&] {
-        WitnessPath& w = cert.witness_paths.emplace_back();
-        read_record(r, {"src", "dest", "path"}, [&](std::string_view k) {
-          if (k == "src") {
-            w.src = read_node(r);
-          } else if (k == "dest") {
-            w.dest = read_node(r);
-          } else {
-            w.path = read_ids(r);
-          }
-        });
-      });
     } else if (key == "evidence") {
       const std::string v = read_text(r);
       if (v == "dependency-cycle") {
@@ -336,8 +274,7 @@ ParseResult parse_certificate(std::string_view text) {
     }
   }
   if (cert.kind == CertKind::kCertified) {
-    for (const char* key : {"escape_channels", "topological_order", "escapes",
-                            "injection_escapes", "witness_paths"}) {
+    for (const char* key : {"escape_channels", "topological_order"}) {
       if (!has(key)) {
         result.error =
             std::string("certified certificate missing \"") + key + "\"";
@@ -362,8 +299,7 @@ ParseResult parse_certificate(std::string_view text) {
       result.error = "disconnection witness does not match evidence kind";
       return result;
     }
-    if (has("escape_channels") || has("topological_order") || has("escapes") ||
-        has("injection_escapes") || has("witness_paths")) {
+    if (has("escape_channels") || has("topological_order")) {
       result.error = "refuted certificate carries certified payload";
       return result;
     }

@@ -3,10 +3,11 @@
 // Duato's condition is constructive in both directions, so every decisive
 // verdict can carry a machine-checkable certificate:
 //
-//   * certified  — the escape channel set C1, a topological order of the
-//     extended CDG restricted to C1 (acyclicity), one escape output per
-//     reachable blocked state (escape-everywhere), and one explicit C1 path
-//     per (source, destination) pair (subfunction connectivity);
+//   * certified  — the escape channel set C1 and a topological order of
+//     the extended CDG restricted to C1.  The order is the one claim that
+//     needs carried data (acyclicity); given C1, escape-everywhere and
+//     subfunction connectivity are polynomial checks the auditor makes
+//     from the relation itself;
 //   * refuted    — the offending evidence: a dependency cycle, a realizable
 //     wait cycle (with the held-channel path of every participating
 //     message), or a state with nothing to wait on.
@@ -31,7 +32,7 @@ using topology::ChannelId;
 using topology::NodeId;
 
 /// Schema identifier embedded in (and required of) every certificate.
-inline constexpr const char* kCertificateSchema = "wormnet-certificate/2";
+inline constexpr const char* kCertificateSchema = "wormnet-certificate/3";
 
 enum class CertKind : std::uint8_t {
   kCertified,  ///< claims deadlock freedom
@@ -48,32 +49,6 @@ enum class Evidence : std::uint8_t {
 
 [[nodiscard]] const char* to_string(CertKind kind);
 [[nodiscard]] const char* to_string(Evidence evidence);
-
-/// Escape output for one reachable blocked state: a message occupying
-/// `channel` toward `dest` may next use escape channel `via`.
-struct EscapeWitness {
-  ChannelId channel = 0;
-  NodeId dest = 0;
-  ChannelId via = 0;
-  bool operator==(const EscapeWitness&) const = default;
-};
-
-/// Escape first hop for one injection state.
-struct InjectionEscape {
-  NodeId src = 0;
-  NodeId dest = 0;
-  ChannelId via = 0;
-  bool operator==(const InjectionEscape&) const = default;
-};
-
-/// An explicit escape-channel path src -> ... -> dest (subfunction
-/// connectivity, one per ordered node pair).
-struct WitnessPath {
-  NodeId src = 0;
-  NodeId dest = 0;
-  std::vector<ChannelId> path;
-  bool operator==(const WitnessPath&) const = default;
-};
 
 /// One edge of a refuted certificate's cycle evidence.  For a dependency
 /// cycle `hold` is empty and the claim is "a message occupying `from` toward
@@ -112,9 +87,6 @@ struct Certificate {
   // Certified payload.
   std::vector<ChannelId> escape_channels;      ///< C1, sorted ascending
   std::vector<ChannelId> topological_order;    ///< permutation of C1
-  std::vector<EscapeWitness> escapes;          ///< one per blocked state
-  std::vector<InjectionEscape> injection_escapes;
-  std::vector<WitnessPath> witness_paths;      ///< one per (src, dest) pair
 
   // Refuted payload.
   Evidence evidence = Evidence::kNone;

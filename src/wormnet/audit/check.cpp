@@ -24,16 +24,10 @@ const char* to_string(AuditCode code) {
       return "order-not-permutation";
     case AuditCode::kOrderViolation:
       return "order-violation";
-    case AuditCode::kMissingEscapeWitness:
-      return "missing-escape-witness";
-    case AuditCode::kEscapeWitnessInvalid:
-      return "escape-witness-invalid";
-    case AuditCode::kMissingInjectionEscape:
-      return "missing-injection-escape";
-    case AuditCode::kMissingWitnessPath:
-      return "missing-witness-path";
-    case AuditCode::kWitnessPathBroken:
-      return "witness-path-broken";
+    case AuditCode::kNoEscape:
+      return "no-escape";
+    case AuditCode::kStrandedNode:
+      return "stranded-node";
     case AuditCode::kCycleEdgeUnsupported:
       return "cycle-edge-unsupported";
     case AuditCode::kWaitCycleUnsupported:
@@ -45,9 +39,6 @@ const char* to_string(AuditCode code) {
 }
 
 namespace {
-
-/// An index slot no certificate entry has claimed yet.
-constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
 
 /// One destination's relation as the auditor's own forward fixpoint found
 /// it (mirroring the state-graph semantics: injection states seed the
@@ -117,14 +108,6 @@ class Auditor {
 
   static bool contains(std::span<const ChannelId> set, ChannelId c) {
     return std::find(set.begin(), set.end(), c) != set.end();
-  }
-
-  /// Records certificate entry `i` in an index slot; false if another entry
-  /// already claimed it.
-  static bool claim(std::uint32_t& slot, std::size_t i) {
-    if (slot != kAbsent) return false;
-    slot = static_cast<std::uint32_t>(i);
-    return true;
   }
 
   /// The relation toward `dest` at every state some message destined for
@@ -215,43 +198,22 @@ class Auditor {
                       std::to_string(cert_.escape_channels.size()));
     }
 
-    // Index the claimed witnesses densely — escapes by (dest, channel),
-    // injections and paths by (dest, src) — each slot holding the entry's
-    // position in the certificate.  Duplicates are structural garbage.
-    std::vector<std::uint32_t> escape_at(nodes * channels, kAbsent);
-    for (std::size_t i = 0; i < cert_.escapes.size(); ++i) {
-      const EscapeWitness& w = cert_.escapes[i];
-      if (w.channel >= channels || w.dest >= nodes) {
-        return fail(AuditCode::kMalformed, "escape witness out of range");
-      }
-      if (!claim(escape_at[w.dest * channels + w.channel], i)) {
-        return fail(AuditCode::kMalformed,
-                    "duplicate escape witness for " +
-                        state_name(w.channel, w.dest));
-      }
+    const auto has_escape = [&](std::span<const ChannelId> outputs) {
+      return std::any_of(outputs.begin(), outputs.end(),
+                         [&](ChannelId c) { return in_c1[c]; });
+    };
+    // C1 channels grouped by head node, each with its tail: the reverse BFS
+    // below scans only these.
+    std::vector<std::uint32_t> c1_in_at(nodes + 1, 0);
+    for (const ChannelId c : cert_.escape_channels) ++c1_in_at[head(c) + 1];
+    for (std::size_t v = 0; v < nodes; ++v) c1_in_at[v + 1] += c1_in_at[v];
+    std::vector<std::pair<ChannelId, NodeId>> c1_in(c1_in_at.back());
+    std::vector<std::uint32_t> next(c1_in_at.begin(), c1_in_at.end() - 1);
+    for (const ChannelId c : cert_.escape_channels) {
+      c1_in[next[head(c)]++] = {c, tail(c)};
     }
-    std::vector<std::uint32_t> injection_at(nodes * nodes, kAbsent);
-    for (std::size_t i = 0; i < cert_.injection_escapes.size(); ++i) {
-      const InjectionEscape& w = cert_.injection_escapes[i];
-      if (w.src >= nodes || w.dest >= nodes || w.src == w.dest) {
-        return fail(AuditCode::kMalformed, "injection escape out of range");
-      }
-      if (!claim(injection_at[w.dest * nodes + w.src], i)) {
-        return fail(AuditCode::kMalformed, "duplicate injection escape");
-      }
-    }
-    std::vector<std::uint32_t> path_at(nodes * nodes, kAbsent);
-    for (std::size_t i = 0; i < cert_.witness_paths.size(); ++i) {
-      const WitnessPath& w = cert_.witness_paths[i];
-      if (w.src >= nodes || w.dest >= nodes || w.src == w.dest) {
-        return fail(AuditCode::kMalformed, "witness path out of range");
-      }
-      if (!claim(path_at[w.dest * nodes + w.src], i)) {
-        return fail(AuditCode::kMalformed, "duplicate witness path");
-      }
-    }
-
-    std::size_t escape_states = 0;
+    std::vector<bool> connected(nodes, false);  // reverse-BFS marks
+    std::vector<NodeId> pending;
     std::vector<std::uint32_t> visited(channels, 0);  // excursion walk stamp
     std::uint32_t walk = 0;
     std::vector<ChannelId> stack;
@@ -259,56 +221,49 @@ class Auditor {
     for (NodeId dest = 0; dest < nodes; ++dest) {
       const DestRows& rows = reach(dest);
 
-      // Escape-everywhere: every reachable blocked state names an escape
-      // output the relation actually supplies.
-      const std::uint32_t* escapes = &escape_at[dest * channels];
+      // Connectivity: every node reaches `dest` on escape channels the
+      // relation supplies toward it, i.e. reached ones (every first hop is
+      // reached) — one reverse BFS from `dest`.  It runs before
+      // escape-everywhere because escape-everywhere plus an acyclic order
+      // implies it: checked second, it could never be the first failure.
+      std::fill(connected.begin(), connected.end(), false);
+      connected[dest] = true;
+      pending.assign(1, dest);
+      for (std::size_t i = 0; i < pending.size(); ++i) {
+        const NodeId v = pending[i];
+        for (std::uint32_t k = c1_in_at[v]; k < c1_in_at[v + 1]; ++k) {
+          const auto [c, u] = c1_in[k];
+          if (connected[u] || !rows.reached[c]) continue;
+          connected[u] = true;
+          pending.push_back(u);
+        }
+      }
+      if (pending.size() != nodes) {
+        const auto stranded = static_cast<NodeId>(
+            std::find(connected.begin(), connected.end(), false) -
+            connected.begin());
+        return fail(AuditCode::kStrandedNode,
+                    "node " + std::to_string(stranded) + " cannot reach " +
+                        std::to_string(dest) +
+                        " on escape channels the relation supplies");
+      }
+
+      // Escape-everywhere: every reachable blocked state, and every
+      // injection state, is offered some escape channel by the relation.
       for (ChannelId c = 0; c < channels; ++c) {
         if (!rows.reached[c] || head(c) == dest) continue;
-        ++escape_states;
-        if (escapes[c] == kAbsent) {
-          return fail(AuditCode::kMissingEscapeWitness,
-                      "no escape witness for reachable state " +
-                          state_name(c, dest));
-        }
-        const ChannelId via = cert_.escapes[escapes[c]].via;
-        ++result_.edges_checked;
-        if (via >= channels || !in_c1[via] ||
-            !contains(rows.successors(c), via)) {
-          return fail(AuditCode::kEscapeWitnessInvalid,
-                      "claimed escape " + std::to_string(via) + " at " +
-                          state_name(c, dest) +
-                          " is not an escape output of the relation");
+        if (!has_escape(rows.successors(c))) {
+          return fail(AuditCode::kNoEscape,
+                      "reachable state " + state_name(c, dest) +
+                          " has no escape channel among its successors");
         }
       }
       for (NodeId src = 0; src < nodes; ++src) {
-        if (src == dest) continue;
-        const std::uint32_t injection = injection_at[dest * nodes + src];
-        if (injection == kAbsent) {
-          return fail(AuditCode::kMissingInjectionEscape,
-                      "no injection escape for " + std::to_string(src) +
-                          " -> " + std::to_string(dest));
+        if (src != dest && !has_escape(rows.first_hops(src))) {
+          return fail(AuditCode::kNoEscape,
+                      "injection " + std::to_string(src) + " -> " +
+                          std::to_string(dest) + " has no escape first hop");
         }
-        const ChannelId via = cert_.injection_escapes[injection].via;
-        ++result_.edges_checked;
-        if (via >= channels || !in_c1[via] ||
-            !contains(rows.first_hops(src), via)) {
-          return fail(AuditCode::kEscapeWitnessInvalid,
-                      "claimed injection escape " + std::to_string(via) +
-                          " for " + std::to_string(src) + " -> " +
-                          std::to_string(dest) +
-                          " is not a first hop of the relation");
-        }
-
-        // Connectivity: the explicit escape path must exist and hold up.
-        const std::uint32_t path = path_at[dest * nodes + src];
-        if (path == kAbsent) {
-          return fail(AuditCode::kMissingWitnessPath,
-                      "no witness path for " + std::to_string(src) + " -> " +
-                          std::to_string(dest));
-        }
-        const AuditResult bad =
-            check_witness_path(cert_.witness_paths[path], in_c1, rows);
-        if (!bad.ok()) return bad;
       }
 
       // Acyclicity: enumerate every extended-CDG dependency among escape
@@ -352,14 +307,6 @@ class Auditor {
         }
       }
     }
-
-    // Entries for states the relation cannot reach are unverifiable claims
-    // (every entry sits in its own slot, so the count is the slot count).
-    if (cert_.escapes.size() != escape_states) {
-      return fail(AuditCode::kEscapeWitnessInvalid,
-                  "certificate carries escape witnesses for unreachable "
-                  "states");
-    }
     return pass();
   }
 
@@ -373,38 +320,6 @@ class Auditor {
                       std::to_string(dest) +
                       ") contradicts the claimed topological order");
     }
-    return AuditResult{};
-  }
-
-  AuditResult check_witness_path(const WitnessPath& w,
-                                 const std::vector<bool>& in_c1,
-                                 const DestRows& rows) {
-    const auto broken = [&](const std::string& why) {
-      return fail(AuditCode::kWitnessPathBroken,
-                  "witness path " + std::to_string(w.src) + " -> " +
-                      std::to_string(w.dest) + ": " + why);
-    };
-    if (w.path.empty()) return broken("empty");
-    if (w.path.size() > topo_.num_channels()) return broken("revisits a channel");
-    NodeId at = w.src;
-    for (const ChannelId c : w.path) {
-      ++result_.edges_checked;
-      if (c >= topo_.num_channels()) return broken("channel out of range");
-      if (tail(c) != at) return broken("hops are not contiguous");
-      if (!in_c1[c]) {
-        return broken("hop " + topo_.channel_name(c) +
-                      " is not an escape channel");
-      }
-      // The hop must be supplied by the relation toward this destination:
-      // either as a first hop out of `at`, or mid-route (a reachable state).
-      if (!rows.reached[c] && !contains(rows.first_hops(at), c)) {
-        return broken("hop " + topo_.channel_name(c) +
-                      " is not supplied by the relation for dest " +
-                      std::to_string(w.dest));
-      }
-      at = head(c);
-    }
-    if (at != w.dest) return broken("does not end at the destination");
     return AuditResult{};
   }
 

@@ -2,18 +2,22 @@
 //
 // `check()` validates a Certificate against a (topology, routing) binding by
 // direct inspection of the routing relation: it re-derives reachable states
-// with its own fixpoint, walks the claimed witnesses hop by hop, and
-// enumerates extended-CDG dependencies against the claimed topological
-// order.  Everything is comparisons and array lookups over the relation —
-// no search, no cycle detection, no reuse of cdg/, cwg/, core/ or analysis/
-// code — so the auditor is a genuinely separate trusted base: a checker bug
-// that emits a wrong certificate becomes a loud audit contradiction here
-// instead of a silently wrong verdict downstream.
+// with its own fixpoint, checks the two gates of Duato's condition for the
+// claimed escape set C1 itself (every reachable blocked state and every
+// injection state offers a C1 output; every node reaches every destination
+// on supplied C1 channels), and enumerates extended-CDG dependencies against
+// the claimed topological order.  Everything is comparisons, array lookups
+// and one reverse BFS per destination over the relation — no subset search,
+// no cycle detection, no reuse of cdg/, cwg/, core/ or analysis/ code — so
+// the auditor is a genuinely separate trusted base: a checker bug that
+// emits a wrong certificate becomes a loud audit contradiction here instead
+// of a silently wrong verdict downstream.
 //
 // Cost: one relation evaluation per reachable state of each destination the
 // certificate names (the rows it yields serve every later check), plus, for
-// a certified claim, one excursion walk over non-escape states per escape
-// state to enumerate the indirect dependencies.  No search.
+// a certified claim, one reverse BFS per destination and one excursion walk
+// over non-escape states per escape state to enumerate the indirect
+// dependencies.
 #pragma once
 
 #include <cstdint>
@@ -34,11 +38,8 @@ enum class AuditCode : std::uint8_t {
   kBindingMismatch,       ///< node/channel counts disagree with the topology
   kOrderNotPermutation,   ///< order is not a permutation of the escape set
   kOrderViolation,        ///< a dependency edge contradicts the order
-  kMissingEscapeWitness,  ///< a reachable blocked state has no escape entry
-  kEscapeWitnessInvalid,  ///< an escape entry the relation does not supply
-  kMissingInjectionEscape,  ///< an injection state has no escape entry
-  kMissingWitnessPath,    ///< a (src, dest) pair has no connectivity path
-  kWitnessPathBroken,     ///< a connectivity path that does not hold up
+  kNoEscape,              ///< a reachable or injection state offers no C1
+  kStrandedNode,          ///< a node cannot reach a destination on C1
   kCycleEdgeUnsupported,  ///< a dependency-cycle edge the relation lacks
   kWaitCycleUnsupported,  ///< a wait-cycle edge or realization that fails
   kDisconnectionUnsupported,  ///< the claimed starved state can wait
@@ -50,7 +51,9 @@ struct AuditResult {
   AuditCode code = AuditCode::kValid;
   std::string detail;  ///< human rendering of the first failure
   std::uint64_t states_checked = 0;  ///< reachable states visited
-  std::uint64_t edges_checked = 0;   ///< dependency/witness edges verified
+  /// Extended-CDG dependencies compared with the order (certified), or
+  /// evidence edges and held channels verified (refuted).
+  std::uint64_t edges_checked = 0;
 
   [[nodiscard]] bool ok() const { return code == AuditCode::kValid; }
 };

@@ -11,14 +11,17 @@ namespace wormnet::cdg {
 namespace {
 
 /// The extended-CDG half of check(): edge counts and, when cyclic, the
-/// witness cycle with the kind of each of its edges.
+/// witness cycle with the kind of each of its edges, else a topological
+/// order.
 void check_acyclic(const ExtendedCdg& ecdg, DuatoReport& report) {
   report.direct_edges = ecdg.direct_edges;
   report.indirect_edges = ecdg.indirect_edges;
   report.cross_edges = ecdg.cross_edges;
   auto cycle = ecdg.graph.find_cycle();
   report.acyclic = !cycle.has_value();
-  if (cycle) {
+  if (!cycle) {
+    report.topological_order = ecdg.graph.topological_order().value();
+  } else {
     report.witness_cycle = std::move(*cycle);
     report.witness_cycle_kinds.reserve(report.witness_cycle.size());
     for (std::size_t i = 0; i < report.witness_cycle.size(); ++i) {

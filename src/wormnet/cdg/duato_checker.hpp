@@ -42,6 +42,9 @@ struct DuatoReport {
   std::size_t indirect_edges = 0;
   std::size_t cross_edges = 0;
   std::vector<graph::Vertex> witness_cycle;  ///< channels, when cyclic
+  /// A topological order of the extended CDG's vertices (every channel),
+  /// when acyclic.
+  std::vector<graph::Vertex> topological_order;
   /// Kind of each witness-cycle edge: witness_cycle_kinds[i] classifies the
   /// dependency witness_cycle[i] -> witness_cycle[(i+1) % size].
   std::vector<DepKind> witness_cycle_kinds;

@@ -53,7 +53,7 @@ std::string SubfunctionWitness::describe(const Topology& topo) const {
     case Kind::kNoEscape:
       return "state (" + topo.channel_name(channel) + ", dest " +
              std::to_string(dest) + ") has no escape channel to wait on";
-    case Kind::kNoInjectionEscape:
+    case Kind::kNoEscapeFirstHop:
       return "injection at node " + std::to_string(node) +
              " for destination " + std::to_string(dest) +
              " has no escape first hop";
@@ -133,7 +133,7 @@ SubfunctionWitness Subfunction::escape_witness() const {
         }
       }
       if (!has_escape) {
-        witness.kind = SubfunctionWitness::Kind::kNoInjectionEscape;
+        witness.kind = SubfunctionWitness::Kind::kNoEscapeFirstHop;
         witness.node = src;
         witness.dest = dest;
         return witness;

@@ -35,10 +35,10 @@ struct SubfunctionWitness {
     kNone,              ///< the check passed
     kUnreachableNode,   ///< node cannot reach dest hopping on C1(dest) only
     kNoEscape,          ///< reachable state (channel, dest) has no R1 output
-    kNoInjectionEscape  ///< injection state (src, dest) has no R1 first hop
+    kNoEscapeFirstHop   ///< injection state (src, dest) has no R1 first hop
   };
   Kind kind = Kind::kNone;
-  NodeId node = 0;  ///< kUnreachableNode: stranded node; kNoInjectionEscape: src
+  NodeId node = 0;  ///< kUnreachableNode: stranded node; kNoEscapeFirstHop: src
   ChannelId channel = topology::kInvalidChannel;  ///< kNoEscape: occupied channel
   NodeId dest = 0;  ///< destination under check (all failure kinds)
 

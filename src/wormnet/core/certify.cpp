@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "wormnet/cdg/extended_cdg.hpp"
-#include "wormnet/cdg/subfunction.hpp"
-
 namespace wormnet::core {
 namespace {
 
@@ -26,96 +23,23 @@ Certificate header(const StateGraph& states, audit::CertKind kind,
   return cert;
 }
 
-/// Escape path src -> dest for every source, as next-hop channels chosen by
-/// a reverse BFS over supplied C1 hops (the same "supplied" notion the
-/// subfunction connectivity check uses: a first hop of the relation, or a
-/// reachable mid-route state).  next[u] == kInvalidChannel marks failure.
-std::vector<ChannelId> escape_next_hops(const StateGraph& states,
-                                        const std::vector<bool>& c1,
-                                        NodeId dest) {
-  const topology::Topology& topo = states.topo();
-  std::vector<ChannelId> next(topo.num_nodes(), topology::kInvalidChannel);
-  std::vector<bool> done(topo.num_nodes(), false);
-  done[dest] = true;
-  std::vector<NodeId> stack{dest};
-  while (!stack.empty()) {
-    const NodeId v = stack.back();
-    stack.pop_back();
-    for (ChannelId c : topo.in_channels(v)) {
-      const NodeId u = topo.channel(c).src;
-      if (done[u] || u == dest || !c1[c]) continue;
-      const auto first_hops = states.injection(u, dest);
-      const bool supplied =
-          states.reachable(c, dest) ||
-          std::ranges::find(first_hops, c) != first_hops.end();
-      if (supplied) {
-        done[u] = true;
-        next[u] = c;
-        stack.push_back(u);
-      }
-    }
-  }
-  return next;
-}
-
+/// The certified certificate of a found subfunction: C1 and the search's
+/// topological order of its extended CDG, filtered to C1.  nullopt when the
+/// report carries no order over C1 (the checker claims acyclicity without
+/// one).
 std::optional<Certificate> certify_subfunction(const StateGraph& states,
                                                const std::vector<bool>& c1,
-                                               const std::string& label) {
-  const topology::Topology& topo = states.topo();
-  const std::size_t channels = topo.num_channels();
-  const NodeId nodes = topo.num_nodes();
-
+                                               const cdg::DuatoReport& report) {
   Certificate cert = header(states, audit::CertKind::kCertified, "duato");
-  cert.subfunction = label;
-  for (ChannelId c = 0; c < channels; ++c) {
+  cert.subfunction = report.subfunction_label;
+  for (ChannelId c = 0; c < c1.size(); ++c) {
     if (c1[c]) cert.escape_channels.push_back(c);
   }
-
-  const cdg::Subfunction sub(states, c1, label);
-  const cdg::ExtendedCdg ecdg = cdg::build_extended_cdg(sub);
-  const auto order = ecdg.graph.topological_order();
-  if (!order) return std::nullopt;  // checker said acyclic but it is not
-  for (const graph::Vertex v : *order) {
+  for (const graph::Vertex v : report.topological_order) {
     if (c1[v]) cert.topological_order.push_back(v);
   }
-
-  for (NodeId dest = 0; dest < nodes; ++dest) {
-    for (ChannelId c = 0; c < channels; ++c) {
-      if (!states.reachable(c, dest) || topo.channel(c).dst == dest) continue;
-      ChannelId via = topology::kInvalidChannel;
-      for (ChannelId next : states.successors(c, dest)) {
-        if (c1[next]) {
-          via = next;
-          break;
-        }
-      }
-      if (via == topology::kInvalidChannel) return std::nullopt;
-      cert.escapes.push_back({c, dest, via});
-    }
-    const std::vector<ChannelId> next = escape_next_hops(states, c1, dest);
-    for (NodeId src = 0; src < nodes; ++src) {
-      if (src == dest) continue;
-      ChannelId via = topology::kInvalidChannel;
-      for (ChannelId c : states.injection(src, dest)) {
-        if (c1[c]) {
-          via = c;
-          break;
-        }
-      }
-      if (via == topology::kInvalidChannel) return std::nullopt;
-      cert.injection_escapes.push_back({src, dest, via});
-
-      audit::WitnessPath path;
-      path.src = src;
-      path.dest = dest;
-      for (NodeId at = src; at != dest;) {
-        const ChannelId hop = next[at];
-        if (hop == topology::kInvalidChannel) return std::nullopt;
-        path.path.push_back(hop);
-        at = topo.channel(hop).dst;
-      }
-      cert.witness_paths.push_back(std::move(path));
-    }
+  if (cert.topological_order.size() != cert.escape_channels.size()) {
+    return std::nullopt;
   }
   return cert;
 }
@@ -150,8 +74,7 @@ std::optional<audit::Certificate> certify_dependency_cycle(
 std::optional<audit::Certificate> certify_duato(
     const StateGraph& states, const cdg::SearchResult& search) {
   if (search.found) {
-    return certify_subfunction(states, search.c1,
-                               search.report.subfunction_label);
+    return certify_subfunction(states, search.c1, search.report);
   }
   if (!search.exhaustive_complete || !cdg::condition_exact(states)) {
     return std::nullopt;

@@ -1,9 +1,10 @@
 // Shared fixtures of the audit suite (test_audit, test_audit_consistency):
-// the golden-file comparison, and adversarial mutations of a certificate
-// whose relation takes excursions off the escape set (duato-mesh on
-// mesh:4x4:2), so that indirect dependencies, the dense witness indexes and
-// the first-hop rows are all exercised.  test_audit checks each mutation's
-// code; test_audit_consistency pins each mutation's detail string in
+// the golden-file comparison, and adversarial mutations of valid
+// certificates — one whose relation takes excursions off the escape set
+// (duato-mesh on mesh:4x4:2), so that indirect dependencies are exercised,
+// and one of an input-dependent table relation, so that each gate of the
+// condition can fail first.  test_audit checks each mutation's code;
+// test_audit_consistency pins each mutation's detail string in
 // golden/audit_results.txt.
 #pragma once
 
@@ -41,21 +42,57 @@ inline void compare_or_update(const std::string& name,
   EXPECT_EQ(actual, expected) << "golden drift in " << name;
 }
 
+/// The Duato certificate of a relation the search certifies.
+inline audit::Certificate certified(const Topology& topo,
+                                    const routing::RoutingFunction& routing) {
+  core::VerifyOptions options;
+  options.method = core::Method::kDuato;
+  return core::verify_certified(topo, routing, options).certificate.value();
+}
+
 /// duato-mesh on mesh:4x4:2 (96 channels), Duato-certified: its adaptive
 /// layer gives escape states excursions, hence indirect dependencies.
 struct ExcursionFixture {
   Topology topo = core::make_topology("mesh:4x4:2");
   std::unique_ptr<routing::RoutingFunction> routing =
       core::make_algorithm("duato-mesh", topo);
-  audit::Certificate cert = certify(topo, *routing);
-
-  static audit::Certificate certify(const Topology& topo,
-                                    const routing::RoutingFunction& routing) {
-    core::VerifyOptions options;
-    options.method = core::Method::kDuato;
-    return core::verify_certified(topo, routing, options).certificate.value();
-  }
+  audit::Certificate cert = certified(topo, *routing);
 };
+
+/// A three-node line whose relation depends on the input channel: a message
+/// passing node 1 toward node 2 must take 1 -> 2 on virtual channel 1
+/// (channel 2), one injected at node 1 takes virtual channel 0 (channel 1).
+/// Certified with every channel as escape.  Without channel 2 the passing
+/// message has no escape, yet every node still reaches every destination —
+/// which no registry relation shows, as each routes a node's messages alike
+/// whatever their input.
+struct InputDependentFixture {
+  static constexpr ChannelId kInv = topology::kInvalidChannel;
+  Topology topo{"line3",
+                3,
+                {{.src = 0, .dst = 1},
+                 {.src = 1, .dst = 2},
+                 {.src = 1, .dst = 2, .vc = 1},
+                 {.src = 2, .dst = 1},
+                 {.src = 1, .dst = 0}}};
+  routing::TableRouting routing{topo,
+                                "line3-through-vc1",
+                                {{{kInv, 0, 1}, {0}},
+                                 {{kInv, 0, 2}, {0}},
+                                 {{kInv, 1, 2}, {1}},
+                                 {{0, 1, 2}, {2}},
+                                 {{kInv, 1, 0}, {4}},
+                                 {{kInv, 2, 0}, {3}},
+                                 {{kInv, 2, 1}, {3}}},
+                                routing::RelationForm::kChannelNodeDest};
+  audit::Certificate cert = certified(topo, routing);
+};
+
+/// Removes escape channel `c` from the certificate's C1 and from its order.
+inline void drop_escape_channel(audit::Certificate& cert, ChannelId c) {
+  std::erase(cert.escape_channels, c);
+  std::erase(cert.topological_order, c);
+}
 
 /// Swaps the order positions of the first extended-CDG edge that is not a
 /// direct dependency and whose swap leaves every direct edge ordered, so
@@ -96,12 +133,13 @@ inline bool swap_indirect_only_edge(const Topology& topo,
   return false;
 }
 
-/// One adversarial edit of the excursion fixture's certificate and the
-/// audit code it must draw.
+/// One adversarial edit of a valid certificate and the audit code it must
+/// draw.
 struct AuditMutationCase {
   const char* name;
   audit::AuditCode expected;
-  std::function<void(const ExcursionFixture&, audit::Certificate&)> apply;
+  /// Audits the edited certificate against its own binding.
+  std::function<audit::AuditResult()> audit;
 };
 
 /// Names the case in gtest's parameter output.
@@ -109,55 +147,31 @@ inline void PrintTo(const AuditMutationCase& m, std::ostream* os) {
   *os << m.name;
 }
 
-inline std::vector<AuditMutationCase> excursion_mutations() {
+inline std::vector<AuditMutationCase> certificate_mutations() {
   using audit::AuditCode;
-  using audit::Certificate;
-  using Fx = ExcursionFixture;
   return {
       {"indirect-order-violation", AuditCode::kOrderViolation,
-       [](const Fx& fx, Certificate& cert) {
-         ASSERT_TRUE(swap_indirect_only_edge(fx.topo, *fx.routing, cert));
+       [] {
+         const ExcursionFixture fx;
+         audit::Certificate cert = fx.cert;
+         EXPECT_TRUE(swap_indirect_only_edge(fx.topo, *fx.routing, cert));
+         return audit::check(fx.topo, *fx.routing, cert);
        }},
-      {"duplicate-escape-witness", AuditCode::kMalformed,
-       [](const Fx&, Certificate& cert) {
-         cert.escapes.push_back(cert.escapes.front());
+      {"drop-strands-node", AuditCode::kStrandedNode,
+       [] {
+         // Every escape state has exactly one escape (its e-cube hop), so
+         // the node that channel leaves no longer reaches some destination.
+         const ExcursionFixture fx;
+         audit::Certificate cert = fx.cert;
+         drop_escape_channel(cert, cert.escape_channels.front());
+         return audit::check(fx.topo, *fx.routing, cert);
        }},
-      {"duplicate-injection-escape", AuditCode::kMalformed,
-       [](const Fx&, Certificate& cert) {
-         cert.injection_escapes.push_back(cert.injection_escapes.front());
-       }},
-      {"duplicate-witness-path", AuditCode::kMalformed,
-       [](const Fx&, Certificate& cert) {
-         cert.witness_paths.push_back(cert.witness_paths.front());
-       }},
-      {"escape-for-unreachable-state", AuditCode::kEscapeWitnessInvalid,
-       [](const Fx& fx, Certificate& cert) {
-         // A message for node 0 never leaves node 0: (0 -> 1, dest 0) is
-         // not a reachable state of the minimal relation.
-         const ChannelId away = fx.topo.find_channel(0, 1, /*vc=*/0);
-         cert.escapes.push_back(
-             {.channel = away, .dest = 0, .via = cert.escape_channels.front()});
-       }},
-      {"escape-via-num-channels", AuditCode::kEscapeWitnessInvalid,
-       [](const Fx& fx, Certificate& cert) {
-         cert.escapes.front().via =
-             static_cast<ChannelId>(fx.topo.num_channels());
-       }},
-      {"escape-via-invalid-channel", AuditCode::kEscapeWitnessInvalid,
-       [](const Fx&, Certificate& cert) {
-         cert.escapes.front().via = topology::kInvalidChannel;
-       }},
-      {"injection-escape-not-first-hop", AuditCode::kEscapeWitnessInvalid,
-       [](const Fx& fx, Certificate& cert) {
-         // An escape channel that does not leave the injecting node.
-         audit::InjectionEscape& w = cert.injection_escapes.front();
-         for (const ChannelId c : cert.escape_channels) {
-           if (fx.topo.channel(c).src != w.src) {
-             w.via = c;
-             return;
-           }
-         }
-         FAIL() << "every escape channel leaves node " << w.src;
+      {"drop-leaves-no-escape", AuditCode::kNoEscape,
+       [] {
+         const InputDependentFixture fx;
+         audit::Certificate cert = fx.cert;
+         drop_escape_channel(cert, 2);
+         return audit::check(fx.topo, fx.routing, cert);
        }},
   };
 }

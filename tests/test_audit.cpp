@@ -66,7 +66,6 @@ TEST(Audit, CertifiedDatelineRingRoundTrips) {
   EXPECT_EQ(cert.method, "duato");
   EXPECT_FALSE(cert.escape_channels.empty());
   EXPECT_EQ(cert.topological_order.size(), cert.escape_channels.size());
-  EXPECT_FALSE(cert.witness_paths.empty());
   expect_roundtrip(fx.topo, *fx.routing, cert);
 }
 
@@ -173,6 +172,21 @@ class AuditMutation : public ::testing::Test {
     return result.code;
   }
 
+  /// Drops, from C1 and the order, the first escape channel that some
+  /// message uses toward some destination.
+  void drop_used_channel(Certificate& cert) const {
+    const cdg::StateGraph states(fx_.topo, *fx_.routing);
+    for (const ChannelId c : cert.escape_channels) {
+      for (NodeId dest = 0; dest < fx_.topo.num_nodes(); ++dest) {
+        if (states.reachable(c, dest)) {
+          test::drop_escape_channel(cert, c);
+          return;
+        }
+      }
+    }
+    FAIL() << "no escape channel is used";
+  }
+
   CertifiedFixture fx_;
   Certificate cert_;
 };
@@ -192,12 +206,11 @@ TEST_F(AuditMutation, SwappedTopologicalOrderRejected) {
   EXPECT_EQ(audit_code(), AuditCode::kOrderViolation);
 }
 
-TEST_F(AuditMutation, TruncatedWitnessPathRejected) {
-  ASSERT_FALSE(cert_.witness_paths.empty());
-  auto& path = cert_.witness_paths.front().path;
-  ASSERT_FALSE(path.empty());
-  path.pop_back();
-  EXPECT_EQ(audit_code(), AuditCode::kWitnessPathBroken);
+TEST_F(AuditMutation, DroppedUsedEscapeChannelStrandsANode) {
+  // Dateline routing is deterministic: without a channel some message
+  // uses, the node it leaves cannot reach that message's destination.
+  drop_used_channel(cert_);
+  EXPECT_EQ(audit_code(), AuditCode::kStrandedNode);
 }
 
 TEST_F(AuditMutation, CorruptJsonRejected) {
@@ -213,32 +226,6 @@ TEST_F(AuditMutation, CorruptJsonRejected) {
   EXPECT_FALSE(bad.error.empty());
 }
 
-TEST_F(AuditMutation, RemovedEscapeWitnessRejected) {
-  ASSERT_FALSE(cert_.escapes.empty());
-  cert_.escapes.pop_back();
-  EXPECT_EQ(audit_code(), AuditCode::kMissingEscapeWitness);
-}
-
-TEST_F(AuditMutation, TamperedEscapeViaRejected) {
-  ASSERT_FALSE(cert_.escapes.empty());
-  // Point the escape at a channel the relation does not offer there: the
-  // witness's own occupied channel is never among its successors.
-  cert_.escapes.front().via = cert_.escapes.front().channel;
-  EXPECT_EQ(audit_code(), AuditCode::kEscapeWitnessInvalid);
-}
-
-TEST_F(AuditMutation, RemovedInjectionEscapeRejected) {
-  ASSERT_FALSE(cert_.injection_escapes.empty());
-  cert_.injection_escapes.pop_back();
-  EXPECT_EQ(audit_code(), AuditCode::kMissingInjectionEscape);
-}
-
-TEST_F(AuditMutation, RemovedWitnessPathRejected) {
-  ASSERT_FALSE(cert_.witness_paths.empty());
-  cert_.witness_paths.pop_back();
-  EXPECT_EQ(audit_code(), AuditCode::kMissingWitnessPath);
-}
-
 TEST_F(AuditMutation, WrongBindingRejected) {
   const Topology other = make_ring(8, 1);
   const routing::UnrestrictedMinimal routing(other);
@@ -247,18 +234,18 @@ TEST_F(AuditMutation, WrongBindingRejected) {
 }
 
 TEST_F(AuditMutation, DistinctReasonsPerMutation) {
-  // The four ISSUE-mandated mutations must each surface a different
-  // machine-readable reason (JSON corruption rejects at the parser).
+  // The mutations must each surface a different machine-readable reason
+  // (JSON corruption rejects at the parser).
   Certificate dropped = cert_;
   dropped.escape_channels.erase(dropped.escape_channels.begin());
   Certificate swapped = cert_;
   std::reverse(swapped.topological_order.begin(),
                swapped.topological_order.end());
-  Certificate truncated = cert_;
-  truncated.witness_paths.front().path.pop_back();
+  Certificate stranded = cert_;
+  drop_used_channel(stranded);
   const AuditCode a = check(fx_.topo, *fx_.routing, dropped).code;
   const AuditCode b = check(fx_.topo, *fx_.routing, swapped).code;
-  const AuditCode c = check(fx_.topo, *fx_.routing, truncated).code;
+  const AuditCode c = check(fx_.topo, *fx_.routing, stranded).code;
   EXPECT_NE(a, b);
   EXPECT_NE(a, c);
   EXPECT_NE(b, c);
@@ -267,18 +254,14 @@ TEST_F(AuditMutation, DistinctReasonsPerMutation) {
   EXPECT_STRNE(to_string(b), to_string(c));
 }
 
-// Mutations of a certificate whose escape states take excursions
-// (audit_fixtures.hpp): indirect dependencies, duplicate and out-of-range
-// witness entries, and first-hop rows.
-class AuditExcursionMutation
+// Mutations of C1 and the order (audit_fixtures.hpp): an indirect
+// dependency against the order, and single escape-channel drops that fail
+// each gate of the condition.
+class AuditCertificateMutation
     : public ::testing::TestWithParam<test::AuditMutationCase> {};
 
-TEST_P(AuditExcursionMutation, DrawsItsCode) {
-  const test::ExcursionFixture fx;
-  ASSERT_TRUE(check(fx.topo, *fx.routing, fx.cert).ok());
-  Certificate cert = fx.cert;
-  GetParam().apply(fx, cert);
-  const AuditResult result = check(fx.topo, *fx.routing, cert);
+TEST_P(AuditCertificateMutation, DrawsItsCode) {
+  const AuditResult result = GetParam().audit();
   EXPECT_EQ(result.code, GetParam().expected)
       << to_string(result.code) << ": " << result.detail;
   EXPECT_FALSE(result.detail.empty());
@@ -288,44 +271,20 @@ TEST_P(AuditExcursionMutation, DrawsItsCode) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    DuatoMesh, AuditExcursionMutation,
-    ::testing::ValuesIn(test::excursion_mutations()),
+    Certified, AuditCertificateMutation,
+    ::testing::ValuesIn(test::certificate_mutations()),
     [](const ::testing::TestParamInfo<test::AuditMutationCase>& info) {
       std::string name = info.param.name;
       std::replace(name.begin(), name.end(), '-', '_');
       return name;
     });
 
-TEST(AuditExcursion, WitnessPathRunningPastItsDestinationRejected) {
-  // The path reaches its destination, leaves it on an escape channel and
-  // comes back: no message toward a node leaves that node, so the relation
-  // supplies no hop out of it (and is never asked for one: R(., d, d) is
-  // outside its domain).
-  const test::ExcursionFixture fx;
-  Certificate cert = fx.cert;
-  WitnessPath& w = cert.witness_paths.front();
-  const std::size_t hops = w.path.size();
-  for (const ChannelId out : cert.escape_channels) {
-    if (fx.topo.channel(out).src != w.dest) continue;
-    const NodeId next = fx.topo.channel(out).dst;
-    const auto back = std::find_if(
-        cert.escape_channels.begin(), cert.escape_channels.end(),
-        [&](ChannelId c) {
-          return fx.topo.channel(c).src == next &&
-                 fx.topo.channel(c).dst == w.dest;
-        });
-    if (back == cert.escape_channels.end()) continue;
-    w.path.push_back(out);
-    w.path.push_back(*back);
-    break;
-  }
-  ASSERT_EQ(w.path.size(), hops + 2) << "no escape round trip out of "
-                                     << w.dest;
-  const AuditResult result = check(fx.topo, *fx.routing, cert);
-  EXPECT_EQ(result.code, AuditCode::kWitnessPathBroken) << result.detail;
-  EXPECT_NE(result.detail.find("is not supplied by the relation for dest"),
-            std::string::npos)
-      << result.detail;
+TEST(AuditExcursion, FixturesAuditValid) {
+  const test::ExcursionFixture excursion;
+  EXPECT_TRUE(check(excursion.topo, *excursion.routing, excursion.cert).ok());
+  const test::InputDependentFixture line;
+  EXPECT_EQ(line.cert.escape_channels.size(), line.topo.num_channels());
+  EXPECT_TRUE(check(line.topo, line.routing, line.cert).ok());
 }
 
 TEST(AuditRefutedMutation, CorruptedCycleEdgeRejected) {
@@ -389,20 +348,28 @@ TEST(CertificateParser, RejectsDuplicateAndUnknownKeys) {
 TEST(CertificateParser, RejectsTheRetiredSchemaAndBinding) {
   const CertifiedFixture fx;
   const std::string json = fx.result.certificate->to_json();
-  // A wormnet-certificate/1 document is refused outright, by schema name.
-  std::string old_schema = json;
-  const std::string schema = "\"wormnet-certificate/2\"";
-  const auto at = old_schema.find(schema);
+  // wormnet-certificate/1 and /2 documents are refused outright, by schema
+  // name.
+  const std::string schema = "\"wormnet-certificate/3\"";
+  const auto at = json.find(schema);
   ASSERT_NE(at, std::string::npos);
-  old_schema.replace(at, schema.size(), "\"wormnet-certificate/1\"");
-  const ParseResult parsed = parse_certificate(old_schema);
-  EXPECT_FALSE(parsed.certificate.has_value());
-  EXPECT_NE(parsed.error.find("unsupported schema"), std::string::npos)
-      << parsed.error;
-  // The retired three-field binding is no longer a key of /2.
+  for (const char* retired :
+       {"\"wormnet-certificate/1\"", "\"wormnet-certificate/2\""}) {
+    std::string old_schema = json;
+    old_schema.replace(at, schema.size(), retired);
+    const ParseResult parsed = parse_certificate(old_schema);
+    EXPECT_FALSE(parsed.certificate.has_value()) << retired;
+    EXPECT_NE(parsed.error.find("unsupported schema"), std::string::npos)
+        << parsed.error;
+  }
+  // The retired three-field binding is no longer a key.
   std::string old_binding = json;
   old_binding.replace(old_binding.find("\"relation\""), 10, "\"routing\"");
   EXPECT_FALSE(parse_certificate(old_binding).certificate.has_value());
+  // Nor are the retired certified hints.
+  std::string hints = json;
+  hints.insert(hints.find("\"topological_order\""), "\"escapes\": [],\n  ");
+  EXPECT_FALSE(parse_certificate(hints).certificate.has_value());
 }
 
 TEST(CertificateParser, RejectsMixedKindPayloads) {
@@ -423,18 +390,11 @@ TEST(CertificateParser, RejectsMixedKindPayloads) {
 }
 
 TEST(CertificateParser, EveryNestedRecordNeedsEachFieldOnce) {
-  Certificate certified;
-  certified.escape_channels = {1};
-  certified.topological_order = {1};
-  certified.escapes = {{5, 6, 7}};
-  certified.injection_escapes = {{2, 3, 4}};
-  certified.witness_paths = {{8, 9, {1}}};
   Certificate refuted;
   refuted.kind = CertKind::kRefuted;
   refuted.evidence = Evidence::kNotWaitConnected;
   refuted.cycle = {{1, 2, 3, {1}}};
   refuted.disconnection = {true, 4, 5, 6};
-  ASSERT_TRUE(parse_certificate(certified.to_json()).certificate.has_value());
   ASSERT_TRUE(parse_certificate(refuted.to_json()).certificate.has_value());
 
   // One member of each nested record kind, spelled as to_json() writes it.
@@ -443,12 +403,8 @@ TEST(CertificateParser, EveryNestedRecordNeedsEachFieldOnce) {
     std::string member;
     std::string key;
   } kCases[] = {
-      {&certified, "\"channel\": 5, ", "channel"},
-      {&certified, ", \"via\": 7", "via"},
-      {&certified, "\"src\": 2, ", "src"},
-      {&certified, ", \"dest\": 3", "dest"},
-      {&certified, ", \"path\": [1]", "path"},
       {&refuted, "\"from\": 1, ", "from"},
+      {&refuted, ", \"dest\": 3", "dest"},
       {&refuted, ", \"hold\": [1]", "hold"},
       {&refuted, "\"at_injection\": true, ", "at_injection"},
       {&refuted, ", \"dest\": 6", "dest"},

@@ -5,8 +5,10 @@
 // certificate alone.  A disagreement here means either the checker emitted
 // evidence the relation does not support (checker bug) or the auditor's
 // re-derivation of the semantics drifted (auditor bug) — both are
-// release-blocking.  Every matrix certificate's audit result, and the
-// detail string of every excursion mutation, is pinned in
+// release-blocking.  Every certified matrix certificate is also cut down
+// one escape channel at a time, and the auditor must agree with the
+// checker's gates and condition on each cut.  Every matrix certificate's
+// audit result, and the detail string of every mutation, is pinned in
 // golden/audit_results.txt (regenerate with WORMNET_UPDATE_GOLDEN=1).
 #include <gtest/gtest.h>
 
@@ -85,6 +87,38 @@ void expect_consistent(const Topology& topo,
   }
 }
 
+/// Drops each escape channel of a valid certified `cert` in turn, from C1
+/// and from the order, and requires the auditor to agree with the checker
+/// on every drop: a valid audit implies the checker's condition holds, a
+/// gate code implies a checker gate fails, and a failed checker gate is
+/// never a valid audit.
+void expect_drops_agree(const Topology& topo,
+                        const routing::RoutingFunction& routing,
+                        const Certificate& cert, const std::string& subject) {
+  const cdg::StateGraph states(topo, routing);
+  for (const ChannelId dropped : cert.escape_channels) {
+    Certificate mutant = cert;
+    test::drop_escape_channel(mutant, dropped);
+    std::vector<bool> c1(topo.num_channels(), false);
+    for (const ChannelId c : mutant.escape_channels) c1[c] = true;
+    const cdg::Subfunction sub(states, c1, "drop");
+    const bool gates = sub.connected() && sub.escape_everywhere();
+    const AuditResult audit = check(topo, routing, mutant);
+    SCOPED_TRACE(subject + " without channel " + std::to_string(dropped) +
+                 ": " + to_string(audit.code) + " " + audit.detail);
+    if (audit.ok()) {
+      EXPECT_TRUE(cdg::check(sub).holds());
+    }
+    if (audit.code == AuditCode::kStrandedNode ||
+        audit.code == AuditCode::kNoEscape) {
+      EXPECT_FALSE(gates);
+    }
+    if (!gates) {
+      EXPECT_FALSE(audit.ok());
+    }
+  }
+}
+
 TEST(AuditConsistency, RegistryMatrixDuatoAndCwg) {
   std::vector<std::string> lines;
   for (const lint::ExampleExpectation& row : lint::example_matrix()) {
@@ -95,6 +129,10 @@ TEST(AuditConsistency, RegistryMatrixDuatoAndCwg) {
       const CertifiedVerdict result =
           core::verify_certified(topo, *routing, matrix_options(method));
       expect_consistent(topo, *routing, result, subject, &lines);
+      if (result.certificate &&
+          result.certificate->kind == CertKind::kCertified) {
+        expect_drops_agree(topo, *routing, *result.certificate, subject);
+      }
       // verify() and verify_certified() must agree — emission is a pure
       // side channel.
       const core::Verdict plain =
@@ -102,12 +140,9 @@ TEST(AuditConsistency, RegistryMatrixDuatoAndCwg) {
       EXPECT_EQ(plain.conclusion, result.verdict.conclusion) << subject;
     }
   }
-  // The excursion mutations' rejections, detail strings included.
-  const test::ExcursionFixture fx;
-  for (const test::AuditMutationCase& m : test::excursion_mutations()) {
-    Certificate cert = fx.cert;
-    m.apply(fx, cert);
-    const AuditResult audit = check(fx.topo, *fx.routing, cert);
+  // The mutations' rejections, detail strings included.
+  for (const test::AuditMutationCase& m : test::certificate_mutations()) {
+    const AuditResult audit = m.audit();
     lines.push_back(result_line(std::string("mutation ") + m.name, audit) +
                     " " + audit.detail);
   }

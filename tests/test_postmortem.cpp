@@ -338,11 +338,11 @@ TEST(Postmortem, ForgedCertificateRejectedYetFlagsContradiction) {
   // (that is the theorem), so forge one *through the production schema*:
   // a Certificate claiming the FULL channel set is a certified escape
   // subfunction of the unrestricted ring.  The forgery is well-formed JSON
-  // — and the independent auditor rejects it, because the schema demands
-  // per-state escape evidence the forger cannot supply (and no completion
-  // could survive the acyclicity check: the full set's extended CDG is
-  // cyclic).  Feeding the same forged escape set to the cross-reference
-  // then trips the contradiction flag on the runtime cycle, as it must.
+  // and passes both gates (every state escapes on some channel; every node
+  // reaches every destination) — and the independent auditor still rejects
+  // it, because the full set's extended CDG is cyclic, so no order of it
+  // holds.  Feeding the same forged escape set to the cross-reference then
+  // trips the contradiction flag on the runtime cycle, as it must.
   const topology::Topology topo = core::make_topology("ring:8");
   const auto routing = core::make_algorithm("unrestricted", topo);
   sim::Simulator simulator(topo, *routing, ring_wedge_config());
@@ -368,8 +368,7 @@ TEST(Postmortem, ForgedCertificateRejectedYetFlagsContradiction) {
   // ... and dies at the auditor: the relation does not support the claim.
   const audit::AuditResult audit = audit::check(topo, *routing, forged);
   EXPECT_FALSE(audit.ok());
-  EXPECT_EQ(audit.code, audit::AuditCode::kMissingEscapeWitness)
-      << audit.detail;
+  EXPECT_EQ(audit.code, audit::AuditCode::kOrderViolation) << audit.detail;
 
   const cdg::StateGraph states(topo, *routing);
   cdg::SearchResult fake;
