@@ -15,7 +15,7 @@
 // after the document are all bad input.
 //
 // Exit status (cli.hpp): 0 = rendered, 1 = the artifact flags a theorem
-// contradiction (a Duato-certified configuration with an escape-confined
+// contradiction (a Duato-certified live relation with an escape-confined
 // runtime cycle), 2 = usage or parse error.
 #include <algorithm>
 #include <cmath>
@@ -122,8 +122,8 @@ int render(const json::Value& root, const std::string& path,
   os << "== Deadlock postmortem: " << path << " ==\n";
   os << "reason     : " << reason << " (sim cycle " << count(pm, "cycle")
      << ")\n";
-  os << "config     : " << text(pm, "topology") << " / "
-     << text(pm, "routing") << "\n";
+  os << "topology   : " << text(pm, "topology") << "\n";
+  os << "relation   : " << text(pm, "relation") << "  (live at capture)\n";
   os << "certified  : " << (certified ? "yes" : "no");
   if (certified) os << "  (escape set: " << text(pm, "subfunction") << ")";
   os << "\n";
@@ -206,19 +206,19 @@ int render(const json::Value& root, const std::string& path,
 
   os << "\n-- Blame --\n";
   if (contradiction) {
-    os << "CONTRADICTION: this configuration is Duato-certified, yet the\n"
+    os << "CONTRADICTION: the live relation is Duato-certified, yet the\n"
           "runtime wait cycle is confined to the escape subfunction's\n"
           "extended CDG.  The theorem says that graph is acyclic, so either\n"
           "the checker or the simulator is wrong.  Treat as a bug.\n";
   } else if (certified) {
-    os << "Configuration is Duato-certified and the cycle is NOT confined\n"
-          "to escape edges.  A certified config should not deadlock at all —\n"
-          "if reason is '" << reason << "' via watchdog this may be\n"
+    os << "The live relation is Duato-certified; the cycle is NOT confined\n"
+          "to escape edges.  A certified relation should not deadlock at all\n"
+          "— if reason is '" << reason << "' via watchdog this may be\n"
           "saturation rather than true deadlock; otherwise investigate.\n";
   } else {
-    os << "Configuration is not Duato-certified: the deadlock is the static\n"
-          "CDG cycle shown above, which no escape subfunction breaks.  This\n"
-          "is the expected failure mode the paper's condition rules out.\n";
+    os << "The live relation is uncertified: the deadlock is the static CDG\n"
+          "cycle shown above, which no escape subfunction breaks.  This is\n"
+          "the expected failure mode the paper's condition rules out.\n";
   }
   return contradiction ? cli::kFinding : cli::kClean;
 }

@@ -25,23 +25,16 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <map>
-#include <memory>
 #include <string>
 
 #include "cli.hpp"
 #include "wormnet/audit/check.hpp"
-#include "wormnet/cdg/cdg_builder.hpp"
-#include "wormnet/cdg/duato_checker.hpp"
-#include "wormnet/cdg/states.hpp"
 #include "wormnet/core/registry.hpp"
 #include "wormnet/exp/sweep_io.hpp"
 #include "wormnet/exp/sweep_runner.hpp"
 #include "wormnet/ft/recovery.hpp"
 #include "wormnet/obs/metrics.hpp"
-#include "wormnet/obs/postmortem.hpp"
 #include "wormnet/obs/profiler.hpp"
-#include "wormnet/reconfig/transition_plan.hpp"
 #include "wormnet/reconfig/union_routing.hpp"
 
 namespace {
@@ -76,10 +69,9 @@ constexpr cli::Flag kFlags[] = {
      "epoch (audited on write\nby wormnet::audit; a contradiction exits 1)"},
     {"--postmortem-dir", "D",
      "write one JSON per captured deadlock postmortem\n(postmortem_<point>_"
-     "<n>.json, cross-referenced\nagainst the pair's static CDG; fault "
-     "points are\ncross-referenced against the pristine relation;\n"
-     "reconfig points additionally classify each edge\nold-only/new-only/"
-     "shared and flag cycles that\ncross the transition union)"},
+     "<n>.json, cross-referenced\nagainst the relation live at capture and "
+     "its\nverdict; reconfig points also classify each\nedge old-only/"
+     "new-only/shared and flag cycles\nthat cross the transition union)"},
     {"--profile", "FILE",
      "self-profile the sweep: per-phase wall-time\nhistograms to FILE, plus "
      "a point_ms column in\nthe row output (breaks byte-determinism)"},
@@ -104,31 +96,6 @@ const cli::Spec kSpec{
         "  reps=N                      replications per cell (default 1)\n"
         "  seed=N                      base seed of the jump chain\n",
 };
-
-/// Memoized static context for postmortem cross-referencing: one state graph
-/// and Duato search per (topology spec, routing name) that deadlocked.
-struct XrefContext {
-  topology::Topology topo;
-  std::unique_ptr<routing::RoutingFunction> routing;
-  std::unique_ptr<cdg::StateGraph> states;
-  cdg::SearchResult search;
-};
-
-const XrefContext& xref_context(
-    std::map<std::pair<std::string, std::string>,
-             std::unique_ptr<XrefContext>>& cache,
-    const std::string& topo_spec, const std::string& routing_name) {
-  auto& slot = cache[{topo_spec, routing_name}];
-  if (!slot) {
-    auto ctx = std::make_unique<XrefContext>(
-        XrefContext{core::make_topology(topo_spec), nullptr, nullptr, {}});
-    ctx->routing = core::make_algorithm(routing_name, ctx->topo);
-    ctx->states = std::make_unique<cdg::StateGraph>(ctx->topo, *ctx->routing);
-    ctx->search = cdg::search(*ctx->states);
-    slot = std::move(ctx);
-  }
-  return *slot;
-}
 
 /// Cache keys ("topo|routing" / "topo|routing|mask") become filenames;
 /// anything shell- or filesystem-hostile collapses to '_'.
@@ -156,17 +123,11 @@ std::size_t write_certificates(const char* argv0, const std::string& dir,
     io_ok = false;
     return 0;
   }
-  std::map<std::string, topology::Topology> topos;
   std::size_t contradictions = 0;
   std::size_t written = 0;
   for (const exp::CertificateRecord& record : outcome.certificates) {
     const audit::Certificate& cert = *record.certificate;
-    auto it = topos.find(cert.topology);
-    if (it == topos.end()) {
-      it = topos.emplace(cert.topology, core::make_topology(cert.topology))
-               .first;
-    }
-    const topology::Topology& topo = it->second;
+    const topology::Topology topo = core::make_topology(cert.topology);
     const auto routing =
         reconfig::RelationExpr::parse(cert.relation, topo).build(topo);
     const audit::AuditResult audit = audit::check(topo, *routing, cert);
@@ -259,22 +220,16 @@ int main(int argc, char** argv) {
 
   exp::SweepIoOptions io;
   io.timings = !profile_path.empty();
-  if (output_path.empty()) {
-    if (out_format == "jsonl") {
-      exp::write_jsonl(std::cout, outcome, io);
-    } else {
-      exp::write_csv(std::cout, outcome, io);
-    }
+  std::ofstream output_file;
+  if (!output_path.empty()) {
+    output_file.open(output_path, std::ios::binary);
+    if (!output_file) return args.error("cannot open " + output_path);
+  }
+  std::ostream& rows = output_path.empty() ? std::cout : output_file;
+  if (out_format == "jsonl") {
+    exp::write_jsonl(rows, outcome, io);
   } else {
-    std::ofstream file(output_path, std::ios::binary);
-    if (!file) {
-      return args.error("cannot open " + output_path);
-    }
-    if (out_format == "jsonl") {
-      exp::write_jsonl(file, outcome, io);
-    } else {
-      exp::write_csv(file, outcome, io);
-    }
+    exp::write_csv(rows, outcome, io);
   }
 
   if (!postmortem_dir.empty()) {
@@ -284,39 +239,20 @@ int main(int argc, char** argv) {
       return args.error("cannot create " + postmortem_dir + ": " +
                         ec.message());
     }
-    std::map<std::pair<std::string, std::string>,
-             std::unique_ptr<XrefContext>> xrefs;
+    // Each postmortem is judged against the relation its stamp names,
+    // through one analysis cache.
+    exp::AnalysisCache cache(false, nullptr, true);
     std::size_t written = 0;
     for (const exp::SweepResult& r : outcome.results) {
       for (std::size_t n = 0; n < r.postmortems.size(); ++n) {
-        const XrefContext& ctx =
-            xref_context(xrefs, r.point.topology, r.point.routing);
-        obs::PostmortemReport report =
-            obs::cross_reference(*ctx.states, ctx.search, r.postmortems[n],
-                                 r.point.topology, r.point.routing);
-        if (r.point.transition) {
-          // Transition provenance: classify every lifted edge against the
-          // pure pre-switch (base) and post-switch (steady-state) CDGs and
-          // flag cycles only the mid-switch union contains.  Deadlocks are
-          // rare enough that rebuilding the two graphs per postmortem beats
-          // carrying another cache.
-          const reconfig::CompiledTransitionPlan plan = reconfig::compile(
-              *r.point.transition, ctx.topo, r.point.routing);
-          const auto steady =
-              reconfig::RelationExpr(plan.steady_state()).build(ctx.topo);
-          obs::classify_transition_origins(
-              report, cdg::build_cdg(*ctx.states),
-              cdg::build_cdg(ctx.topo, *steady));
-        }
         const std::filesystem::path path =
             std::filesystem::path(postmortem_dir) /
             ("postmortem_" + std::to_string(r.point.index) + "_" +
              std::to_string(n) + ".json");
         std::ofstream file(path, std::ios::binary);
-        if (!file) {
-          return args.error("cannot open " + path.string());
-        }
-        obs::write_postmortem_json(file, ctx.topo, report);
+        if (!file) return args.error("cannot open " + path.string());
+        exp::write_postmortem(file, cache, r.point.topology,
+                              r.postmortems[n]);
         ++written;
       }
     }
@@ -336,18 +272,14 @@ int main(int argc, char** argv) {
 
   if (!profile_path.empty()) {
     std::ofstream file(profile_path, std::ios::binary);
-    if (!file) {
-      return args.error("cannot open " + profile_path);
-    }
+    if (!file) return args.error("cannot open " + profile_path);
     profiler.write_json(file);
     file << "\n";
   }
 
   if (!metrics_path.empty()) {
     std::ofstream file(metrics_path, std::ios::binary);
-    if (!file) {
-      return args.error("cannot open " + metrics_path);
-    }
+    if (!file) return args.error("cannot open " + metrics_path);
     metrics.write_json(file);
     file << "\n";
   }

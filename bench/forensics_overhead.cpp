@@ -130,11 +130,10 @@ void BM_CrossReference(benchmark::State& state) {
     return;
   }
   const obs::RuntimePostmortem pm = simulator.postmortems().front();
-  const cdg::StateGraph states(topo, routing);
-  const cdg::SearchResult search = cdg::search(states);
+  const cdg::StateGraph states(topo, routing);  // uncertified: no C1
   for (auto _ : state) {
     const obs::PostmortemReport report =
-        obs::cross_reference(states, search, pm, "ring:8", "unrestricted");
+        obs::cross_reference(states, {}, "", pm, "ring:8");
     benchmark::DoNotOptimize(report.contradiction);
   }
 }

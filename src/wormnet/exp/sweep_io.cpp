@@ -1,62 +1,82 @@
 #include "wormnet/exp/sweep_io.hpp"
 
+#include <string_view>
+#include <type_traits>
+
+#include "wormnet/cdg/cdg_builder.hpp"
+#include "wormnet/core/registry.hpp"
 #include "wormnet/obs/json.hpp"
 #include "wormnet/sim/traffic.hpp"
 
 namespace wormnet::exp {
+namespace {
+
+/// Every row column in output order: the one list the JSONL and CSV writers
+/// share.  `emit(name, value)` takes each column.  JSONL rows (`detail`)
+/// also carry a deadlocked point's deadlock cycle and watchdog flag.
+template <typename Emit>
+void row_columns(const SweepResult& r, const SweepIoOptions& options,
+                 bool detail, Emit&& emit) {
+  const SweepPoint& p = r.point;
+  const sim::SimStats& s = r.stats;
+  emit("i", static_cast<std::uint64_t>(p.index));
+  emit("topology", p.topology);
+  emit("routing", p.routing);
+  emit("pattern", sim::to_string(p.pattern));
+  emit("load", p.load);
+  emit("rep", p.replication);
+  emit("seed", p.seed);
+  emit("fault", p.fault_plan.empty() ? "none" : p.fault_plan);
+  emit("reconfig", p.reconfig_plan.empty() ? "none" : p.reconfig_plan);
+  emit("certified", r.certified);
+  emit("duato", core::to_string(r.duato));
+  emit("cwg", core::to_string(r.cwg));
+  emit("fault_epochs", r.fault_epochs);
+  emit("uncertified_epochs", r.uncertified_epochs);
+  emit("transition_epochs", r.transition_epochs);
+  emit("uncertified_transition_epochs", r.uncertified_transition_epochs);
+  emit("composed_epochs", r.composed_epochs);
+  emit("uncertified_composed_epochs", r.uncertified_composed_epochs);
+  emit("deadlocked", s.deadlocked);
+  if (detail && s.deadlocked) {
+    emit("deadlock_cycle", s.deadlock.cycle);
+    emit("deadlock_watchdog", s.deadlock.from_watchdog);
+  }
+  emit("saturated", s.saturated);
+  emit("packets_created", s.packets_created);
+  emit("packets_delivered", s.packets_delivered);
+  emit("measured_delivered", s.measured_delivered);
+  emit("packets_aborted", s.packets_aborted);
+  emit("packets_retried", s.packets_retried);
+  emit("packets_dropped", s.packets_dropped);
+  emit("recovered_packets", s.recovered_packets);
+  emit("rollbacks", s.rollbacks);
+  emit("rollback_dests", s.rollback_dests);
+  emit("drain_switches", s.drain_switches);
+  emit("avg_latency", s.avg_latency);
+  emit("p50_latency", s.p50_latency);
+  emit("p99_latency", s.p99_latency);
+  emit("avg_network_latency", s.avg_network_latency);
+  emit("offered_load", s.offered_load);
+  emit("accepted_throughput", s.accepted_throughput);
+  emit("avg_channel_utilization", s.avg_channel_utilization);
+  emit("max_channel_utilization", s.max_channel_utilization);
+  emit("max_hops", s.max_hops);
+  emit("cycles_run", s.cycles_run);
+  if (options.timings) emit("point_ms", r.point_ms);
+}
+
+}  // namespace
 
 void write_jsonl(std::ostream& os, const SweepOutcome& outcome,
                  const SweepIoOptions& options) {
   for (const SweepResult& r : outcome.results) {
     obs::JsonWriter w(os);
     w.begin_object();
-    w.field("i", static_cast<std::uint64_t>(r.point.index));
-    w.field("topology", r.point.topology);
-    w.field("routing", r.point.routing);
-    w.field("pattern", sim::to_string(r.point.pattern));
-    w.field("load", r.point.load);
-    w.field("rep", r.point.replication);
-    w.field("seed", r.point.seed);
-    w.field("fault", r.point.fault_plan.empty() ? "none" : r.point.fault_plan);
-    w.field("reconfig",
-            r.point.reconfig_plan.empty() ? "none" : r.point.reconfig_plan);
-    w.field("certified", r.certified);
-    w.field("duato", core::to_string(r.duato));
-    w.field("cwg", core::to_string(r.cwg));
-    w.field("fault_epochs", r.fault_epochs);
-    w.field("uncertified_epochs", r.uncertified_epochs);
-    w.field("transition_epochs", r.transition_epochs);
-    w.field("uncertified_transition_epochs",
-            r.uncertified_transition_epochs);
-    w.field("composed_epochs", r.composed_epochs);
-    w.field("uncertified_composed_epochs", r.uncertified_composed_epochs);
-    w.field("deadlocked", r.stats.deadlocked);
-    if (r.stats.deadlocked) {
-      w.field("deadlock_cycle", r.stats.deadlock.cycle);
-      w.field("deadlock_watchdog", r.stats.deadlock.from_watchdog);
-    }
-    w.field("saturated", r.stats.saturated);
-    w.field("packets_created", r.stats.packets_created);
-    w.field("packets_delivered", r.stats.packets_delivered);
-    w.field("measured_delivered", r.stats.measured_delivered);
-    w.field("packets_aborted", r.stats.packets_aborted);
-    w.field("packets_retried", r.stats.packets_retried);
-    w.field("packets_dropped", r.stats.packets_dropped);
-    w.field("recovered_packets", r.stats.recovered_packets);
-    w.field("rollbacks", r.stats.rollbacks);
-    w.field("rollback_dests", r.stats.rollback_dests);
-    w.field("drain_switches", r.stats.drain_switches);
-    w.field("avg_latency", r.stats.avg_latency);
-    w.field("p50_latency", r.stats.p50_latency);
-    w.field("p99_latency", r.stats.p99_latency);
-    w.field("avg_network_latency", r.stats.avg_network_latency);
-    w.field("offered_load", r.stats.offered_load);
-    w.field("accepted_throughput", r.stats.accepted_throughput);
-    w.field("avg_channel_utilization", r.stats.avg_channel_utilization);
-    w.field("max_channel_utilization", r.stats.max_channel_utilization);
-    w.field("max_hops", r.stats.max_hops);
-    w.field("cycles_run", r.stats.cycles_run);
-    if (options.timings) w.field("point_ms", r.point_ms);
+    row_columns(r, options, true, [&w](std::string_view name,
+                                       const auto& value) {
+      w.field(name, value);
+    });
     w.end_object();
     os << "\n";
   }
@@ -83,56 +103,60 @@ void write_jsonl(std::ostream& os, const SweepOutcome& outcome,
 
 void write_csv(std::ostream& os, const SweepOutcome& outcome,
                const SweepIoOptions& options) {
-  os << "i,topology,routing,pattern,load,rep,seed,fault,reconfig,certified,"
-        "duato,cwg,"
-        "fault_epochs,uncertified_epochs,"
-        "transition_epochs,uncertified_transition_epochs,"
-        "composed_epochs,uncertified_composed_epochs,"
-        "deadlocked,saturated,"
-        "packets_created,packets_delivered,measured_delivered,"
-        "packets_aborted,packets_retried,packets_dropped,recovered_packets,"
-        "rollbacks,rollback_dests,drain_switches,"
-        "avg_latency,p50_latency,p99_latency,"
-        "avg_network_latency,offered_load,accepted_throughput,"
-        "avg_channel_utilization,max_channel_utilization,max_hops,"
-        "cycles_run";
-  if (options.timings) os << ",point_ms";
+  const char* sep = "";
+  row_columns(SweepResult{}, options, false,
+              [&](std::string_view name, const auto&) {
+                os << sep << name;
+                sep = ",";
+              });
   os << "\n";
   for (const SweepResult& r : outcome.results) {
     // Topology specs, registry names, and fault/transition-plan texts
     // contain no commas/quotes ('+' joins plan events precisely so the grid
     // and CSV grammars stay comma-free), so plain comma joining is
     // RFC-4180 safe.
-    os << r.point.index << ',' << r.point.topology << ',' << r.point.routing
-       << ',' << sim::to_string(r.point.pattern) << ','
-       << obs::json_double(r.point.load) << ',' << r.point.replication << ','
-       << r.point.seed << ','
-       << (r.point.fault_plan.empty() ? "none" : r.point.fault_plan) << ','
-       << (r.point.reconfig_plan.empty() ? "none" : r.point.reconfig_plan)
-       << ',' << (r.certified ? 1 : 0) << ','
-       << core::to_string(r.duato) << ',' << core::to_string(r.cwg) << ','
-       << r.fault_epochs << ',' << r.uncertified_epochs << ','
-       << r.transition_epochs << ',' << r.uncertified_transition_epochs << ','
-       << r.composed_epochs << ',' << r.uncertified_composed_epochs << ','
-       << (r.stats.deadlocked ? 1 : 0) << ',' << (r.stats.saturated ? 1 : 0)
-       << ',' << r.stats.packets_created << ',' << r.stats.packets_delivered
-       << ',' << r.stats.measured_delivered << ','
-       << r.stats.packets_aborted << ',' << r.stats.packets_retried << ','
-       << r.stats.packets_dropped << ',' << r.stats.recovered_packets << ','
-       << r.stats.rollbacks << ',' << r.stats.rollback_dests << ','
-       << r.stats.drain_switches << ','
-       << obs::json_double(r.stats.avg_latency) << ','
-       << obs::json_double(r.stats.p50_latency) << ','
-       << obs::json_double(r.stats.p99_latency) << ','
-       << obs::json_double(r.stats.avg_network_latency) << ','
-       << obs::json_double(r.stats.offered_load) << ','
-       << obs::json_double(r.stats.accepted_throughput) << ','
-       << obs::json_double(r.stats.avg_channel_utilization) << ','
-       << obs::json_double(r.stats.max_channel_utilization) << ','
-       << r.stats.max_hops << ',' << r.stats.cycles_run;
-    if (options.timings) os << ',' << obs::json_double(r.point_ms);
+    sep = "";
+    row_columns(r, options, false, [&](std::string_view, const auto& value) {
+      using T = std::decay_t<decltype(value)>;
+      os << sep;
+      sep = ",";
+      if constexpr (std::is_same_v<T, bool>) {
+        os << (value ? 1 : 0);
+      } else if constexpr (std::is_same_v<T, double>) {
+        os << obs::json_double(value);
+      } else {
+        os << value;
+      }
+    });
     os << "\n";
   }
+}
+
+void write_postmortem(std::ostream& os, AnalysisCache& cache,
+                      const std::string& topo_spec,
+                      const obs::RuntimePostmortem& runtime) {
+  using reconfig::RelationExpr;
+  const topology::Topology topo = core::make_topology(topo_spec);
+  const RelationExpr relation = RelationExpr::parse(runtime.relation, topo);
+  const AnalysisEntry& verdict = cache.get(topo_spec, relation);
+  static const audit::Certificate kUncertified;  // no C1
+  const audit::Certificate& cert = verdict.certified && verdict.certificate
+                                       ? *verdict.certificate
+                                       : kUncertified;
+  const auto routing = relation.build(topo);
+  obs::PostmortemReport report = obs::cross_reference(
+      cdg::StateGraph(topo, *routing), cert.escape_channels, cert.subfunction,
+      runtime, topo_spec);
+  if (!runtime.steady_state.empty()) {
+    const RelationExpr base(relation.transition
+                                ? relation.transition->names[0]
+                                : relation.routing);
+    const RelationExpr steady = RelationExpr::parse(runtime.steady_state, topo);
+    obs::classify_transition_origins(
+        report, cdg::build_cdg(topo, *base.build(topo)),
+        cdg::build_cdg(topo, *steady.build(topo)));
+  }
+  obs::write_postmortem_json(os, topo, report);
 }
 
 }  // namespace wormnet::exp

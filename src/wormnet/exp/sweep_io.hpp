@@ -32,4 +32,12 @@ void write_jsonl(std::ostream& os, const SweepOutcome& outcome,
 void write_csv(std::ostream& os, const SweepOutcome& outcome,
                const SweepIoOptions& options = {});
 
+/// Writes a postmortem of a run on `topo_spec` as `wormnet-sweep
+/// --postmortem-dir` does: judged by `cache` (certify on, so a certified
+/// verdict carries C1) against the relation its stamp names.  Throws
+/// std::invalid_argument for a non-canonical stamp.
+void write_postmortem(std::ostream& os, AnalysisCache& cache,
+                      const std::string& topo_spec,
+                      const obs::RuntimePostmortem& runtime);
+
 }  // namespace wormnet::exp

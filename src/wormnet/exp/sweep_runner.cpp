@@ -56,6 +56,7 @@ SweepResult run_point(const SweepSpec& spec, const SweepPoint& point,
   // topology instance (planner-free, so cheap) and certify every cumulative
   // union epoch (plus the steady state) before running.
   reconfig::CompiledTransitionPlan transition;
+  transition.base = point.routing;
   std::optional<reconfig::GuardWalk> guard;
   if (point.transition) {
     transition =
@@ -87,12 +88,10 @@ SweepResult run_point(const SweepSpec& spec, const SweepPoint& point,
           .enforce = options.rollback};
     }
   }
-  if (point.faults || point.transition) {
-    cfg.schedule = reconfig::build_epoch_schedule(
-        *analysis.topo,
-        point.faults ? *point.faults : ft::CompiledFaultPlan{},
-        std::move(transition), guard);
-  }
+  // Every point runs on a schedule whose plan names its base relation.
+  cfg.schedule = reconfig::build_epoch_schedule(
+      *analysis.topo, point.faults ? *point.faults : ft::CompiledFaultPlan{},
+      std::move(transition), guard);
   result.epochs_certified = result.uncertified_epochs == 0 &&
                             result.uncertified_transition_epochs == 0 &&
                             result.uncertified_composed_epochs == 0;

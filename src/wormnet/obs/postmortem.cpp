@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "wormnet/cdg/cdg_builder.hpp"
+#include "wormnet/cdg/extended_cdg.hpp"
 #include "wormnet/obs/json.hpp"
 
 namespace wormnet::obs {
@@ -49,22 +50,24 @@ RuntimeCycle lift_wait_cycle(
 }
 
 PostmortemReport cross_reference(const cdg::StateGraph& states,
-                                 const cdg::SearchResult& search,
+                                 std::span<const topology::ChannelId> c1,
+                                 std::string subfunction,
                                  const RuntimePostmortem& runtime,
-                                 std::string topology, std::string routing) {
+                                 std::string topology) {
   PostmortemReport report;
   report.topology = std::move(topology);
-  report.routing = std::move(routing);
-  report.certified = search.found;
+  report.relation = runtime.relation;
+  report.certified = !c1.empty();
   report.runtime = runtime;
 
   const graph::Digraph cdg_graph = cdg::build_cdg(states);
   std::optional<cdg::ExtendedCdg> ecdg;
-  if (search.found) {
-    report.subfunction = search.report.subfunction_label;
-    const cdg::Subfunction sub(states, search.c1,
-                               search.report.subfunction_label);
-    ecdg = cdg::build_extended_cdg(sub);
+  if (report.certified) {
+    std::vector<bool> escape(states.topo().num_channels(), false);
+    for (const topology::ChannelId c : c1) escape[c] = true;
+    ecdg = cdg::build_extended_cdg(
+        cdg::Subfunction(states, std::move(escape), subfunction));
+    report.subfunction = std::move(subfunction);
   }
 
   for (const auto& rc : runtime.cycles) {
@@ -123,10 +126,14 @@ void classify_transition_origins(PostmortemReport& report,
 namespace {
 
 void write_channel_ref(JsonWriter& w, const topology::Topology& topo,
-                       topology::ChannelId c) {
+                       topology::ChannelId c,
+                       sim::PacketId owner = sim::kNoPacket) {
   w.begin_object();
   w.field("id", static_cast<std::uint32_t>(c));
   w.field("name", topo.channel_name(c));
+  if (owner != sim::kNoPacket) {
+    w.field("owner", static_cast<std::uint32_t>(owner));
+  }
   w.end_object();
 }
 
@@ -142,7 +149,7 @@ void write_postmortem_json(std::ostream& os, const topology::Topology& topo,
   w.field("reason", to_string(rt.reason));
   w.field("cycle", rt.cycle);
   w.field("topology", report.topology);
-  w.field("routing", report.routing);
+  w.field("relation", report.relation);
   w.field("certified", report.certified);
   if (report.certified) w.field("subfunction", report.subfunction);
   if (rt.victim != sim::kNoPacket) {
@@ -163,13 +170,9 @@ void write_postmortem_json(std::ostream& os, const topology::Topology& topo,
     w.key("waiting_on");
     w.begin_array();
     for (std::size_t i = 0; i < node.waiting_on.size(); ++i) {
-      w.begin_object();
-      w.field("id", static_cast<std::uint32_t>(node.waiting_on[i]));
-      w.field("name", topo.channel_name(node.waiting_on[i]));
-      if (i < node.owners.size() && node.owners[i] != sim::kNoPacket) {
-        w.field("owner", static_cast<std::uint32_t>(node.owners[i]));
-      }
-      w.end_object();
+      write_channel_ref(w, topo, node.waiting_on[i],
+                        i < node.owners.size() ? node.owners[i]
+                                               : sim::kNoPacket);
     }
     w.end_array();
     w.end_object();

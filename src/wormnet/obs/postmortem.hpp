@@ -5,20 +5,21 @@
 // exhausts a packet's retry budget, it captures a `RuntimePostmortem`: the
 // terminal wait-for graph, every wait cycle in the terminal knot (the live
 // detector reports just one), and the flight-recorder tail leading up to the
-// event.  `cross_reference()` then lifts each runtime cycle into the static
-// channel dependency graph — each blocked packet contributes its acquired
-// path suffix, each wait contributes one more dependency edge, and the
-// concatenation closes into a static channel cycle — and classifies every
-// edge against the Duato search result: part of the certified escape
-// subfunction's extended CDG ("escape", with its direct/indirect/cross
-// kind), or outside it ("adaptive").
+// event, and the relation live at that cycle.  `cross_reference()` then
+// lifts each runtime cycle into that relation's static channel dependency
+// graph — each blocked packet contributes its acquired path suffix, each
+// wait contributes one more dependency edge, and the concatenation closes
+// into a static channel cycle — and classifies every edge against the
+// relation's verdict: part of the certified escape subfunction's extended
+// CDG ("escape", with its direct/indirect/cross kind), or outside it
+// ("adaptive").
 //
-// The punchline field is `contradiction`: a Duato-certified configuration
+// The punchline field is `contradiction`: a Duato-certified live relation
 // whose runtime cycle is confined to escape edges would witness the paper's
 // theorem failing (acyclic extended CDG yet a deadlock inside C1) — the
-// PR-3 differential property turned into an explainable artifact.  On
-// non-certified configurations the report instead *explains* the deadlock:
-// the concrete CDG cycle no escape structure breaks.
+// differential property turned into an explainable artifact.  On an
+// uncertified relation the report instead *explains* the deadlock: the
+// concrete CDG cycle no escape structure breaks.
 //
 // Artifacts serialize via write_postmortem_json() (byte-deterministic,
 // channel names embedded so `wormnet-explain` needs no topology access).
@@ -29,7 +30,7 @@
 #include <string>
 #include <vector>
 
-#include "wormnet/cdg/duato_checker.hpp"
+#include "wormnet/cdg/states.hpp"
 #include "wormnet/graph/digraph.hpp"
 #include "wormnet/obs/flight.hpp"
 #include "wormnet/sim/deadlock_detector.hpp"
@@ -86,6 +87,11 @@ struct RuntimePostmortem {
   std::vector<FlightEvent> flight_tail;
   std::uint64_t flight_recorded = 0;
   std::uint64_t flight_dropped = 0;
+  /// The relation live at `cycle` (reconfig::RelationExpr text; see
+  /// Simulator::stamp_relation) and, when the run has cutovers, the
+  /// transition's steady state: transition provenance's new relation.
+  std::string relation;
+  std::string steady_state;
 };
 
 /// Lifts one knot cycle (an element of sim::WaitAnalysis::cycles()) into a
@@ -100,7 +106,7 @@ struct RuntimePostmortem {
 struct EdgeXref {
   topology::ChannelId from = topology::kInvalidChannel;
   topology::ChannelId to = topology::kInvalidChannel;
-  /// True iff the edge exists in the plain CDG of the base relation.  A
+  /// True iff the edge exists in the plain CDG of the live relation.  A
   /// correctly lifted cycle has this true on every edge — each hop is either
   /// a path-contiguity dependency or a wait dependency.
   bool in_cdg = false;
@@ -134,8 +140,8 @@ struct CycleXref {
 
 struct PostmortemReport {
   std::string topology;  ///< topology spec the run used
-  std::string routing;   ///< canonical routing name
-  /// Duato search verdict for the pair: a qualifying subfunction exists.
+  std::string relation;  ///< RuntimePostmortem::relation: the live epoch
+  /// The live relation's Duato verdict: a qualifying subfunction exists.
   bool certified = false;
   std::string subfunction;  ///< label of the certified escape set, if any
   RuntimePostmortem runtime;
@@ -147,15 +153,15 @@ struct PostmortemReport {
   bool transition = false;
 };
 
-/// Lifts every runtime cycle into the static CDG / extended CDG of the
-/// (states, search) pair and classifies the edges.  `search` is the Duato
-/// search result for the same topology and routing the simulation ran
-/// (search.found == certified); for failed searches every edge classifies
-/// as adaptive.
+/// Lifts every runtime cycle into the static CDG of `states`, the state
+/// graph of the relation `runtime.relation` names, and classifies the edges
+/// against the extended CDG of its certified escape subfunction `c1`
+/// (ascending) labelled `subfunction`.  An empty `c1` means uncertified:
+/// every edge then classifies as adaptive.
 [[nodiscard]] PostmortemReport cross_reference(
-    const cdg::StateGraph& states, const cdg::SearchResult& search,
-    const RuntimePostmortem& runtime, std::string topology,
-    std::string routing);
+    const cdg::StateGraph& states, std::span<const topology::ChannelId> c1,
+    std::string subfunction, const RuntimePostmortem& runtime,
+    std::string topology);
 
 /// Annotates an already cross-referenced report with transition provenance:
 /// every lifted edge is classified against the CDGs of the pure old and new

@@ -49,8 +49,4 @@ void DatelineRouting::route_into(ChannelId /*input*/, NodeId current,
   }
 }
 
-std::unique_ptr<RoutingFunction> make_dateline(const Topology& topo) {
-  return std::make_unique<DatelineRouting>(topo);
-}
-
 }  // namespace wormnet::routing

@@ -42,7 +42,4 @@ class DatelineRouting final : public RoutingFunction {
   std::uint8_t vc_b_;
 };
 
-[[nodiscard]] std::unique_ptr<RoutingFunction> make_dateline(
-    const Topology& topo);
-
 }  // namespace wormnet::routing

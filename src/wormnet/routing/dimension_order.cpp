@@ -47,8 +47,4 @@ void DimensionOrder::route_into(ChannelId /*input*/, NodeId current,
   }
 }
 
-std::unique_ptr<RoutingFunction> make_dimension_order(const Topology& topo) {
-  return std::make_unique<DimensionOrder>(topo);
-}
-
 }  // namespace wormnet::routing

@@ -29,8 +29,4 @@ class DimensionOrder final : public RoutingFunction {
   std::uint8_t vc_hi_;
 };
 
-/// Convenience factory.
-[[nodiscard]] std::unique_ptr<RoutingFunction> make_dimension_order(
-    const Topology& topo);
-
 }  // namespace wormnet::routing

@@ -49,6 +49,8 @@ class LiveEpoch {
   [[nodiscard]] bool versions() const noexcept { return !version_.empty(); }
 
   [[nodiscard]] bool is_dead(topology::ChannelId c) const { return dead_[c]; }
+  /// The dead mask, one entry per channel.
+  [[nodiscard]] const std::vector<bool>& dead() const { return dead_; }
 
   /// The version new injections toward `dest` are stamped with.
   [[nodiscard]] std::uint32_t current(topology::NodeId dest) const {

@@ -975,8 +975,43 @@ void Simulator::capture_postmortem(obs::PostmortemReason reason,
   pm.flight_tail = flight_.tail(config_.flight_tail);
   pm.flight_recorded = flight_.recorded();
   pm.flight_dropped = flight_.dropped();
+  stamp_relation(pm);
   ++stats_.postmortems_emitted;
   postmortems_.push_back(std::move(pm));
+}
+
+void Simulator::stamp_relation(obs::RuntimePostmortem& pm) const {
+  const reconfig::EpochSchedule* s = config_.schedule.get();
+  const bool named = s != nullptr && !s->plan.base.empty();
+  const reconfig::RelationExpr base(named ? s->plan.base : routing_->name(),
+                                    epoch_.dead());
+  pm.relation = base.to_string();
+  if (s == nullptr || !s->has_cutovers()) return;
+  // Cutovers applied so far.  A guard repair stands in for the step it
+  // judged and ends the transition (the walk stops at its first repair).
+  std::size_t applied = next_transition_step_;
+  reconfig::GuardAction repair = reconfig::GuardAction::kProceed;
+  if (transition_aborted_) {
+    const auto it = std::find_if(
+        s->steps.begin(), s->steps.end(), [](const reconfig::EpochStep& e) {
+          return e.decision.action != reconfig::GuardAction::kProceed;
+        });
+    repair = it->decision.action;
+    if (it->kind == reconfig::EpochStep::Kind::kCutover) applied = it->index;
+  }
+  reconfig::UnionSpec live = applied == 0
+                                 ? s->plan.base_union()
+                                 : s->plan.epoch_unions()[applied - 1];
+  if (repair == reconfig::GuardAction::kRollback) {
+    live.active[0].assign(live.num_nodes, true);
+  } else if (repair == reconfig::GuardAction::kDrainThenSwitch &&
+             !drain_switch_pending_) {
+    live = s->plan.steady_state();
+  }
+  if (!live.pure_base()) {
+    pm.relation = reconfig::RelationExpr(live, base.fault_mask).to_string();
+  }
+  pm.steady_state = reconfig::RelationExpr(s->plan.steady_state()).to_string();
 }
 
 void Simulator::step() {

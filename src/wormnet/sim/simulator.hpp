@@ -262,6 +262,12 @@ class Simulator {
                              bool acquired);
   void capture_postmortem(obs::PostmortemReason reason, PacketId victim,
                           const WaitAnalysis* wait_for);
+  /// Stamps `pm` with the live epoch's relation as reconfig::RelationExpr
+  /// text: the cumulative union of the cutovers applied so far (or the
+  /// rollback or steady union a guard repair put in its place) x the dead
+  /// mask, its base named by the schedule's plan.base (else by the
+  /// routing's own name); and, with cutovers, the plan's steady state.
+  void stamp_relation(obs::RuntimePostmortem& pm) const;
   void sample_metrics();
   void export_final_metrics();
 

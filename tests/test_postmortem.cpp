@@ -1,8 +1,10 @@
 // Deadlock postmortems: the wait-for analysis on fabricated wait-for graphs
 // (the detector's cycle and the postmortem's cycles from one blocked list),
 // the end-to-end capture pipeline on the canonical non-certified ring, the
-// static cross-reference (including the theorem-contradiction flag), and a
-// byte-exact golden artifact.  Regenerate the golden with:
+// static cross-reference (including the theorem-contradiction flag), and
+// byte-exact golden artifacts: the ring, a knot in a faulted epoch and a
+// knot mid-transition, each judged against the relation live at capture.
+// Regenerate the goldens with:
 //   WORMNET_UPDATE_GOLDEN=1 ./test_postmortem
 #include <gtest/gtest.h>
 
@@ -20,6 +22,7 @@
 #include "wormnet/audit/check.hpp"
 #include "wormnet/cdg/duato_checker.hpp"
 #include "wormnet/core/registry.hpp"
+#include "wormnet/exp/sweep_io.hpp"
 #include "wormnet/obs/postmortem.hpp"
 #include "wormnet/sim/simulator.hpp"
 
@@ -294,12 +297,15 @@ TEST(Postmortem, RingDeadlockCapturesAndCrossReferences) {
   EXPECT_FALSE(pm.flight_tail.empty());
   EXPECT_GT(pm.flight_recorded, 0u);
 
-  const cdg::StateGraph states(topo, *routing);
-  const cdg::SearchResult search = cdg::search(states);
-  EXPECT_FALSE(search.found);  // unrestricted ring is not certifiable
+  // Without an epoch schedule the stamp is the routing's own name.
+  EXPECT_EQ(pm.relation, "unrestricted");
+  EXPECT_TRUE(pm.steady_state.empty());
 
-  const PostmortemReport report =
-      cross_reference(states, search, pm, "ring:8", "unrestricted");
+  const cdg::StateGraph states(topo, *routing);
+  EXPECT_FALSE(cdg::search(states).found);  // the ring is not certifiable
+
+  const PostmortemReport report = cross_reference(states, {}, "", pm, "ring:8");
+  EXPECT_EQ(report.relation, "unrestricted");
   EXPECT_FALSE(report.certified);
   EXPECT_FALSE(report.contradiction);
   ASSERT_EQ(report.cycles.size(), pm.cycles.size());
@@ -371,16 +377,10 @@ TEST(Postmortem, ForgedCertificateRejectedYetFlagsContradiction) {
   EXPECT_EQ(audit.code, audit::AuditCode::kOrderViolation) << audit.detail;
 
   const cdg::StateGraph states(topo, *routing);
-  cdg::SearchResult fake;
-  fake.found = true;
-  fake.c1.assign(topo.num_channels(), false);
-  for (const topology::ChannelId c : parsed.certificate->escape_channels) {
-    fake.c1[c] = true;
-  }
-  fake.report.subfunction_label = parsed.certificate->subfunction;
-
   const PostmortemReport report = cross_reference(
-      states, fake, simulator.postmortems().front(), "ring:8", "unrestricted");
+      states, parsed.certificate->escape_channels,
+      parsed.certificate->subfunction, simulator.postmortems().front(),
+      "ring:8");
   EXPECT_TRUE(report.certified);
   ASSERT_FALSE(report.cycles.empty());
   EXPECT_TRUE(report.cycles.front().escape_confined);
@@ -481,30 +481,10 @@ std::string golden_path(const std::string& name) {
   return std::string(WORMNET_GOLDEN_DIR) + "/" + name;
 }
 
-std::string render_ring8_artifact() {
-  const topology::Topology topo = core::make_topology("ring:8");
-  const auto routing = core::make_algorithm("unrestricted", topo);
-  sim::Simulator simulator(topo, *routing, ring_wedge_config());
-  (void)simulator.run();
-  if (simulator.postmortems().empty()) return {};
-
-  const cdg::StateGraph states(topo, *routing);
-  const cdg::SearchResult search = cdg::search(states);
-  const PostmortemReport report = cross_reference(
-      states, search, simulator.postmortems().front(), "ring:8",
-      "unrestricted");
-  std::ostringstream os;
-  write_postmortem_json(os, topo, report);
-  return os.str();
-}
-
-TEST(Postmortem, GoldenRing8Artifact) {
-  const std::string actual = render_ring8_artifact();
-  ASSERT_FALSE(actual.empty()) << "wedge config did not deadlock";
-  // Two fresh captures render byte-identically before comparing to disk.
-  ASSERT_EQ(actual, render_ring8_artifact());
-
-  const std::string path = golden_path("postmortem_ring8.json");
+/// Compares `actual` with the committed golden `name`, or rewrites it under
+/// WORMNET_UPDATE_GOLDEN.
+void expect_golden(const std::string& actual, const std::string& name) {
+  const std::string path = golden_path(name);
   if (std::getenv("WORMNET_UPDATE_GOLDEN") != nullptr) {
     std::ofstream file(path, std::ios::binary);
     ASSERT_TRUE(file.good()) << "cannot write " << path;
@@ -516,12 +496,39 @@ TEST(Postmortem, GoldenRing8Artifact) {
   expected << file.rdbuf();
   ASSERT_FALSE(expected.str().empty())
       << path << " missing — regenerate with WORMNET_UPDATE_GOLDEN=1";
-  EXPECT_EQ(actual, expected.str()) << "golden drift in postmortem_ring8.json";
+  EXPECT_EQ(actual, expected.str()) << "golden drift in " << name;
+}
+
+/// The artifact wormnet-sweep --postmortem-dir writes for `pm`, judged
+/// through a fresh certifying analysis cache.
+std::string render_artifact(const std::string& topo_spec,
+                            const RuntimePostmortem& pm) {
+  exp::AnalysisCache cache(false, nullptr, true);
+  std::ostringstream os;
+  exp::write_postmortem(os, cache, topo_spec, pm);
+  return os.str();
+}
+
+std::string render_ring8_artifact() {
+  const topology::Topology topo = core::make_topology("ring:8");
+  const auto routing = core::make_algorithm("unrestricted", topo);
+  sim::Simulator simulator(topo, *routing, ring_wedge_config());
+  (void)simulator.run();
+  if (simulator.postmortems().empty()) return {};
+  return render_artifact("ring:8", simulator.postmortems().front());
+}
+
+TEST(Postmortem, GoldenRing8Artifact) {
+  const std::string actual = render_ring8_artifact();
+  ASSERT_FALSE(actual.empty()) << "wedge config did not deadlock";
+  // Two fresh captures render byte-identically before comparing to disk.
+  ASSERT_EQ(actual, render_ring8_artifact());
+  expect_golden(actual, "postmortem_ring8.json");
 
   // The artifact parses, and carries the acceptance property in-band.
   const audit::json::Value root = audit::json::parse(actual);
   const audit::json::Value& pm = root.at("postmortem");
-  EXPECT_EQ(pm.at("routing").as_string(), "unrestricted");
+  EXPECT_EQ(pm.at("relation").as_string(), "unrestricted");
   EXPECT_FALSE(pm.at("certified").as_bool());
   EXPECT_FALSE(pm.at("contradiction").as_bool());
   const auto& cycles = pm.at("cycles").as_array();
@@ -532,6 +539,94 @@ TEST(Postmortem, GoldenRing8Artifact) {
   for (const auto& edge : cycle.at("edges").as_array()) {
     EXPECT_TRUE(edge.at("in_cdg").as_bool());
     EXPECT_FALSE(edge.at("escape").as_bool());
+  }
+}
+
+/// The first wait-cycle postmortem of `spec`'s sweep, rendered as its
+/// --postmortem-dir artifact ("" when no point captured one).
+std::string render_sweep_artifact(exp::SweepSpec spec) {
+  spec.base.warmup_cycles = 100;
+  spec.base.measure_cycles = 1500;
+  spec.base.drain_cycles = 6000;
+  exp::RunnerOptions options;
+  options.threads = 1;
+  for (const exp::SweepResult& r : exp::run_sweep(spec, options).results) {
+    for (const RuntimePostmortem& pm : r.postmortems) {
+      if (pm.reason == PostmortemReason::kWaitCycle) {
+        return render_artifact(r.point.topology, pm);
+      }
+    }
+  }
+  return {};
+}
+
+TEST(Postmortem, GoldenFaultedEpochArtifact) {
+  // duato-mesh is certified, but the plan kills the escape layer (vc0) of
+  // the mesh's first 16 channels at cycle 1.  The knot forms in that
+  // faulted epoch, so the artifact names the masked relation and reports
+  // its verdict, not the pristine base's.
+  exp::SweepSpec spec;
+  spec.topologies = {"mesh:4x4:2"};
+  spec.routings = {"duato-mesh"};
+  std::string plan;
+  for (int c = 0; c <= 30; c += 2) {
+    plan += (c == 0 ? "" : "+") + ("killch:" + std::to_string(c)) + "@1";
+  }
+  spec.fault_plans = {plan};
+  spec.loads = {0.8};
+  spec.replications = 3;
+  const std::string actual = render_sweep_artifact(spec);
+  ASSERT_FALSE(actual.empty()) << "no wait-cycle postmortem";
+  expect_golden(actual, "postmortem_faulted_epoch.json");
+
+  const audit::json::Value root = audit::json::parse(actual);
+  const audit::json::Value& pm = root.at("postmortem");
+  EXPECT_EQ(pm.at("relation").as_string(),
+            "duato-mesh|000000000000000055555555");
+  EXPECT_FALSE(pm.at("certified").as_bool());
+  EXPECT_FALSE(pm.at("contradiction").as_bool());
+  exp::AnalysisCache cache;
+  EXPECT_TRUE(
+      cache.get("mesh:4x4:2", reconfig::RelationExpr("duato-mesh")).certified);
+  for (const auto& cycle : pm.at("cycles").as_array()) {
+    EXPECT_TRUE(cycle.at("maps_to_cdg").as_bool());
+    EXPECT_FALSE(cycle.has("union_crossing"));
+  }
+}
+
+TEST(Postmortem, GoldenMidTransitionArtifact) {
+  // west-first ramps to negative-first in four batches from cycle 300.
+  // The union of the two turn models closes a turn cycle, and the knot
+  // forms while only the first batch has switched: the artifact names
+  // that cumulative union, and its cycle needs an edge of each relation.
+  exp::SweepSpec spec;
+  spec.topologies = {"mesh:3x3:1"};
+  spec.routings = {"west-first"};
+  spec.reconfig_plans = {"ramp:negative-first/4/400@300"};
+  spec.loads = {0.9};
+  spec.replications = 2;
+  spec.base.buffer_depth = 2;
+  const std::string actual = render_sweep_artifact(spec);
+  ASSERT_FALSE(actual.empty()) << "no wait-cycle postmortem";
+  expect_golden(actual, "postmortem_mid_transition.json");
+
+  const audit::json::Value root = audit::json::parse(actual);
+  const audit::json::Value& pm = root.at("postmortem");
+  EXPECT_EQ(pm.at("relation").as_string(),
+            "transition|west-first>negative-first/1ff.003");
+  EXPECT_LT(pm.at("cycle").as_number(), 700.0);  // before the second batch
+  EXPECT_FALSE(pm.at("certified").as_bool());
+  const auto& cycles = pm.at("cycles").as_array();
+  ASSERT_FALSE(cycles.empty());
+  for (const auto& cycle : cycles) {
+    EXPECT_TRUE(cycle.at("union_crossing").as_bool());
+    std::map<std::string, int> origins;
+    for (const auto& edge : cycle.at("edges").as_array()) {
+      ++origins[edge.at("origin").as_string()];
+    }
+    EXPECT_GT(origins["old-only"], 0);
+    EXPECT_GT(origins["new-only"], 0);
+    EXPECT_EQ(origins["neither"], 0);
   }
 }
 
@@ -672,19 +767,7 @@ TEST(Postmortem, WaitKnotGolden) {
   EXPECT_NE(actual.find(") ("), std::string::npos)
       << "no postmortem holds two cycles";
 
-  const std::string path = golden_path("wait_knots.txt");
-  if (std::getenv("WORMNET_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream file(path, std::ios::binary);
-    ASSERT_TRUE(file.good()) << "cannot write " << path;
-    file << actual;
-    GTEST_SKIP() << "updated " << path;
-  }
-  std::ifstream file(path, std::ios::binary);
-  std::ostringstream expected;
-  expected << file.rdbuf();
-  ASSERT_FALSE(expected.str().empty())
-      << path << " missing — regenerate with WORMNET_UPDATE_GOLDEN=1";
-  EXPECT_EQ(actual, expected.str()) << "golden drift in wait_knots.txt";
+  expect_golden(actual, "wait_knots.txt");
 }
 
 }  // namespace

@@ -29,6 +29,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "wormnet/core/registry.hpp"
 #include "wormnet/exp/sweep_io.hpp"
@@ -254,6 +256,113 @@ TEST(TransitionGuard, ChaosKillchMidRampRollsBackAndDeliversEverything) {
   EXPECT_EQ(stats.packets_delivered, stats.packets_created);
   EXPECT_EQ(stats.packets_dropped, 0u);
   EXPECT_GE(count_flight(simulator, obs::EventKind::kRollback), 1u);
+}
+
+// --- postmortem stamps: the relation live at capture ---------------------
+
+/// (cycle, relation) of every postmortem of a run on `schedule` in which
+/// each packet stalled for 16 cycles is aborted and dropped: the
+/// retry-exhaustion captures sample the live epoch across the timeline.
+std::vector<std::pair<std::uint64_t, std::string>> sample_stamps(
+    const topology::Topology& topo, const std::string& base,
+    std::shared_ptr<const EpochSchedule> schedule) {
+  const auto routing = core::make_algorithm(base, topo);
+  sim::SimConfig cfg = base_config();
+  cfg.schedule = std::move(schedule);
+  cfg.recovery.policy = ft::RecoveryPolicy::kAbortRetry;
+  cfg.recovery.retry_budget = 0;
+  cfg.recovery.packet_timeout = 16;
+  cfg.max_postmortems = 10000;
+  sim::Simulator simulator(topo, *routing, cfg);
+  (void)simulator.run();
+  std::vector<std::pair<std::uint64_t, std::string>> stamps;
+  for (const obs::RuntimePostmortem& pm : simulator.postmortems()) {
+    stamps.emplace_back(pm.cycle, pm.relation);
+    EXPECT_EQ(pm.steady_state,
+              RelationExpr(cfg.schedule->plan.steady_state()).to_string());
+  }
+  return stamps;
+}
+
+TEST(PostmortemStamp, NamesTheRollbackUnionAfterARepair) {
+  const topology::Topology topo = core::make_topology("mesh:3x3:1");
+  const GuardCertifier accept_small = [](const RelationExpr& relation) {
+    return non_base_dests(*relation.transition) <= 4;
+  };
+  const auto schedule = build_epoch_schedule(
+      topo, {}, compile(parse_transition_plan(kStagedPlan), topo, "e-cube"),
+      GuardWalk{accept_small});
+  const std::vector<EpochStep>& steps = schedule->steps;
+  ASSERT_EQ(steps[1].decision.action, GuardAction::kRollback);
+  std::size_t after_repair = 0;
+  for (const auto& [cycle, relation] : sample_stamps(topo, "e-cube",
+                                                     schedule)) {
+    if (cycle < steps[0].cycle) {
+      EXPECT_EQ(relation, "e-cube") << cycle;
+    } else if (cycle > steps[0].cycle && cycle < steps[1].cycle) {
+      EXPECT_EQ(relation, steps[0].decision.epoch) << cycle;
+    } else if (cycle > steps[1].cycle) {
+      EXPECT_EQ(relation, steps[1].decision.rollback_epoch) << cycle;
+      ++after_repair;
+    }
+  }
+  EXPECT_GT(after_repair, 0u);
+}
+
+TEST(PostmortemStamp, NamesTheSteadyStateOnceADrainSwitchCompletes) {
+  const topology::Topology topo = core::make_topology("mesh:3x3:1");
+  std::size_t calls = 0;
+  const GuardCertifier accept_first = [&calls](const RelationExpr&) {
+    return ++calls == 1;
+  };
+  const auto schedule = build_epoch_schedule(
+      topo, {}, compile(parse_transition_plan(kStagedPlan), topo, "e-cube"),
+      GuardWalk{accept_first});
+  const std::vector<EpochStep>& steps = schedule->steps;
+  ASSERT_EQ(steps[1].decision.action, GuardAction::kDrainThenSwitch);
+  // While the network drains, the union the refused stage left live stays
+  // live; once it is empty, only the steady state routes.
+  const std::string steady =
+      RelationExpr(schedule->plan.steady_state()).to_string();
+  const auto stamps = sample_stamps(topo, "e-cube", schedule);
+  ASSERT_FALSE(stamps.empty());
+  EXPECT_EQ(stamps.back().second, steady);
+  for (const auto& [cycle, relation] : stamps) {
+    if (cycle > steps[1].cycle && relation != steady) {
+      EXPECT_EQ(relation, steps[0].decision.epoch) << cycle;
+    }
+  }
+}
+
+TEST(PostmortemStamp, AFaultAfterARollbackMasksTheRollbackUnion) {
+  // The chaos plan: the second ramp batch is rolled back at 350, then
+  // killch:3@420 degrades the rollback union.  The row never verified that
+  // composed epoch (the walk stops at its repair); the stamp still names
+  // it, mask and all.
+  const topology::Topology topo = core::make_topology("mesh:4x4:2");
+  const auto schedule = build_epoch_schedule(
+      topo, ft::compile(ft::parse_fault_plan("killch:3@420"), topo),
+      compile(parse_transition_plan("ramp:negative-first/4/50@300"), topo,
+              "e-cube"),
+      GuardWalk{});
+  const std::vector<EpochStep>& steps = schedule->steps;
+  ASSERT_EQ(steps[1].decision.action, GuardAction::kRollback);
+  std::vector<bool> dead(topo.num_channels(), false);
+  dead[3] = true;
+  RelationExpr masked = RelationExpr::parse(steps[1].decision.rollback_epoch,
+                                            topo);
+  masked.fault_mask = dead;
+  std::size_t after_kill = 0;
+  for (const auto& [cycle, relation] : sample_stamps(topo, "e-cube",
+                                                     schedule)) {
+    if (cycle > steps[1].cycle && cycle < steps[3].cycle) {
+      EXPECT_EQ(relation, steps[1].decision.rollback_epoch) << cycle;
+    } else if (cycle > steps[3].cycle) {
+      EXPECT_EQ(relation, masked.to_string()) << cycle;
+      ++after_kill;
+    }
+  }
+  EXPECT_GT(after_kill, 0u);
 }
 
 }  // namespace
