@@ -8,7 +8,8 @@
 //
 // StateGraph (fresh and derived), ExtendedCdg and the Duato and greedy
 // searches report items_per_second in reachable (channel, destination)
-// states, the unit every checker kernel scales with.  BENCH_checker.json at
+// states, the unit every checker kernel scales with; TopologyBuild reports
+// channels built per second.  BENCH_checker.json at
 // the repository root is the committed baseline; CI's perf-smoke job
 // writes a fresh run to BENCH_checker_current.json and compares the two
 // with scripts/check_bench_regression.py on items_per_second, tolerance
@@ -40,6 +41,23 @@ void BM_StateGraph(benchmark::State& state) {
   state.SetComplexityN(topo.num_nodes());
 }
 BENCHMARK(BM_StateGraph)->Arg(4)->Arg(6)->Arg(8)->Arg(10)->Complexity();
+
+/// Topology construction from its spec: the channel list, then the flat
+/// adjacency and (cube family) the link table, built in one pass over the
+/// channels.  items_per_second counts channels.
+void BM_TopologyBuild(benchmark::State& state, const char* topology_spec) {
+  std::size_t channels = 0;
+  for (auto _ : state) {
+    const auto topo = core::make_topology(topology_spec);
+    channels = topo.num_channels();
+    benchmark::DoNotOptimize(channels);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(channels));
+}
+BENCHMARK_CAPTURE(BM_TopologyBuild, mesh8x8_2, "mesh:8x8:2");
+BENCHMARK_CAPTURE(BM_TopologyBuild, hypercube6_2, "hypercube:6:2");
+BENCHMARK_CAPTURE(BM_TopologyBuild, torus8x8_3, "torus:8x8:3");
 
 void BM_BuildCdg(benchmark::State& state) {
   const auto topo = mesh_for(state.range(0));

@@ -12,7 +12,8 @@ StateGraph::StateGraph(const Topology& topo, const RoutingFunction& routing)
                      ChannelSet& route, ChannelSet& waits) {
     route.clear();
     routing.route_into(input, at, dest, route);
-    waits = routing.waiting(input, at, dest);
+    waits.clear();
+    return routing.waiting_into(input, at, dest, waits);
   });
 }
 
@@ -29,16 +30,20 @@ StateGraph::StateGraph(const StateGraph& parent,
       if (!dead[c]) out.push_back(c);
     }
   };
+  // A parent whose every waiting list is its route list gives the derived
+  // graph the same property: its waiting lists need no filtering.
+  const bool distinct = !parent.wait_.empty() || !parent.inject_wait_.empty();
   lists_.reserve(parent.lists_.size());
   explore([&](ChannelId input, NodeId at, NodeId dest, ChannelSet& route,
               ChannelSet& waits) {
-    if (input == topology::kInvalidChannel) {
-      keep(parent.injection(at, dest), route);
-      keep(parent.injection_waiting(at, dest), waits);
-    } else {
-      keep(parent.successors(input, dest), route);
-      keep(parent.waiting(input, dest), waits);
-    }
+    const bool inject = input == topology::kInvalidChannel;
+    keep(inject ? parent.injection(at, dest) : parent.successors(input, dest),
+         route);
+    if (!distinct) return false;
+    keep(inject ? parent.injection_waiting(at, dest)
+                : parent.waiting(input, dest),
+         waits);
+    return true;
   });
 }
 
@@ -49,13 +54,25 @@ void StateGraph::explore(Row&& row) {
   reachable_.assign(channels * nodes, false);
   succ_.assign(channels * nodes, {});
   inject_.assign(static_cast<std::size_t>(nodes) * nodes, {});
-  inject_wait_.assign(static_cast<std::size_t>(nodes) * nodes, {});
   closure_.resize(nodes);
 
   // Forward fixpoint per destination.
   std::deque<ChannelId> frontier;
   ChannelSet route;
   ChannelSet waits;
+  // Row i's waiting slice in `waits_at` (wait_ or inject_wait_): its route
+  // slice in `routes_at` unless `row` gave a distinct list.  `waits_at` is
+  // allocated, as a copy of `routes_at`, at the first distinct list.
+  const auto set_waiting = [&](std::vector<Slice>& waits_at,
+                               const std::vector<Slice>& routes_at,
+                               std::size_t i, bool narrowed) {
+    if (narrowed && !std::ranges::equal(waits, route)) {
+      if (waits_at.empty()) waits_at = routes_at;
+      waits_at[i] = append(waits);
+    } else if (!waits_at.empty()) {
+      waits_at[i] = routes_at[i];
+    }
+  };
   const auto enqueue = [&](NodeId dest) {
     for (ChannelId next : route) {
       if (!reachable_[index(next, dest)]) {
@@ -68,11 +85,10 @@ void StateGraph::explore(Row&& row) {
     frontier.clear();
     for (NodeId src = 0; src < nodes; ++src) {
       if (src == dest) continue;
-      row(topology::kInvalidChannel, src, dest, route, waits);
-      const Slice first = append(route);
-      inject_[pair(src, dest)] = first;
-      inject_wait_[pair(src, dest)] =
-          std::ranges::equal(waits, route) ? first : append(waits);
+      const bool narrowed =
+          row(topology::kInvalidChannel, src, dest, route, waits);
+      inject_[pair(src, dest)] = append(route);
+      set_waiting(inject_wait_, inject_, pair(src, dest), narrowed);
       enqueue(dest);
     }
     while (!frontier.empty()) {
@@ -80,16 +96,9 @@ void StateGraph::explore(Row&& row) {
       frontier.pop_front();
       const NodeId head = topo_->channel(c).dst;
       if (head == dest) continue;  // sink state: consumed
-      row(c, head, dest, route, waits);
-      const std::size_t idx = index(c, dest);
-      succ_[idx] = append(route);
-      if (!std::ranges::equal(waits, route)) {
-        // First state whose waiting list differs: every earlier one aliased.
-        if (wait_.empty()) wait_ = succ_;
-        wait_[idx] = append(waits);
-      } else if (!wait_.empty()) {
-        wait_[idx] = succ_[idx];
-      }
+      const bool narrowed = row(c, head, dest, route, waits);
+      succ_[index(c, dest)] = append(route);
+      set_waiting(wait_, succ_, index(c, dest), narrowed);
       enqueue(dest);
     }
   }

@@ -31,8 +31,9 @@ class StateGraph {
   /// The state graph of `relation`, derived from `parent` without calling
   /// the relation.  `relation` must be `parent.routing()` minus the channels
   /// `dead` marks, in every route and waiting row (FaultAwareRouting over
-  /// the parent's relation).  The parent's rows are filtered by `dead` and
-  /// the same per-destination fixpoint re-runs over them: a state the
+  /// the parent's relation).  The parent's rows are filtered by `dead` (its
+  /// waiting rows only if some differs from its route row) and the same
+  /// per-destination fixpoint re-runs over them: a state the
   /// derived relation reaches is one the parent reaches, and its row is the
   /// parent's row minus the dead channels, so reachable set and every list
   /// equal a fresh build's, in contents and order.  The derived graph keeps
@@ -75,7 +76,8 @@ class StateGraph {
   /// Waiting channels for a message still at its source.
   [[nodiscard]] std::span<const ChannelId> injection_waiting(
       NodeId src, NodeId dest) const {
-    return list(inject_wait_[pair(src, dest)]);
+    const std::size_t i = pair(src, dest);
+    return list(inject_wait_.empty() ? inject_[i] : inject_wait_[i]);
   }
 
   /// True iff state (from, dest) can reach state (to, dest) along successor
@@ -109,9 +111,10 @@ class StateGraph {
   /// Appends `channels` to `lists_` and returns their slice.
   Slice append(std::span<const ChannelId> channels);
   /// The per-destination forward fixpoint from the injection states.
-  /// `row(input, at, dest, route, waits)` fills the relation's route and
-  /// waiting lists at `at` for a message arriving on `input`
-  /// (kInvalidChannel = injection).
+  /// `row(input, at, dest, route, waits)` fills the relation's route list
+  /// at `at` for a message arriving on `input` (kInvalidChannel =
+  /// injection), and returns true when it also filled a waiting list in
+  /// `waits`; false means the waiting list is the route list.
   template <class Row>
   void explore(Row&& row);
   void ensure_closure(NodeId dest) const;
@@ -121,7 +124,9 @@ class StateGraph {
   std::vector<bool> reachable_;
   // Successor, waiting and injection lists, flat: a waiting slice aliases
   // its successor (injection) slice when the two lists are equal, and
-  // `wait_` stays empty while every state's does.
+  // `wait_` (`inject_wait_`) stays empty while every state's (source's)
+  // does — always, for a wait-on-any relation, whose waiting_into never
+  // gives a list.
   std::vector<ChannelId> lists_;
   std::vector<Slice> succ_;
   std::vector<Slice> wait_;

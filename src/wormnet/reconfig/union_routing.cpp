@@ -60,14 +60,11 @@ WaitMode UnionRouting::wait_mode() const {
   return mode;
 }
 
-void UnionRouting::route_into(ChannelId input, NodeId current, NodeId dest,
-                              ChannelSet& out) const {
-  const std::size_t start = out.size();
-  for (std::size_t v = 0; v < members_.size(); ++v) {
-    if (!spec_.active[v][dest]) continue;
-    members_[v]->route_into(input, current, dest, out);
-  }
-  // Stable in-place dedup across members (sets are tiny: node degree).
+namespace {
+
+/// Drops the repeats in out[start..], keeping each channel's first place
+/// (sets are tiny: node degree).
+void dedup_from(ChannelSet& out, std::size_t start) {
   std::size_t w = start;
   for (std::size_t r = start; r < out.size(); ++r) {
     bool seen = false;
@@ -82,25 +79,40 @@ void UnionRouting::route_into(ChannelId input, NodeId current, NodeId dest,
   out.resize(w);
 }
 
-ChannelSet UnionRouting::waiting(ChannelId input, NodeId current,
-                                 NodeId dest) const {
-  // Union of member waiting sets: each is a subset of its member's route
-  // set, so the result is a subset of the union route set as required.
-  ChannelSet out;
+}  // namespace
+
+void UnionRouting::route_into(ChannelId input, NodeId current, NodeId dest,
+                              ChannelSet& out) const {
+  const std::size_t start = out.size();
   for (std::size_t v = 0; v < members_.size(); ++v) {
     if (!spec_.active[v][dest]) continue;
-    for (const ChannelId c : members_[v]->waiting(input, current, dest)) {
-      bool seen = false;
-      for (const ChannelId have : out) {
-        if (have == c) {
-          seen = true;
-          break;
-        }
-      }
-      if (!seen) out.push_back(c);
+    members_[v]->route_into(input, current, dest, out);
+  }
+  dedup_from(out, start);
+}
+
+bool UnionRouting::waiting_into(ChannelId input, NodeId current, NodeId dest,
+                                ChannelSet& out) const {
+  // The union of the active members' waiting sets, in member order: each is
+  // a subset of its member's route, so the result is a subset of the union
+  // route.  When no member narrows its route, that union is the route.
+  const std::size_t start = out.size();
+  bool narrowed = false;
+  for (std::size_t v = 0; v < members_.size(); ++v) {
+    if (spec_.active[v][dest]) {
+      narrowed |= members_[v]->waiting_into(input, current, dest, out);
     }
   }
-  return out;
+  if (!narrowed) return false;
+  out.resize(start);
+  for (std::size_t v = 0; v < members_.size(); ++v) {
+    if (spec_.active[v][dest] &&
+        !members_[v]->waiting_into(input, current, dest, out)) {
+      members_[v]->route_into(input, current, dest, out);
+    }
+  }
+  dedup_from(out, start);
+  return true;
 }
 
 bool UnionRouting::minimal() const {

@@ -36,9 +36,8 @@ class UnionRouting : public routing::RoutingFunction {
   [[nodiscard]] routing::WaitMode wait_mode() const override;
   void route_into(topology::ChannelId input, NodeId current, NodeId dest,
                   routing::ChannelSet& out) const override;
-  [[nodiscard]] routing::ChannelSet waiting(topology::ChannelId input,
-                                            NodeId current,
-                                            NodeId dest) const override;
+  bool waiting_into(topology::ChannelId input, NodeId current, NodeId dest,
+                    routing::ChannelSet& out) const override;
   [[nodiscard]] bool minimal() const override;
 
   [[nodiscard]] const UnionSpec& spec() const noexcept { return spec_; }

@@ -51,12 +51,11 @@ void EnhancedFullyAdaptive::route_into(ChannelId /*input*/, NodeId current,
   }
 }
 
-ChannelSet EnhancedFullyAdaptive::waiting(ChannelId /*input*/, NodeId current,
-                                          NodeId dest) const {
+bool EnhancedFullyAdaptive::waiting_into(ChannelId /*input*/, NodeId current,
+                                         NodeId dest, ChannelSet& out) const {
   const auto [l, dir_l] = lowest_needed(current, dest);
-  ChannelSet out;
   append_link_vcs(*topo_, current, l, dir_l, 0, 0, out);
-  return out;
+  return true;
 }
 
 }  // namespace wormnet::routing

@@ -34,8 +34,8 @@ class EnhancedFullyAdaptive final : public RoutingFunction {
 
   void route_into(ChannelId input, NodeId current, NodeId dest,
                   ChannelSet& out) const override;
-  [[nodiscard]] ChannelSet waiting(ChannelId input, NodeId current,
-                                   NodeId dest) const override;
+  bool waiting_into(ChannelId input, NodeId current, NodeId dest,
+                    ChannelSet& out) const override;
 
  private:
   /// Lowest dimension where current and dest differ plus the needed

@@ -57,15 +57,20 @@ void IncoherentRouting::route_into(ChannelId /*input*/, NodeId current,
   }
 }
 
-ChannelSet IncoherentRouting::waiting(ChannelId input, NodeId current,
-                                      NodeId dest) const {
-  ChannelSet all = route(input, current, dest);
-  if (wait_specific_ && all.size() > 1) {
+bool IncoherentRouting::waiting_into(ChannelId input, NodeId current,
+                                     NodeId dest, ChannelSet& out) const {
+  if (!wait_specific_) return false;
+  const std::size_t first = out.size();
+  route_into(input, current, dest, out);
+  if (out.size() - first > 1) {
     // Commit to the detour channel: the Section-6 deadlock configuration
     // (two dest-n0 messages, one blocking the other's detour).
-    return {all.back()};
+    out[first] = out.back();
+    out.resize(first + 1);
+    return true;
   }
-  return all;
+  out.resize(first);
+  return false;
 }
 
 }  // namespace wormnet::routing

@@ -63,8 +63,8 @@ class IncoherentRouting final : public RoutingFunction {
 
   void route_into(ChannelId input, NodeId current, NodeId dest,
                   ChannelSet& out) const override;
-  [[nodiscard]] ChannelSet waiting(ChannelId input, NodeId current,
-                                   NodeId dest) const override;
+  bool waiting_into(ChannelId input, NodeId current, NodeId dest,
+                    ChannelSet& out) const override;
 
  private:
   IncoherentChannels ch_;

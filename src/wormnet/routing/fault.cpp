@@ -40,11 +40,12 @@ void FaultAwareRouting::route_into(ChannelId input, NodeId current,
   drop_masked(out, first, faulty_);
 }
 
-ChannelSet FaultAwareRouting::waiting(ChannelId input, NodeId current,
-                                      NodeId dest) const {
-  ChannelSet set = base_->waiting(input, current, dest);
-  drop_masked(set, 0, faulty_);
-  return set;
+bool FaultAwareRouting::waiting_into(ChannelId input, NodeId current,
+                                     NodeId dest, ChannelSet& out) const {
+  const std::size_t first = out.size();
+  if (!base_->waiting_into(input, current, dest, out)) return false;
+  drop_masked(out, first, faulty_);
+  return true;
 }
 
 std::size_t mark_link_faulty(const Topology& topo, NodeId src, NodeId dst,

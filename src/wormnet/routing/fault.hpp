@@ -34,8 +34,8 @@ class FaultAwareRouting final : public RoutingFunction {
 
   void route_into(ChannelId input, NodeId current, NodeId dest,
                   ChannelSet& out) const override;
-  [[nodiscard]] ChannelSet waiting(ChannelId input, NodeId current,
-                                   NodeId dest) const override;
+  bool waiting_into(ChannelId input, NodeId current, NodeId dest,
+                    ChannelSet& out) const override;
 
   [[nodiscard]] std::size_t fault_count() const noexcept { return count_; }
   [[nodiscard]] bool is_faulty(ChannelId c) const { return faulty_[c]; }

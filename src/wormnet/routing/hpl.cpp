@@ -86,17 +86,16 @@ void HighestPositiveLast::route_into(ChannelId input, NodeId current,
   }
 }
 
-ChannelSet HighestPositiveLast::waiting(ChannelId input, NodeId current,
-                                        NodeId dest) const {
+bool HighestPositiveLast::waiting_into(ChannelId input, NodeId current,
+                                       NodeId dest, ChannelSet& out) const {
   const std::uint8_t vmax = topo_->cube().vcs - 1;
-  ChannelSet out;
   const int p = highest_negative(current, dest);
   if (p >= 0) {
     if (turn_allowed(input, static_cast<std::size_t>(p), Direction::kNeg,
                      current, dest)) {
       append_link_vcs(*topo_, current, static_cast<std::size_t>(p),
                       Direction::kNeg, 0, vmax, out);
-      return out;
+      return true;
     }
     // The + -> - turn in p is temporarily forbidden (the message arrived on
     // the positive channel of p after a misroute); it must first hop in a
@@ -108,23 +107,23 @@ ChannelSet HighestPositiveLast::waiting(ChannelId input, NodeId current,
       if (topo_->neighbor(current, dsz, Direction::kNeg) &&
           turn_allowed(input, dsz, Direction::kNeg, current, dest)) {
         append_link_vcs(*topo_, current, dsz, Direction::kNeg, 0, vmax, out);
-        return out;
+        return true;
       }
       if (topo_->neighbor(current, dsz, Direction::kPos) &&
           turn_allowed(input, dsz, Direction::kPos, current, dest)) {
         append_link_vcs(*topo_, current, dsz, Direction::kPos, 0, vmax, out);
-        return out;
+        return true;
       }
     }
-    return out;
+    return true;
   }
   for (std::size_t d = 0; d < topo_->num_dims(); ++d) {
     if (topo_->coord(dest, d) > topo_->coord(current, d)) {
       append_link_vcs(*topo_, current, d, Direction::kPos, 0, vmax, out);
-      return out;
+      return true;
     }
   }
-  return out;
+  return true;
 }
 
 }  // namespace wormnet::routing

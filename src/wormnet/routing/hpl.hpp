@@ -45,8 +45,8 @@ class HighestPositiveLast final : public RoutingFunction {
 
   void route_into(ChannelId input, NodeId current, NodeId dest,
                   ChannelSet& out) const override;
-  [[nodiscard]] ChannelSet waiting(ChannelId input, NodeId current,
-                                   NodeId dest) const override;
+  bool waiting_into(ChannelId input, NodeId current, NodeId dest,
+                    ChannelSet& out) const override;
 
  private:
   /// Highest dimension needing negative travel, or -1.

@@ -38,30 +38,10 @@ Direction preferred_dir(const Topology& topo, NodeId current, NodeId dest,
 void append_link_vcs(const Topology& topo, NodeId current, std::size_t dim,
                      Direction dir, std::uint8_t vc_lo, std::uint8_t vc_hi,
                      ChannelSet& out) {
-  const auto next = topo.neighbor(current, dim, dir);
-  if (!next) return;
-  // One pass over the out-adjacency instead of a scan per VC, emitting in
-  // ascending VC order (the order the per-VC scan produced).
-  constexpr int kMaxVcs = 32;
-  const int span = int(vc_hi) - int(vc_lo);
-  if (span >= 0 && span < kMaxVcs) {
-    ChannelId by_vc[kMaxVcs];
-    std::fill(by_vc, by_vc + (span + 1), kInvalidChannel);
-    for (const ChannelId c : topo.out_channels(current)) {
-      const auto& ch = topo.channel(c);
-      if (ch.dst == *next && ch.vc >= vc_lo && ch.vc <= vc_hi &&
-          by_vc[ch.vc - vc_lo] == kInvalidChannel) {
-        by_vc[ch.vc - vc_lo] = c;  // first match, as find_channel returns
-      }
-    }
-    for (int i = 0; i <= span; ++i) {
-      if (by_vc[i] != kInvalidChannel) out.push_back(by_vc[i]);
-    }
-    return;
-  }
-  for (std::uint8_t vc = vc_lo; vc <= vc_hi; ++vc) {
-    const ChannelId c = topo.find_channel(current, *next, vc);
-    if (c != kInvalidChannel) out.push_back(c);
+  const auto by_vc = topo.link_channels(current, dim, dir);
+  const std::size_t end = std::min<std::size_t>(vc_hi + 1u, by_vc.size());
+  for (std::size_t vc = vc_lo; vc < end; ++vc) {
+    if (by_vc[vc] != kInvalidChannel) out.push_back(by_vc[vc]);
   }
 }
 

@@ -10,11 +10,15 @@
 //
 // A relation is one evaluator, `route_into()`, which appends the candidate
 // set of a state to a caller's vector; `route()` is the same set in a fresh
-// vector.  `waiting()` returns the channels the message is allowed to *wait*
-// for when every candidate is busy; by default that is the whole candidate
-// set.  The distinction between channels a message may merely *use* and
-// channels it may *wait on* is what the channel-waiting-graph machinery
-// (companion module) exploits.
+// vector.  The channels a message is allowed to *wait* for when every
+// candidate is busy come from one more append-style virtual,
+// `waiting_into()`: it returns false and appends nothing when the waiting set
+// is the whole candidate set (wait-on-any, the default), so callers that
+// already hold the route reuse it instead of evaluating the relation twice;
+// otherwise it appends the subset and returns true.  `waiting()` is the
+// waiting set in a fresh vector either way.  The distinction between
+// channels a message may merely *use* and channels it may *wait on* is what
+// the channel-waiting-graph machinery (companion module) exploits.
 //
 // Candidate sets are listed in *preference order*: simulators that pick the
 // first free channel get the algorithm's intended bias (e.g. adaptive
@@ -82,11 +86,24 @@ class RoutingFunction {
     return out;
   }
 
-  /// Channels the message may wait for when all of route() are busy.
-  /// Must be a subset of route().  Default: the whole set (wait-on-any).
-  [[nodiscard]] virtual ChannelSet waiting(ChannelId input, NodeId current,
-                                           NodeId dest) const {
-    return route(input, current, dest);
+  /// The channels the message may wait for when all of route() are busy.
+  /// Returns false and appends nothing when that is the whole route (the
+  /// default: wait-on-any); otherwise appends the subset of route(), in
+  /// preference order, and returns true.  Same append contract and purity
+  /// as route_into().
+  virtual bool waiting_into(ChannelId /*input*/, NodeId /*current*/,
+                            NodeId /*dest*/, ChannelSet& /*out*/) const {
+    return false;
+  }
+
+  /// The waiting set in a fresh vector: waiting_into's subset, or route().
+  [[nodiscard]] ChannelSet waiting(ChannelId input, NodeId current,
+                                   NodeId dest) const {
+    ChannelSet out;
+    if (!waiting_into(input, current, dest, out)) {
+      route_into(input, current, dest, out);
+    }
+    return out;
   }
 
   /// True if the relation only ever supplies channels on minimal paths.
@@ -128,7 +145,8 @@ struct DirSet {
                                       NodeId dest, std::size_t dim);
 
 /// Appends every virtual channel of the (current -> neighbor(dim,dir)) link
-/// whose vc index lies in [vc_lo, vc_hi] to `out`.
+/// whose vc index lies in [vc_lo, vc_hi] to `out`, in ascending vc order
+/// (one read of the topology's link table per vc).
 void append_link_vcs(const Topology& topo, NodeId current, std::size_t dim,
                      Direction dir, std::uint8_t vc_lo, std::uint8_t vc_hi,
                      ChannelSet& out);

@@ -36,14 +36,13 @@ void TableRouting::set_waiting(std::map<Key, ChannelSet> waiting_table) {
   waiting_ = std::move(waiting_table);
 }
 
-ChannelSet TableRouting::waiting(ChannelId input, NodeId current,
-                                 NodeId dest) const {
+bool TableRouting::waiting_into(ChannelId input, NodeId current, NodeId dest,
+                                ChannelSet& out) const {
   const bool by_input = form_ == RelationForm::kChannelNodeDest;
-  if (const ChannelSet* row =
-          find_row(waiting_, by_input, input, current, dest)) {
-    return *row;
-  }
-  return route(input, current, dest);
+  const ChannelSet* row = find_row(waiting_, by_input, input, current, dest);
+  if (row == nullptr) return false;
+  out.insert(out.end(), row->begin(), row->end());
+  return true;
 }
 
 }  // namespace wormnet::routing

@@ -36,8 +36,8 @@ class TableRouting final : public RoutingFunction {
   /// Optional distinct waiting table (subset of route per state); empty means
   /// waiting == route.
   void set_waiting(std::map<Key, ChannelSet> waiting_table);
-  [[nodiscard]] ChannelSet waiting(ChannelId input, NodeId current,
-                                   NodeId dest) const override;
+  bool waiting_into(ChannelId input, NodeId current, NodeId dest,
+                    ChannelSet& out) const override;
 
  private:
   std::string label_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 #include <queue>
 #include <sstream>
 #include <stdexcept>
@@ -39,21 +40,49 @@ Topology::Topology(std::string name, NodeId num_nodes,
 }
 
 void Topology::index_channels() {
-  out_.assign(num_nodes_, {});
-  in_.assign(num_nodes_, {});
-  for (ChannelId c = 0; c < channels_.size(); ++c) {
-    const Channel& ch = channels_[c];
+  out_at_.assign(num_nodes_ + 1, 0);
+  in_at_.assign(num_nodes_ + 1, 0);
+  std::uint8_t max_vc = 0;
+  for (const Channel& ch : channels_) {
     if (ch.src >= num_nodes_ || ch.dst >= num_nodes_) {
       throw std::invalid_argument("channel endpoint out of range");
     }
-    out_[ch.src].push_back(c);
-    in_[ch.dst].push_back(c);
+    ++out_at_[ch.src + 1];
+    ++in_at_[ch.dst + 1];
+    max_vc = std::max(max_vc, ch.vc);
+  }
+  std::partial_sum(out_at_.begin(), out_at_.end(), out_at_.begin());
+  std::partial_sum(in_at_.begin(), in_at_.end(), in_at_.begin());
+  out_.resize(channels_.size());
+  in_.resize(channels_.size());
+  std::vector<std::uint32_t> out_next(out_at_.begin(), out_at_.end() - 1);
+  std::vector<std::uint32_t> in_next(in_at_.begin(), in_at_.end() - 1);
+  if (cube_) {
+    link_vcs_ = std::size_t{max_vc} + 1;
+    link_.assign(std::size_t{num_nodes_} * dims_ * 2 * link_vcs_,
+                 kInvalidChannel);
+  }
+  for (ChannelId c = 0; c < channels_.size(); ++c) {
+    const Channel& ch = channels_[c];
+    out_[out_next[ch.src]++] = c;
+    in_[in_next[ch.dst]++] = c;
+    if (!cube_) continue;
+    // c serves every (dim, dir) of its source whose neighbour is its head,
+    // at its vc, unless an earlier channel already does: find_channel's
+    // first match in id order.
+    for (std::size_t d = 0; d < dims_; ++d) {
+      for (const Direction dir : {Direction::kPos, Direction::kNeg}) {
+        if (neighbor(ch.src, d, dir) != ch.dst) continue;
+        ChannelId& slot = link_[link_at(ch.src, d, dir) + ch.vc];
+        if (slot == kInvalidChannel) slot = c;
+      }
+    }
   }
 }
 
 ChannelId Topology::find_channel(NodeId src, NodeId dst,
                                  std::uint8_t vc) const {
-  for (ChannelId c : out_[src]) {
+  for (ChannelId c : out_channels(src)) {
     const Channel& ch = channels_[c];
     if (ch.dst == dst && ch.vc == vc) return c;
   }
@@ -63,7 +92,7 @@ ChannelId Topology::find_channel(NodeId src, NodeId dst,
 std::vector<ChannelId> Topology::channels_between(NodeId src,
                                                   NodeId dst) const {
   std::vector<ChannelId> result;
-  for (ChannelId c : out_[src]) {
+  for (ChannelId c : out_channels(src)) {
     if (channels_[c].dst == dst) result.push_back(c);
   }
   std::sort(result.begin(), result.end(), [this](ChannelId a, ChannelId b) {
@@ -118,7 +147,7 @@ std::uint32_t Topology::distance(NodeId a, NodeId b) const {
     const NodeId u = frontier.front();
     frontier.pop();
     if (u == b) return dist[u];
-    for (ChannelId c : out_[u]) {
+    for (ChannelId c : out_channels(u)) {
       const NodeId v = channels_[c].dst;
       if (dist[v] == static_cast<std::uint32_t>(-1)) {
         dist[v] = dist[u] + 1;
@@ -163,7 +192,7 @@ bool Topology::strongly_connected() const {
     while (!stack.empty()) {
       const NodeId u = stack.back();
       stack.pop_back();
-      const auto& row = forward ? out_[u] : in_[u];
+      const auto row = forward ? out_channels(u) : in_channels(u);
       for (ChannelId c : row) {
         const NodeId v = forward ? channels_[c].dst : channels_[c].src;
         if (!seen[v]) {

@@ -68,12 +68,12 @@ class Topology {
     return channels_[c];
   }
 
-  /// Channels transmitting out of / into `node`.
+  /// Channels transmitting out of / into `node`, in ascending id order.
   [[nodiscard]] std::span<const ChannelId> out_channels(NodeId node) const {
-    return out_[node];
+    return {out_.data() + out_at_[node], out_at_[node + 1] - out_at_[node]};
   }
   [[nodiscard]] std::span<const ChannelId> in_channels(NodeId node) const {
-    return in_[node];
+    return {in_.data() + in_at_[node], in_at_[node + 1] - in_at_[node]};
   }
 
   /// The channel src -> dst with virtual-channel index `vc`, or
@@ -128,6 +128,16 @@ class Topology {
     return node + (static_cast<std::int64_t>(nx) - x) * strides_[dim];
   }
 
+  /// The channels of the link from `node` toward neighbor(node, dim, dir),
+  /// indexed by vc (kInvalidChannel where that vc has no channel, and
+  /// everywhere at a mesh boundary): entry v is find_channel(node,
+  /// neighbor, v).  One read of a table built with the adjacency — hot
+  /// path for routing.  Cube family only.
+  [[nodiscard]] std::span<const ChannelId> link_channels(
+      NodeId node, std::size_t dim, Direction dir) const {
+    return {link_.data() + link_at(node, dim, dir), link_vcs_};
+  }
+
   /// Hop distance of the minimal path respecting the topology (mesh: L1;
   /// torus: ring distance per dim; custom: BFS).
   [[nodiscard]] std::uint32_t distance(NodeId a, NodeId b) const;
@@ -141,12 +151,25 @@ class Topology {
 
  private:
   void index_channels();
+  /// Offset of the (node, dim, dir) row in link_.
+  [[nodiscard]] std::size_t link_at(NodeId node, std::size_t dim,
+                                    Direction dir) const {
+    return ((node * dims_ + dim) * 2 + static_cast<std::size_t>(dir)) *
+           link_vcs_;
+  }
 
   std::string name_;
   NodeId num_nodes_;
   std::vector<Channel> channels_;
-  std::vector<std::vector<ChannelId>> out_;
-  std::vector<std::vector<ChannelId>> in_;
+  // Adjacency, flat (CSR): node n's out-channels are out_[out_at_[n] ..
+  // out_at_[n + 1]), its in-channels likewise.
+  std::vector<std::uint32_t> out_at_;
+  std::vector<ChannelId> out_;
+  std::vector<std::uint32_t> in_at_;
+  std::vector<ChannelId> in_;
+  // Cube family: link_channels' rows, link_vcs_ entries per (node, dim, dir).
+  std::vector<ChannelId> link_;
+  std::size_t link_vcs_ = 0;
   std::optional<CubeInfo> cube_;
   std::vector<std::uint32_t> strides_;  ///< mixed-radix strides (cube family)
   std::size_t dims_ = 0;                ///< cached cube dimension count
