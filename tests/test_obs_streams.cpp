@@ -13,7 +13,8 @@
 // can record to the ring without emitting its event.
 //
 // A last fixture set pins one ordinary run under each selection policy: its
-// stats JSON and its flight stream (selection_<policy>.*).
+// stats JSON and its flight stream (selection_<policy>.*), and two untraced
+// saturated runs the same way (saturated_<name>.*).
 //
 // Regenerate fixtures:  WORMNET_UPDATE_GOLDEN=1 ./test_obs_streams
 #include <gtest/gtest.h>
@@ -282,6 +283,47 @@ TEST(ObsStreams, SelectionPoliciesMatchGoldens) {
     config.flight_capacity = kFullStream;
     sim::Simulator simulator(topo, *routing, config);
     const sim::SimStats stats = simulator.run();
+    EXPECT_EQ(simulator.flight().dropped(), 0u);
+    expect_matches_golden(stats.to_json() + "\n", stem + ".stats.json");
+    expect_matches_golden(render_flight(topo, simulator.flight().snapshot()),
+                          stem + ".flight.jsonl");
+  }
+}
+
+/// Saturated untraced runs, pinned by their stats JSON and full flight
+/// stream in saturated_<name>.{stats.json,flight.jsonl}.  Load 0.9 is past
+/// saturation on both networks, so links see several forwarding and
+/// injection candidates in one cycle and nodes several ejecting inputs;
+/// depth-1 buffers on the torus make every queue drain and refill on
+/// alternate flits.  No sink is attached, so these runs take the flit path
+/// that skips every trace-only emit.
+TEST(ObsStreams, SaturatedUntracedRunsMatchGoldens) {
+  const struct {
+    const char* name;
+    const char* topology;
+    const char* relation;
+    std::uint32_t buffer_depth;
+    std::uint64_t measure_cycles;
+  } kSaturated[] = {
+      {"torus4x4_depth1", "torus:4x4:3", "duato-torus", 1, 300},
+      {"mesh8x8", "mesh:8x8:2", "duato-mesh", 4, 30},
+  };
+  for (const auto& run : kSaturated) {
+    const std::string stem = std::string("saturated_") + run.name;
+    SCOPED_TRACE(stem);
+    const topology::Topology topo = core::make_topology(run.topology);
+    const auto routing = core::make_algorithm(run.relation, topo);
+    sim::SimConfig config;
+    config.injection_rate = 0.9;
+    config.buffer_depth = run.buffer_depth;
+    config.warmup_cycles = 30;
+    config.measure_cycles = run.measure_cycles;
+    config.drain_cycles = 6000;
+    config.seed = 23;
+    config.flight_capacity = kFullStream;
+    sim::Simulator simulator(topo, *routing, config);
+    const sim::SimStats stats = simulator.run();
+    EXPECT_FALSE(stats.deadlocked);
     EXPECT_EQ(simulator.flight().dropped(), 0u);
     expect_matches_golden(stats.to_json() + "\n", stem + ".stats.json");
     expect_matches_golden(render_flight(topo, simulator.flight().snapshot()),
