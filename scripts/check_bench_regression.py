@@ -6,27 +6,32 @@ Usage: check_bench_regression.py BASELINE.json CURRENT.json [--counter NAME]
 
 Fails (exit 1) if any benchmark present in both files regressed by more
 than --tolerance (default 0.20, i.e. 20%) on --counter (default
-flits_per_sec).  Benchmarks missing from either side are reported but do
-not fail the run — grids may grow between PRs.  Stdlib only; CI-friendly.
+flits_per_sec).  A run made with --benchmark_repetitions=N holds N
+iteration rows per benchmark name; each side is judged by the median of
+its rows (aggregate rows are ignored).  Benchmarks missing from either side
+are reported but do not fail the run — grids may grow between PRs.  Stdlib
+only; CI-friendly.
 """
 
 import argparse
 import json
+import statistics
 import sys
 
 
 def load_counters(path, counter):
+    """Median of `counter` over the iteration rows of each benchmark name."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    out = {}
+    rows = {}
     for row in doc.get("benchmarks", []):
         name = row.get("name")
         if name is None or row.get("run_type") == "aggregate":
             continue
         value = row.get(counter)
         if isinstance(value, (int, float)):
-            out[name] = float(value)
-    return out
+            rows.setdefault(name, []).append(float(value))
+    return {name: statistics.median(values) for name, values in rows.items()}
 
 
 def main():

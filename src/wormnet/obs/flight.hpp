@@ -65,26 +65,20 @@ class FlightRecorder {
     auto aux = static_cast<std::uint32_t>(ev.value);
     switch (ev.kind) {
       case EventKind::kVcAlloc:
-        channel = ev.channel;
-        aux = ev.channel2;
-        break;
+        record_acquire(ev.cycle, ev.packet, ev.channel, ev.channel2);
+        return;
       case EventKind::kLinkTraverse:
         // A forwarded tail flit leaves (and releases) its input channel.
-        if (!ev.flag2 || ev.channel2 == kNoId) return;
-        kind = EventKind::kRelease;
-        channel = ev.channel2;
-        aux = kNoId;
-        break;
+        if (ev.flag2 && ev.channel2 != kNoId) {
+          record_release(ev.cycle, ev.packet, ev.channel2);
+        }
+        return;
       case EventKind::kEject:
-        if (!ev.flag2) return;
-        kind = EventKind::kRelease;
-        channel = ev.channel;
-        aux = kNoId;
-        break;
+        if (ev.flag2) record_release(ev.cycle, ev.packet, ev.channel);
+        return;
       case EventKind::kRelease:
-        channel = ev.channel;
-        aux = kNoId;
-        break;
+        record_release(ev.cycle, ev.packet, ev.channel);
+        return;
       case EventKind::kBlock:
         channel = ev.channel2;
         aux = ev.node;
@@ -113,6 +107,29 @@ class FlightRecorder {
     }
     ring_.push({ev.cycle, kind, kind == EventKind::kDeadlockDetected && ev.flag,
                 ev.packet, channel, aux});
+  }
+
+  // The two records of every hop, which the simulator's allocation and
+  // flit paths hand over directly, without building the TraceEvent
+  // record() reads.  record() projects its events through them too.
+
+  /// The projection of an acquire: `packet` took `channel`, arriving on
+  /// `input` (kNone at its source).
+  [[gnu::always_inline]] void record_acquire(std::uint64_t cycle,
+                                             std::uint32_t packet,
+                                             std::uint32_t channel,
+                                             std::uint32_t input) noexcept {
+    if (ring_.capacity() == 0) return;
+    ring_.push({cycle, EventKind::kVcAlloc, false, packet, channel, input});
+  }
+
+  /// The projection of every release: `packet` let go of `channel`, by a
+  /// tail flit leaving it, a tail ejection or an abort flush.
+  [[gnu::always_inline]] void record_release(std::uint64_t cycle,
+                                             std::uint32_t packet,
+                                             std::uint32_t channel) noexcept {
+    if (ring_.capacity() == 0) return;
+    ring_.push({cycle, EventKind::kRelease, false, packet, channel, kNoId});
   }
 
   [[nodiscard]] std::size_t capacity() const noexcept {

@@ -62,6 +62,27 @@ class IndexSet {
     return true;
   }
 
+  // Branch-free updates for the flit path, where whether an index joins or
+  // leaves a set is data-dependent and poorly predicted.
+
+  /// Inserts `i` iff `cond`; a no-op otherwise.
+  void insert_if(std::size_t i, bool cond) noexcept {
+    std::uint64_t& w = words_[i >> 6];
+    const unsigned b = i & 63;
+    const std::uint64_t add = std::uint64_t{cond} << b;
+    count_ += (add & ~w) >> b;
+    w |= add;
+  }
+
+  /// Makes `i` a member iff `member`.
+  void assign(std::size_t i, bool member) noexcept {
+    std::uint64_t& w = words_[i >> 6];
+    const unsigned b = i & 63;
+    const std::uint64_t was = (w >> b) & 1u;
+    w = (w & ~(std::uint64_t{1} << b)) | (std::uint64_t{member} << b);
+    count_ = count_ + member - was;
+  }
+
   [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return count_; }
   [[nodiscard]] std::size_t universe() const noexcept { return universe_; }

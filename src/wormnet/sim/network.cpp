@@ -8,8 +8,7 @@ NetworkState::NetworkState(const Topology& topo) {
   const std::size_t n = topo.num_channels();
   owner_.assign(n, kNoPacket);
   out_.assign(n, kInvalidChannel);
-  out_assigned_.assign(n, 0);
-  out_eject_.assign(n, 0);
+  out_kind_.assign(n, kNoOutput);
   front_seq_.assign(n, 0);
   occupancy_.assign(n, 0);
   link_of_.assign(n, 0);

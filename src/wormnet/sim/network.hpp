@@ -50,10 +50,15 @@ class NetworkState {
   [[nodiscard]] std::span<const PacketId> owners() const { return owner_; }
   [[nodiscard]] ChannelId out(ChannelId c) const { return out_[c]; }
   [[nodiscard]] bool out_assigned(ChannelId c) const {
-    return out_assigned_[c] != 0;
+    return out_kind_[c] != kNoOutput;
   }
   [[nodiscard]] bool out_eject(ChannelId c) const {
-    return out_eject_[c] != 0;
+    return out_kind_[c] == kEjectOutput;
+  }
+  /// Assigned a downstream channel (not ejection): the queue's flits move
+  /// over a link.
+  [[nodiscard]] bool out_forward(ChannelId c) const {
+    return out_kind_[c] == kForwardOutput;
   }
   [[nodiscard]] std::uint32_t occupancy(ChannelId c) const {
     return occupancy_[c];
@@ -77,23 +82,18 @@ class NetworkState {
   /// Header routing decided: downstream channel assignment.
   void assign_output(ChannelId c, ChannelId downstream) {
     out_[c] = downstream;
-    out_assigned_[c] = 1;
-    out_eject_[c] = 0;
+    out_kind_[c] = kForwardOutput;
   }
 
   /// Header arrived at its destination router: ejection assignment.
-  void assign_eject(ChannelId c) {
-    out_assigned_[c] = 1;
-    out_eject_[c] = 1;
-  }
+  void assign_eject(ChannelId c) { out_kind_[c] = kEjectOutput; }
 
   /// Tail flit left (or an abort flushed the worm): the channel is free
   /// again and primed for the next header (sequence numbers restart at 0).
   void release(ChannelId c) {
     owner_[c] = kNoPacket;
     out_[c] = kInvalidChannel;
-    out_assigned_[c] = 0;
-    out_eject_[c] = 0;
+    out_kind_[c] = kNoOutput;
     front_seq_[c] = 0;
   }
 
@@ -117,9 +117,14 @@ class NetworkState {
  private:
   // One entry per channel, index-addressed (SoA).
   std::vector<PacketId> owner_;
+  // What the header decided: nothing yet, a downstream channel (out_) or
+  // ejection.
+  static constexpr std::uint8_t kNoOutput = 0;
+  static constexpr std::uint8_t kForwardOutput = 1;
+  static constexpr std::uint8_t kEjectOutput = 2;
+
   std::vector<ChannelId> out_;
-  std::vector<std::uint8_t> out_assigned_;
-  std::vector<std::uint8_t> out_eject_;
+  std::vector<std::uint8_t> out_kind_;
   std::vector<std::uint32_t> front_seq_;
   std::vector<std::uint32_t> occupancy_;
 

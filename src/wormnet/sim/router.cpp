@@ -11,7 +11,11 @@ RouteAllocator::RouteAllocator(const Topology& topo,
                                WaitOverride wait_override, std::uint64_t seed,
                                const LiveEpoch* epoch)
     : topo_(&topo), routing_(&routing), selection_(selection),
-      wait_override_(wait_override), rng_(seed), epoch_(epoch),
+      wait_specific_(
+          wait_override == WaitOverride::kForceSpecific ||
+          (wait_override == WaitOverride::kFollowRouting &&
+           routing.wait_mode() == WaitMode::kSpecific)),
+      rng_(seed), epoch_(epoch),
       faults_(epoch != nullptr && epoch->faults()),
       versions_(epoch != nullptr && epoch->versions()),
       tables_(epoch != nullptr ? epoch->num_versions() : 1) {
@@ -28,18 +32,6 @@ std::uint32_t RouteAllocator::version_for(const Packet& pkt) const {
 
 const RoutingFunction& RouteAllocator::relation(std::uint32_t version) const {
   return epoch_ != nullptr ? epoch_->relation(version) : *routing_;
-}
-
-WaitMode RouteAllocator::effective_wait_mode() const {
-  switch (wait_override_) {
-    case WaitOverride::kFollowRouting:
-      return routing_->wait_mode();
-    case WaitOverride::kForceAny:
-      return WaitMode::kAnyOf;
-    case WaitOverride::kForceSpecific:
-      return WaitMode::kSpecific;
-  }
-  return WaitMode::kAnyOf;
 }
 
 std::size_t RouteAllocator::key(const Table& table, ChannelId input,
@@ -146,8 +138,8 @@ std::optional<ChannelId> RouteAllocator::attempt(Packet& pkt, ChannelId input,
   }
 
   // Blocked: commit under wait-specific discipline.
-  if (effective_wait_mode() == WaitMode::kSpecific &&
-      pkt.committed_wait == kInvalidChannel && pkt.forced_path.empty()) {
+  if (wait_specific_ && pkt.committed_wait == kInvalidChannel &&
+      pkt.forced_path.empty()) {
     // The relation's preferred live waiting channel; deterministic
     // commitment.  A dead channel is never committed to: it could never be
     // granted.

@@ -76,8 +76,6 @@ class RouteAllocator {
                                                ChannelId input,
                                                NodeId current) const;
 
-  [[nodiscard]] WaitMode effective_wait_mode() const;
-
   /// Relation-table reads by attempts, and how many of them filled a row.
   [[nodiscard]] std::uint64_t route_lookups() const noexcept {
     return route_lookups_;
@@ -143,7 +141,9 @@ class RouteAllocator {
   const Topology* topo_;
   const RoutingFunction* routing_;
   SelectionPolicy selection_;
-  WaitOverride wait_override_;
+  /// A blocked header commits to one waiting channel: the relation's own
+  /// discipline, unless the run overrides it.
+  bool wait_specific_;
   util::Xoshiro256 rng_;
   const LiveEpoch* epoch_;
   bool faults_;    ///< epoch_ can have dead channels: read the mask

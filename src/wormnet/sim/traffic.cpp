@@ -48,6 +48,13 @@ TrafficGenerator::TrafficGenerator(const Topology& topo, Pattern pattern,
   if (pattern_ == Pattern::kHotspot && hotspots_.empty()) {
     hotspots_.push_back(n / 2);  // sensible default: a central-ish node
   }
+  if (pattern_ != Pattern::kUniform && pattern_ != Pattern::kHotspot) {
+    dest_.resize(n);
+    for (NodeId src = 0; src < n; ++src) {
+      const NodeId dst = permute(src);
+      dest_[src] = dst == src || dst >= n ? kNoDest : dst;
+    }
+  }
 }
 
 NodeId TrafficGenerator::permute(NodeId src) const {
@@ -112,8 +119,8 @@ std::optional<NodeId> TrafficGenerator::destination(NodeId src) {
       return dst;
     }
     default: {
-      const NodeId dst = permute(src);
-      if (dst == src || dst >= n) return std::nullopt;
+      const NodeId dst = dest_[src];
+      if (dst == kNoDest) return std::nullopt;
       return dst;
     }
   }

@@ -49,15 +49,20 @@ class TrafficGenerator {
   /// Bernoulli arrival: true if `src` generates a packet this cycle, given
   /// `rate` flits/node/cycle and `packet_length` flits/packet.
   [[nodiscard]] bool arrival(double rate, std::uint32_t packet_length) {
-    return bernoulli(rate / static_cast<double>(packet_length));
+    return rng_.chance(rate / static_cast<double>(packet_length));
   }
 
-  /// Same trial with the packet-arrival probability precomputed by the
-  /// caller (one uniform per node per cycle — the simulator's hot path).
-  [[nodiscard]] bool bernoulli(double p) noexcept { return rng_.chance(p); }
+  /// The same trial with its probability precomputed by the caller as
+  /// util::Xoshiro256::chance_threshold(p): one integer compare per node
+  /// per cycle on the simulator's hot path, deciding as chance(p) does.
+  [[nodiscard]] bool arrival_below(std::uint64_t threshold) noexcept {
+    return (rng_() >> 11) < threshold;
+  }
 
  private:
   [[nodiscard]] NodeId permute(NodeId src) const;
+
+  static constexpr NodeId kNoDest = static_cast<NodeId>(-1);
 
   const Topology* topo_;
   Pattern pattern_;
@@ -65,6 +70,9 @@ class TrafficGenerator {
   double hotspot_fraction_;
   std::vector<NodeId> hotspots_;
   std::uint32_t id_bits_;
+  /// Deterministic patterns: each source's destination, computed once
+  /// (kNoDest where the pattern maps a node to itself or off the network).
+  std::vector<NodeId> dest_;
 };
 
 }  // namespace wormnet::sim

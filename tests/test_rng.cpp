@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -65,6 +68,41 @@ TEST(Xoshiro256, ChanceExtremes) {
     EXPECT_FALSE(rng.chance(0.0));
     EXPECT_TRUE(rng.chance(1.0));
   }
+}
+
+/// The integer trial `(next() >> 11) < chance_threshold(p)` decides as
+/// chance(p) does on the same draw, at the edges of p and at the threshold.
+TEST(Xoshiro256, ChanceThresholdDecidesAsChance) {
+  const double kOneUlpBelowOne = std::nextafter(1.0, 0.0);
+  const double probabilities[] = {
+      -1.0, -0.0, 0.0, std::numeric_limits<double>::denorm_min(), 1e-300,
+      0x1.0p-53, 0x1.8p-53, 1.0 / 80, 0.1 / 8, 0.9 / 8, 1.0 / 3, 0.5,
+      0.7 / 6, kOneUlpBelowOne, 1.0, 1.5,
+      std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN()};
+  for (const double p : probabilities) {
+    SCOPED_TRACE(p);
+    const std::uint64_t threshold = Xoshiro256::chance_threshold(p);
+    Xoshiro256 a(42), b(42);
+    for (int i = 0; i < 20000; ++i) {
+      ASSERT_EQ((b() >> 11) < threshold, a.chance(p)) << "draw " << i;
+    }
+    // Every 53-bit draw k near the threshold: uniform() is k * 2^-53.
+    const std::uint64_t top = std::uint64_t{1} << 53;
+    for (std::uint64_t k : {threshold - 2, threshold - 1, threshold,
+                            threshold + 1, std::uint64_t{0}, top - 1}) {
+      if (k >= top) continue;
+      EXPECT_EQ(k < threshold, static_cast<double>(k) * 0x1.0p-53 < p)
+          << "k " << k;
+    }
+  }
+  EXPECT_EQ(Xoshiro256::chance_threshold(0.0), 0u);
+  EXPECT_EQ(Xoshiro256::chance_threshold(-0.5), 0u);
+  EXPECT_EQ(Xoshiro256::chance_threshold(1.0), std::uint64_t{1} << 53);
+  EXPECT_EQ(Xoshiro256::chance_threshold(0x1.0p-53), 1u);
+  EXPECT_EQ(Xoshiro256::chance_threshold(0x1.8p-53), 2u);
+  EXPECT_EQ(Xoshiro256::chance_threshold(kOneUlpBelowOne),
+            (std::uint64_t{1} << 53) - 1);
 }
 
 TEST(Xoshiro256, JumpProducesIndependentStream) {

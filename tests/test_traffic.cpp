@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <vector>
+
 #include "test_helpers.hpp"
 
 namespace wormnet::sim {
@@ -93,6 +97,95 @@ TEST(Traffic, ArrivalRateMatchesExpectation) {
     if (gen.arrival(rate, length)) ++arrivals;
   }
   EXPECT_NEAR(arrivals, kCycles * rate / length, kCycles * 0.01);
+}
+
+/// The destination of a deterministic pattern computed from coordinates on
+/// every call: what TrafficGenerator's per-node table must reproduce.
+std::optional<NodeId> reference_destination(const topology::Topology& topo,
+                                            Pattern pattern, NodeId src) {
+  const NodeId n = topo.num_nodes();
+  std::uint32_t bits = 1;
+  while ((NodeId{1} << bits) < n) ++bits;
+  const NodeId mask = ((NodeId{1} << bits) - 1) & (n - 1);
+  NodeId dst = 0;
+  switch (pattern) {
+    case Pattern::kTranspose:
+    case Pattern::kTornado: {
+      if (!topo.is_cube()) {
+        dst = (src + n / 2) % n;
+        break;
+      }
+      std::vector<std::uint32_t> xs = topo.coords(src);
+      const auto& radices = topo.cube().radices;
+      if (pattern == Pattern::kTranspose) {
+        std::reverse(xs.begin(), xs.end());
+        for (std::size_t d = 0; d < xs.size(); ++d) {
+          xs[d] = std::min(xs[d], radices[d] - 1);
+        }
+      } else {
+        for (std::size_t d = 0; d < xs.size(); ++d) {
+          xs[d] = (xs[d] + radices[d] / 2) % radices[d];
+        }
+      }
+      dst = topo.node_at(xs);
+      break;
+    }
+    case Pattern::kBitComplement:
+      dst = ~src & mask;
+      break;
+    case Pattern::kBitReverse:
+      for (std::uint32_t b = 0; b < bits; ++b) {
+        if (src & (1u << b)) dst |= 1u << (bits - 1 - b);
+      }
+      dst &= n - 1;
+      break;
+    case Pattern::kShuffle:
+      dst = ((src << 1) | ((src >> (bits - 1)) & 1u)) & mask;
+      break;
+    default:
+      ADD_FAILURE() << "not a deterministic pattern";
+  }
+  if (dst == src || dst >= n) return std::nullopt;
+  return dst;
+}
+
+TEST(Traffic, DeterministicPatternsReadTheirPerCallDestination) {
+  const topology::Topology topologies[] = {
+      make_mesh({4, 4}),    make_mesh({3, 5}),  make_mesh({2, 3, 4}),
+      make_torus({4, 4}),   make_torus({8}),    make_torus({8, 8}, 3),
+      make_hypercube(4),    topology::make_ring(6)};
+  for (const topology::Topology& topo : topologies) {
+    for (const Pattern pattern :
+         {Pattern::kTranspose, Pattern::kBitComplement, Pattern::kBitReverse,
+          Pattern::kShuffle, Pattern::kTornado}) {
+      SCOPED_TRACE(::testing::Message()
+                   << to_string(pattern) << " on " << topo.num_nodes()
+                   << " nodes");
+      TrafficGenerator gen(topo, pattern, 7);
+      for (NodeId src = 0; src < topo.num_nodes(); ++src) {
+        EXPECT_EQ(gen.destination(src),
+                  reference_destination(topo, pattern, src))
+            << "source " << src;
+      }
+    }
+  }
+}
+
+/// arrival_below(chance_threshold(p)) draws and decides as arrival() does.
+TEST(Traffic, ThresholdArrivalMatchesArrival) {
+  const topology::Topology topo = make_mesh({4, 4});
+  for (const double rate : {0.0, 0.02, 0.1, 0.5, 0.9, 1.0, 8.0, 9.5}) {
+    SCOPED_TRACE(rate);
+    TrafficGenerator a(topo, Pattern::kUniform, 3);
+    TrafficGenerator b(topo, Pattern::kUniform, 3);
+    const std::uint64_t threshold =
+        util::Xoshiro256::chance_threshold(rate / 8.0);
+    for (int i = 0; i < 20000; ++i) {
+      ASSERT_EQ(b.arrival_below(threshold), a.arrival(rate, 8)) << i;
+    }
+    // Both consumed the same draws: the streams stay in step.
+    EXPECT_EQ(a.destination(0), b.destination(0));
+  }
 }
 
 TEST(Traffic, PatternNames) {
