@@ -33,7 +33,7 @@ int main() {
   util::Table table({"graph", "edges", "cyclic", "note"});
   table.add_row({"direct-only dependency graph of R1",
                  std::to_string(ecdg.direct_edges),
-                 util::fmt_bool(ecdg.direct_only.has_cycle()),
+                 util::fmt_bool(ecdg.direct_graph().has_cycle()),
                  "a direct-only checker would say \"safe\""});
   table.add_row({"extended CDG (direct + indirect)",
                  std::to_string(ecdg.graph.num_edges()),

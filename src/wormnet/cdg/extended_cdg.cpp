@@ -27,14 +27,6 @@ const char* to_string(DepKind kind) {
 
 namespace {
 
-using Word = std::uint64_t;
-
-void set_bit(Word* row, ChannelId c) { row[c / 64] |= Word{1} << (c % 64); }
-
-[[nodiscard]] bool test_bit(const Word* row, ChannelId c) {
-  return (row[c / 64] >> (c % 64)) & 1;
-}
-
 /// std::popcount, skipping the call for the common zero word: without a
 /// hardware popcount the portable build makes it a library call.
 [[nodiscard]] std::size_t count_bits(Word w) {
@@ -43,6 +35,18 @@ void set_bit(Word* row, ChannelId c) { row[c / 64] |= Word{1} << (c % 64); }
 
 void or_into(Word* dst, const Word* src, std::size_t words) {
   for (std::size_t w = 0; w < words; ++w) dst[w] |= src[w];
+}
+
+/// Sets `graph`'s out-row of every channel to its `rows` row read in
+/// ascending order; `scratch` holds one row meanwhile.
+void set_rows(graph::Digraph& graph, const BitRows& rows,
+              std::vector<ChannelId>& scratch) {
+  for (ChannelId ci = 0; ci < graph.num_vertices(); ++ci) {
+    scratch.clear();
+    for_each_bit(rows.row(ci), rows.words,
+                 [&](ChannelId cj) { scratch.push_back(cj); });
+    graph.set_out(ci, scratch);
+  }
 }
 
 /// The strongest kind of edge u -> v given which ways it was witnessed:
@@ -63,9 +67,16 @@ DepKind ExtendedCdg::kind(graph::Vertex from, graph::Vertex to) const {
                         indirect_same.test(from, to));
 }
 
+graph::Digraph ExtendedCdg::direct_graph() const {
+  graph::Digraph out(graph.num_vertices());
+  std::vector<ChannelId> scratch;
+  set_rows(out, direct, scratch);
+  return out;
+}
+
 ExcursionClosure::ExcursionClosure(const StateGraph& states)
     : states_(states),
-      words_((states.topo().num_channels() + 63) / 64),
+      words_(row_words(states.topo().num_channels())),
       sets_(states.topo().num_channels(), words_),
       order_(states.topo().num_channels()),
       low_(states.topo().num_channels()) {}
@@ -143,7 +154,7 @@ void ExcursionClosure::finish_component(ChannelId root) {
 void EcdgKernel::run(NodeId dest, const Word* escape, const Word* any_c1,
                      DestTargets& out) {
   const std::size_t channels = states_.topo().num_channels();
-  const std::size_t words = (channels + 63) / 64;
+  const std::size_t words = row_words(channels);
   closure_.reset(dest, escape, any_c1);
   out.sources.clear();
   out.direct_begin.clear();
@@ -154,20 +165,23 @@ void EcdgKernel::run(NodeId dest, const Word* escape, const Word* any_c1,
   out.direct_begin.reserve(channels + 1);
   out.direct_to.reserve(channels);
   out.excursions.reserve(channels);
-  for (ChannelId ci = 0; ci < channels; ++ci) {
-    if (!test_bit(escape, ci) || !states_.reachable(ci, dest)) continue;
-    bool excursion = false;
-    out.direct_begin.push_back(
-        static_cast<std::uint32_t>(out.direct_to.size()));
-    for (const ChannelId cj : states_.successors(ci, dest)) {
-      if (test_bit(any_c1, cj)) out.direct_to.push_back(cj);
-      if (!test_bit(escape, cj)) excursion = true;
-    }
-    if (excursion) {
-      out.excursions.push_back(static_cast<std::uint32_t>(out.sources.size()));
-    }
-    out.sources.push_back(ci);
-  }
+  // The sources are the bits of C1(dest) ∧ reachable(·, dest).
+  for_each_common_bit(
+      escape, states_.reachable_words(dest).data(), words,
+      [&](ChannelId ci) {
+        bool excursion = false;
+        out.direct_begin.push_back(
+            static_cast<std::uint32_t>(out.direct_to.size()));
+        for (const ChannelId cj : states_.successors(ci, dest)) {
+          if (test_bit(any_c1, cj)) out.direct_to.push_back(cj);
+          if (!test_bit(escape, cj)) excursion = true;
+        }
+        if (excursion) {
+          out.excursions.push_back(
+              static_cast<std::uint32_t>(out.sources.size()));
+        }
+        out.sources.push_back(ci);
+      });
   out.direct_begin.push_back(static_cast<std::uint32_t>(out.direct_to.size()));
   out.indirect.reset(out.excursions.size(), words);
   for (std::size_t k = 0; k < out.excursions.size(); ++k) {
@@ -183,7 +197,7 @@ void EcdgKernel::run(NodeId dest, const Word* escape, const Word* any_c1,
 
 EcdgAssembler::EcdgAssembler(std::size_t channels)
     : channels_(channels),
-      words_((channels + 63) / 64),
+      words_(row_words(channels)),
       any_(channels, words_),
       direct_(channels, words_),
       direct_same_(channels, words_),
@@ -239,24 +253,8 @@ void EcdgAssembler::add(const DestTargets& targets, const Word* escape) {
 void EcdgAssembler::finish(ExtendedCdg& out) {
   if (out.graph.num_vertices() != channels_) {
     out.graph = graph::Digraph(channels_);
-    out.direct_only = graph::Digraph(channels_);
   }
-  // Each graph row is its bitset row read in ascending order.
-  const auto set_row = [this](graph::Digraph& graph, ChannelId ci,
-                              const Word* row) {
-    row_.clear();
-    for (std::size_t w = 0; w < words_; ++w) {
-      for (Word bits = row[w]; bits != 0; bits &= bits - 1) {
-        row_.push_back(
-            static_cast<ChannelId>(w * 64 + std::countr_zero(bits)));
-      }
-    }
-    graph.set_out(ci, row_);
-  };
-  for (ChannelId ci = 0; ci < channels_; ++ci) {
-    set_row(out.graph, ci, any_.row(ci));
-    set_row(out.direct_only, ci, direct_.row(ci));
-  }
+  set_rows(out.graph, any_, row_);
   out.direct_edges = std::exchange(direct_edges_, 0);
   out.indirect_edges = std::exchange(indirect_edges_, 0);
   out.cross_edges = std::exchange(cross_edges_, 0);
@@ -275,27 +273,13 @@ void EcdgAssembler::finish(ExtendedCdg& out) {
 ExtendedCdg build_extended_cdg(const Subfunction& sub) {
   const obs::PhaseTimer timer("ecdg_build");
   const StateGraph& states = sub.states();
-  const Topology& topo = states.topo();
-  const std::size_t channels = topo.num_channels();
-  const std::size_t words = (channels + 63) / 64;
-
-  std::vector<Word> any_c1(words);
-  for (ChannelId c = 0; c < channels; ++c) {
-    if (sub.in_any_c1(c)) set_bit(any_c1.data(), c);
-  }
-  std::vector<Word> escape(words);  // C1(dest)
   EcdgKernel kernel(states);
-  EcdgAssembler assembler(channels);
+  EcdgAssembler assembler(states.topo().num_channels());
   DestTargets targets;
-  for (NodeId dest = 0; dest < topo.num_nodes(); ++dest) {
-    if (dest == 0 || sub.per_destination()) {
-      std::fill(escape.begin(), escape.end(), 0);
-      for (ChannelId c = 0; c < channels; ++c) {
-        if (sub.in_c1(c, dest)) set_bit(escape.data(), c);
-      }
-    }
-    kernel.run(dest, escape.data(), any_c1.data(), targets);
-    assembler.add(targets, escape.data());
+  for (NodeId dest = 0; dest < states.topo().num_nodes(); ++dest) {
+    const Word* escape = sub.c1_words(dest).data();  // C1(dest)
+    kernel.run(dest, escape, sub.any_c1_words().data(), targets);
+    assembler.add(targets, escape);
   }
   ExtendedCdg out;
   assembler.finish(out);

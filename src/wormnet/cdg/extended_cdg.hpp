@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "wormnet/cdg/bits.hpp"
 #include "wormnet/cdg/subfunction.hpp"
 #include "wormnet/graph/digraph.hpp"
 
@@ -51,32 +52,8 @@ enum class DepKind : std::uint8_t {
 
 [[nodiscard]] const char* to_string(DepKind kind);
 
-/// A dense bitset over channels per channel: row r holds `words` 64-bit
-/// words, bit c of row r set for the pair (r, c).
-struct BitRows {
-  std::size_t words = 0;
-  std::vector<std::uint64_t> bits;
-
-  BitRows() = default;
-  BitRows(std::size_t rows, std::size_t row_words)
-      : words(row_words), bits(rows * row_words, 0) {}
-  /// `rows` zeroed rows of `row_words` words, reusing the storage.
-  void reset(std::size_t rows, std::size_t row_words) {
-    words = row_words;
-    bits.assign(rows * row_words, 0);
-  }
-  [[nodiscard]] std::uint64_t* row(std::size_t r) { return &bits[r * words]; }
-  [[nodiscard]] const std::uint64_t* row(std::size_t r) const {
-    return &bits[r * words];
-  }
-  [[nodiscard]] bool test(std::size_t r, std::size_t c) const {
-    return (bits[r * words + c / 64] >> (c % 64)) & 1;
-  }
-};
-
 struct ExtendedCdg {
-  graph::Digraph graph;        ///< all dependency edges
-  graph::Digraph direct_only;  ///< direct (+ direct cross) edges only
+  graph::Digraph graph;  ///< all dependency edges
   // Each edge counts once, by first discovery: destinations ascending, a
   // state's direct edges before its indirect ones.
   std::size_t direct_edges = 0;
@@ -93,6 +70,10 @@ struct ExtendedCdg {
   /// Kind of edge (from, to) of `graph` — lets cycle witnesses explain each
   /// hop (direct / indirect / direct-cross / indirect-cross).
   [[nodiscard]] DepKind kind(graph::Vertex from, graph::Vertex to) const;
+
+  /// The direct (and direct cross) edges alone, as a graph read off the
+  /// `direct` rows on demand.
+  [[nodiscard]] graph::Digraph direct_graph() const;
 };
 
 /// The kernel's output for one destination d: its escape states (ci, d) in
@@ -185,7 +166,7 @@ class EcdgKernel {
 
 /// The assembly pass of the ECDG build: folds each destination's kernel
 /// output, destinations ascending, into the edge rows and the
-/// first-discovery counts (DESIGN 3.2), then reads the graphs off the rows.
+/// first-discovery counts (DESIGN 3.2), then reads the graph off the rows.
 class EcdgAssembler {
  public:
   explicit EcdgAssembler(std::size_t channels);

@@ -12,30 +12,20 @@ SearchState::SearchState(const StateGraph& states)
     : states_(states),
       channels_(states.topo().num_channels()),
       nodes_(states.topo().num_nodes()),
-      words_((channels_ + 63) / 64),
+      words_(row_words(channels_)),
       kernel_(states),
       assembler_(channels_),
       targets_(nodes_),
       stale_(nodes_, 1) {
-  const Topology& topo = states.topo();
-  reachable_.assign(nodes_ * words_, 0);
-  for (NodeId d = 0; d < nodes_; ++d) {
-    for (ChannelId c = 0; c < channels_; ++c) {
-      if (states.reachable(c, d)) {
-        reachable_[d * words_ + c / 64] |= Word{1} << (c % 64);
-      }
-    }
-  }
   // Which counted states list each channel, as CSR: a first pass sizes the
-  // rows, a second fills them.
+  // rows, a second fills them.  A sink state lists nothing.
   listed_in_begin_.assign(channels_ + 1, 0);
   first_hop_of_begin_.assign(channels_ + 1, 0);
   for (int pass = 0; pass < 2; ++pass) {
     std::vector<std::uint32_t> listed_at(listed_in_begin_);
     std::vector<std::uint32_t> first_hop_at(first_hop_of_begin_);
     for (NodeId d = 0; d < nodes_; ++d) {
-      for (ChannelId c = 0; c < channels_; ++c) {
-        if (!states.reachable(c, d) || topo.channel(c).dst == d) continue;
+      for_each_bit(states.reachable_words(d).data(), words_, [&](ChannelId c) {
         for (const ChannelId next : states.successors(c, d)) {
           if (pass == 0) {
             ++listed_in_begin_[next + 1];
@@ -44,7 +34,7 @@ SearchState::SearchState(const StateGraph& states)
                 static_cast<std::uint32_t>(d * channels_ + c);
           }
         }
-      }
+      });
       for (NodeId src = 0; src < nodes_; ++src) {
         if (src == d) continue;
         for (const ChannelId first : states.injection(src, d)) {
@@ -72,7 +62,7 @@ void SearchState::assign(const std::vector<bool>& c1) {
   c1_ = c1;
   c1_bits_.assign(words_, 0);
   for (ChannelId c = 0; c < channels_; ++c) {
-    if (c1_[c]) c1_bits_[c / 64] |= Word{1} << (c % 64);
+    if (c1_[c]) set_bit(c1_bits_.data(), c);
   }
   log_.clear();
   saved_trees_.clear();
@@ -83,8 +73,11 @@ void SearchState::assign(const std::vector<bool>& c1) {
   depth_ = 0;
 
   usable_.resize(nodes_ * words_);
-  for (std::size_t i = 0; i < usable_.size(); ++i) {
-    usable_[i] = reachable_[i] & c1_bits_[i % words_];
+  for (NodeId d = 0; d < nodes_; ++d) {
+    const Word* reachable = states_.reachable_words(d).data();
+    for (std::size_t w = 0; w < words_; ++w) {
+      usable_[d * words_ + w] = reachable[w] & c1_bits_[w];
+    }
   }
   tree_.assign(static_cast<std::size_t>(nodes_) * nodes_,
                topology::kInvalidChannel);
@@ -109,19 +102,19 @@ void SearchState::count_all_escapes() {
   state_escapes_.assign(nodes_ * channels_, 0);
   injection_escapes_.assign(static_cast<std::size_t>(nodes_) * nodes_, 0);
   for (NodeId d = 0; d < nodes_; ++d) {
-    for (ChannelId c = 0; c < channels_; ++c) {
-      if (!states_.reachable(c, d) || topo.channel(c).dst == d) continue;
+    for_each_bit(states_.reachable_words(d).data(), words_, [&](ChannelId c) {
+      if (topo.channel(c).dst == d) return;
       std::uint32_t& count = state_escapes_[d * channels_ + c];
       for (const ChannelId next : states_.successors(c, d)) {
-        count += c1_[next] ? 1 : 0;
+        count += test_bit(c1_bits_.data(), next) ? 1 : 0;
       }
       escapeless_ += count == 0 ? 1 : 0;
-    }
+    });
     for (NodeId src = 0; src < nodes_; ++src) {
       if (src == d) continue;
       std::uint32_t& count = injection_escapes_[src * nodes_ + d];
       for (const ChannelId first : states_.injection(src, d)) {
-        count += c1_[first] ? 1 : 0;
+        count += test_bit(c1_bits_.data(), first) ? 1 : 0;
       }
       escapeless_ += count == 0 ? 1 : 0;
     }

@@ -65,8 +65,6 @@ class SearchState {
   [[nodiscard]] const ExtendedCdg& ecdg();
 
  private:
-  using Word = std::uint64_t;
-
   /// One undo-log entry.  A drop logs kDrop first; the entries after it
   /// belong to that drop and are undone before it.
   struct Edit {
@@ -107,7 +105,6 @@ class SearchState {
   std::vector<Word> c1_bits_;  ///< C1 = C1(d) for every d, as words
 
   // Connectivity.
-  std::vector<Word> reachable_;  ///< per d: reachable(·, d)
   std::vector<Word> usable_;     ///< per d: C1 ∩ reachable(·, d)
   std::vector<ChannelId> tree_;  ///< per d, per node: its tree channel
   std::vector<NodeId> bfs_;

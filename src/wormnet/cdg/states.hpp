@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "wormnet/cdg/bits.hpp"
 #include "wormnet/routing/routing_function.hpp"
 #include "wormnet/topology/topology.hpp"
 
@@ -48,7 +49,12 @@ class StateGraph {
 
   /// True iff some permitted path with destination `dest` uses channel `c`.
   [[nodiscard]] bool reachable(ChannelId c, NodeId dest) const {
-    return reachable_[index(c, dest)];
+    return test_bit(reachable_words(dest).data(), c);
+  }
+
+  /// reachable(·, dest) as a row of row_words(num_channels) words.
+  [[nodiscard]] std::span<const Word> reachable_words(NodeId dest) const {
+    return {reachable_.data() + dest * words_, words_};
   }
 
   /// Successor channels of state (c, dest) — the relation evaluated at the
@@ -121,7 +127,8 @@ class StateGraph {
 
   const Topology* topo_;
   const RoutingFunction* routing_;
-  std::vector<bool> reachable_;
+  std::size_t words_ = 0;  ///< words per reachable_ row
+  std::vector<Word> reachable_;  ///< per destination: reachable(·, dest)
   // Successor, waiting and injection lists, flat: a waiting slice aliases
   // its successor (injection) slice when the two lists are equal, and
   // `wait_` (`inject_wait_`) stays empty while every state's (source's)

@@ -1,36 +1,57 @@
 #include "wormnet/cdg/subfunction.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 namespace wormnet::cdg {
 
-Subfunction::Subfunction(const StateGraph& states, std::vector<bool> c1,
-                         std::string label)
-    : states_(&states), c1_(std::move(c1)), label_(std::move(label)) {
-  if (c1_.size() != states.topo().num_channels()) {
+namespace {
+
+/// Appends `set` (one flag per channel) to `rows` as one row of words.
+void append_row(const std::vector<bool>& set, std::size_t words,
+                std::vector<Word>& rows) {
+  const std::size_t at = rows.size();
+  rows.resize(at + words, 0);
+  for (std::size_t c = 0; c < set.size(); ++c) {
+    if (set[c]) set_bit(&rows[at], c);
+  }
+}
+
+}  // namespace
+
+Subfunction::Subfunction(const StateGraph& states,
+                         const std::vector<bool>& c1, std::string label)
+    : states_(&states),
+      words_(row_words(states.topo().num_channels())),
+      per_destination_(false),
+      label_(std::move(label)) {
+  if (c1.size() != states.topo().num_channels()) {
     throw std::invalid_argument("C1 size mismatch");
   }
+  append_row(c1, words_, c1_);
   c1_union_ = c1_;
 }
 
 Subfunction::Subfunction(const StateGraph& states,
-                         std::vector<std::vector<bool>> c1_by_dest,
+                         const std::vector<std::vector<bool>>& c1_by_dest,
                          std::string label)
-    : states_(&states), c1_by_dest_(std::move(c1_by_dest)),
+    : states_(&states),
+      words_(row_words(states.topo().num_channels())),
+      per_destination_(true),
       label_(std::move(label)) {
-  const std::size_t channels = states.topo().num_channels();
-  if (c1_by_dest_.size() != states.topo().num_nodes()) {
+  if (c1_by_dest.size() != states.topo().num_nodes()) {
     throw std::invalid_argument("per-destination C1 count mismatch");
   }
-  c1_union_.assign(channels, false);
-  for (const auto& set : c1_by_dest_) {
-    if (set.size() != channels) {
+  c1_.reserve(c1_by_dest.size() * words_);
+  c1_union_.assign(words_, 0);
+  for (const auto& set : c1_by_dest) {
+    if (set.size() != states.topo().num_channels()) {
       throw std::invalid_argument("C1 size mismatch");
     }
-    for (std::size_t c = 0; c < channels; ++c) {
-      if (set[c]) c1_union_[c] = true;
-    }
+    append_row(set, words_, c1_);
+    const Word* row = &c1_[c1_.size() - words_];
+    for (std::size_t w = 0; w < words_; ++w) c1_union_[w] |= row[w];
   }
 }
 
@@ -66,12 +87,19 @@ SubfunctionWitness Subfunction::connectivity_witness() const {
   const Topology& topo = states_->topo();
   const NodeId nodes = topo.num_nodes();
   // For each destination, reverse-BFS from dest over "u -> v is an R1 hop for
-  // dest" edges; every node must be reached.
-  std::vector<bool> ok(nodes, false);
+  // dest" edges; every node must be reached.  The hop must actually be
+  // supplied by R for dest, as a first hop at u or mid-route: exactly when
+  // (c, dest) is a reachable state, since every first hop is one.  So the
+  // hops are the channels of the row C1(dest) ∧ reachable(·, dest).
+  std::vector<Word> usable(words_);
+  std::vector<char> ok(nodes);
   std::vector<NodeId> stack;
   for (NodeId dest = 0; dest < nodes; ++dest) {
-    std::fill(ok.begin(), ok.end(), false);
-    ok[dest] = true;
+    const Word* c1 = c1_words(dest).data();
+    const Word* reachable = states_->reachable_words(dest).data();
+    for (std::size_t w = 0; w < words_; ++w) usable[w] = c1[w] & reachable[w];
+    std::fill(ok.begin(), ok.end(), 0);
+    ok[dest] = 1;
     stack.assign(1, dest);
     // Build reverse reachability by scanning in-channels of reached nodes.
     while (!stack.empty()) {
@@ -79,22 +107,17 @@ SubfunctionWitness Subfunction::connectivity_witness() const {
       stack.pop_back();
       for (ChannelId c : topo.in_channels(v)) {
         const NodeId u = topo.channel(c).src;
-        if (ok[u] || u == dest) continue;
-        // The hop must actually be supplied by R for dest, as a first hop
-        // at u or mid-route: exactly when (c, dest) is a reachable state,
-        // since every first hop is one.
-        if (!in_c1(c, dest) || !states_->reachable(c, dest)) continue;
-        ok[u] = true;
+        if (ok[u] || !test_bit(usable.data(), c)) continue;
+        ok[u] = 1;
         stack.push_back(u);
       }
     }
-    for (NodeId u = 0; u < nodes; ++u) {
-      if (!ok[u]) {
-        witness.kind = SubfunctionWitness::Kind::kUnreachableNode;
-        witness.node = u;
-        witness.dest = dest;
-        return witness;
-      }
+    const auto stranded = std::ranges::find(ok, 0);
+    if (stranded != ok.end()) {
+      witness.kind = SubfunctionWitness::Kind::kUnreachableNode;
+      witness.node = static_cast<NodeId>(stranded - ok.begin());
+      witness.dest = dest;
+      return witness;
     }
   }
   return witness;
@@ -104,35 +127,25 @@ SubfunctionWitness Subfunction::escape_witness() const {
   SubfunctionWitness witness;
   const Topology& topo = states_->topo();
   for (NodeId dest = 0; dest < topo.num_nodes(); ++dest) {
-    for (ChannelId c = 0; c < topo.num_channels(); ++c) {
-      if (!states_->reachable(c, dest)) continue;
-      const NodeId head = topo.channel(c).dst;
-      if (head == dest) continue;
-      bool has_escape = false;
-      for (ChannelId next : states_->successors(c, dest)) {
-        if (in_c1(next, dest)) {
-          has_escape = true;
-          break;
-        }
-      }
-      if (!has_escape) {
-        witness.kind = SubfunctionWitness::Kind::kNoEscape;
-        witness.channel = c;
-        witness.dest = dest;
-        return witness;
-      }
+    const Word* c1 = c1_words(dest).data();
+    const auto no_escape = [c1](std::span<const ChannelId> outputs) {
+      return std::ranges::none_of(
+          outputs, [c1](ChannelId c) { return test_bit(c1, c); });
+    };
+    const ChannelId stuck = find_bit(
+        states_->reachable_words(dest).data(), words_, [&](ChannelId c) {
+          return topo.channel(c).dst != dest &&
+                 no_escape(states_->successors(c, dest));
+        });
+    if (stuck != kNoBit) {
+      witness.kind = SubfunctionWitness::Kind::kNoEscape;
+      witness.channel = stuck;
+      witness.dest = dest;
+      return witness;
     }
     // Injection states need an escape too.
     for (NodeId src = 0; src < topo.num_nodes(); ++src) {
-      if (src == dest) continue;
-      bool has_escape = false;
-      for (ChannelId c : states_->injection(src, dest)) {
-        if (in_c1(c, dest)) {
-          has_escape = true;
-          break;
-        }
-      }
-      if (!has_escape) {
+      if (src != dest && no_escape(states_->injection(src, dest))) {
         witness.kind = SubfunctionWitness::Kind::kNoEscapeFirstHop;
         witness.node = src;
         witness.dest = dest;
@@ -159,16 +172,16 @@ Subfunction per_destination_from_escape(const StateGraph& states,
   std::vector<std::vector<bool>> c1_by_dest(
       topo.num_nodes(), std::vector<bool>(topo.num_channels(), false));
   for (NodeId d = 0; d < topo.num_nodes(); ++d) {
-    for (ChannelId c = 0; c < topo.num_channels(); ++c) {
-      if (escape_states.reachable(c, d)) c1_by_dest[d][c] = true;
-    }
+    for_each_bit(escape_states.reachable_words(d).data(),
+                 row_words(topo.num_channels()),
+                 [&](ChannelId c) { c1_by_dest[d][c] = true; });
   }
-  return Subfunction(states, std::move(c1_by_dest), std::move(label));
+  return Subfunction(states, c1_by_dest, std::move(label));
 }
 
 std::size_t Subfunction::channel_count() const {
   std::size_t count = 0;
-  for (bool b : c1_union_) count += b ? 1 : 0;
+  for (Word w : c1_union_) count += static_cast<std::size_t>(std::popcount(w));
   return count;
 }
 

@@ -18,6 +18,7 @@
 //     escape to wait on, regardless of how it got where it is).
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -59,27 +60,40 @@ struct SubfunctionWitness {
 class Subfunction {
  public:
   /// Uniform escape set: C1(d) = C1 for every destination.
-  Subfunction(const StateGraph& states, std::vector<bool> c1,
+  Subfunction(const StateGraph& states, const std::vector<bool>& c1,
               std::string label);
 
   /// Per-destination escape sets: c1_by_dest[d] is the C1 for destination d.
   /// Introduces cross dependencies in the extended CDG.
   Subfunction(const StateGraph& states,
-              std::vector<std::vector<bool>> c1_by_dest, std::string label);
+              const std::vector<std::vector<bool>>& c1_by_dest,
+              std::string label);
 
   [[nodiscard]] const std::string& label() const noexcept { return label_; }
   [[nodiscard]] const StateGraph& states() const noexcept { return *states_; }
   [[nodiscard]] bool per_destination() const noexcept {
-    return !c1_by_dest_.empty();
+    return per_destination_;
   }
 
   [[nodiscard]] bool in_c1(ChannelId c, NodeId dest) const {
-    return per_destination() ? c1_by_dest_[dest][c] : c1_[c];
+    return test_bit(c1_words(dest).data(), c);
+  }
+
+  /// C1(dest) as a row of row_words(num_channels) words.
+  [[nodiscard]] std::span<const Word> c1_words(NodeId dest) const {
+    return {c1_.data() + (per_destination_ ? dest * words_ : 0), words_};
   }
 
   /// True if c belongs to C1(d) for *some* destination d (cross-dependency
   /// targets).  O(1) — precomputed union.
-  [[nodiscard]] bool in_any_c1(ChannelId c) const { return c1_union_[c]; }
+  [[nodiscard]] bool in_any_c1(ChannelId c) const {
+    return test_bit(c1_union_.data(), c);
+  }
+
+  /// The union of C1 over every destination, as a row of words.
+  [[nodiscard]] std::span<const Word> any_c1_words() const {
+    return c1_union_;
+  }
 
   /// R1 outputs for state (input channel c at node `current`, destination d).
   [[nodiscard]] ChannelSet r1(ChannelId input, NodeId current,
@@ -103,9 +117,10 @@ class Subfunction {
 
  private:
   const StateGraph* states_;
-  std::vector<bool> c1_;                           // uniform form
-  std::vector<std::vector<bool>> c1_by_dest_;      // per-destination form
-  std::vector<bool> c1_union_;
+  std::size_t words_;
+  bool per_destination_;
+  std::vector<Word> c1_;  ///< one row (uniform) or one per destination
+  std::vector<Word> c1_union_;
   std::string label_;
 };
 

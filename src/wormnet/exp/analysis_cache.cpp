@@ -8,7 +8,8 @@
 namespace wormnet::exp {
 
 const AnalysisEntry& AnalysisCache::get(
-    const std::string& topo_spec, const reconfig::RelationExpr& relation) {
+    const std::string& topo_spec, const reconfig::RelationExpr& relation,
+    bool masked_epochs_follow) {
   Slot* slot = nullptr;
   {
     std::lock_guard lock(registry_mutex_);
@@ -31,6 +32,8 @@ const AnalysisEntry& AnalysisCache::get(
   // Every epoch but a pristine registry relation shares the topology of its
   // base relation's entry.  The nested get() is lock-safe: it only ever
   // takes registry_mutex_ and its own slot's fill mutex, never this one.
+  // A masked registry relation's base is its unmasked parent, so that get()
+  // keeps the graph this epoch derives from.
   const bool pristine_registry =
       !relation.transition && relation.fault_mask.empty();
   const AnalysisEntry* base =
@@ -39,7 +42,8 @@ const AnalysisEntry& AnalysisCache::get(
           : &get(topo_spec,
                  reconfig::RelationExpr(relation.transition
                                             ? relation.transition->names[0]
-                                            : relation.routing));
+                                            : relation.routing),
+                 !relation.transition);
   obs::Profiler::Scope miss_timer(
       profiler_, pristine_registry ? "sweep.analysis" : "sweep.epoch_reverify");
 
@@ -52,24 +56,31 @@ const AnalysisEntry& AnalysisCache::get(
     canonical.routing =
         core::canonical_algorithm_name(relation.routing, *entry.topo);
   }
-  const auto algorithm = canonical.build(*entry.topo);
 
-  // A masked epoch's graph is its parent's minus the dead channels; the
-  // parent is built (once) before the derivation is timed.
-  const cdg::StateGraph* parent = nullptr;
-  if (!canonical.fault_mask.empty()) {
-    reconfig::RelationExpr unmasked = canonical;
-    unmasked.fault_mask.clear();
-    parent = &parent_states(topo_spec, *entry.topo, unmasked);
-  }
-  std::optional<cdg::StateGraph> states;
-  {
+  // An unmasked relation whose masked epochs follow is verified on the
+  // graph kept for them.  A masked epoch's graph is its parent's minus the
+  // dead channels; the parent is built (once) before the derivation is
+  // timed.  Any other relation gets a transient graph.
+  const cdg::StateGraph* states = nullptr;
+  std::unique_ptr<routing::RoutingFunction> algorithm;
+  std::optional<cdg::StateGraph> transient;
+  if (canonical.fault_mask.empty() && masked_epochs_follow) {
+    states = &parent_states(topo_spec, *entry.topo, canonical);
+  } else {
+    const cdg::StateGraph* parent = nullptr;
+    if (!canonical.fault_mask.empty()) {
+      reconfig::RelationExpr unmasked = canonical;
+      unmasked.fault_mask.clear();
+      parent = &parent_states(topo_spec, *entry.topo, unmasked);
+    }
+    algorithm = canonical.build(*entry.topo);
     obs::Profiler::Scope timer(profiler_, "verify.state_graph");
     if (parent != nullptr) {
-      states.emplace(*parent, *algorithm, canonical.fault_mask);
+      transient.emplace(*parent, *algorithm, canonical.fault_mask);
     } else {
-      states.emplace(*entry.topo, *algorithm);
+      transient.emplace(*entry.topo, *algorithm);
     }
+    states = &*transient;
   }
 
   core::VerifyOptions options;

@@ -9,8 +9,10 @@
 // A masked epoch's reachable-state graph is derived from its unmasked
 // parent's (cdg::StateGraph's derive constructor) rather than built through
 // the relation.  The cache keeps each parent's relation and graph for its
-// lifetime, built on the first masked request for that parent; unmasked
-// epochs build a transient graph and keep nothing.
+// lifetime, built on the first request that says masked epochs of that
+// parent follow (or on the first masked request), and the parent's own
+// verdict is computed on that kept graph.  Other unmasked epochs build a
+// transient graph and keep nothing, so a fault-free sweep keeps no graph.
 //
 // Thread safety: keyed slots are created under a registry mutex, then each
 // slot is filled under its own mutex — so two workers asking for the same
@@ -82,8 +84,12 @@ class AnalysisCache {
   /// canonical routing name.  The reference stays valid for the cache's
   /// lifetime.  Throws std::invalid_argument for specs/names that do not
   /// resolve (expand() normally filters these out beforehand).
+  /// `masked_epochs_follow` says the caller will also ask for masked epochs
+  /// of the unmasked `relation`: on a miss its state graph is then built
+  /// once, kept as the parent those epochs derive from, and verified on.
   const AnalysisEntry& get(const std::string& topo_spec,
-                           const reconfig::RelationExpr& relation);
+                           const reconfig::RelationExpr& relation,
+                           bool masked_epochs_follow = false);
 
   [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
   [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }

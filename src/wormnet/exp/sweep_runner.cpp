@@ -22,8 +22,10 @@ SweepResult run_point(const SweepSpec& spec, const SweepPoint& point,
   obs::Profiler* profiler = options.profiler;
   const auto point_start = std::chrono::steady_clock::now();
   obs::Profiler::Scope point_timer(profiler, "sweep.point");
+  // A fault plan's degraded epochs derive their graphs from this one's.
   const AnalysisEntry& analysis =
-      cache.get(point.topology, reconfig::RelationExpr(point.routing));
+      cache.get(point.topology, reconfig::RelationExpr(point.routing),
+                point.faults && !point.faults->empty());
   // Routing functions are rebuilt per point: construction is cheap and it
   // sidesteps any question of sharing virtual dispatch state across threads.
   const auto routing = core::make_algorithm(point.routing, *analysis.topo);

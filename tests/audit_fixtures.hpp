@@ -106,13 +106,14 @@ inline bool swap_indirect_only_edge(const Topology& topo,
   for (const ChannelId c : cert.escape_channels) c1[c] = true;
   const cdg::Subfunction sub(states, c1, "certificate");
   const cdg::ExtendedCdg ecdg = cdg::build_extended_cdg(sub);
+  const graph::Digraph direct = ecdg.direct_graph();
   std::vector<std::size_t> pos(topo.num_channels(), 0);
   for (std::size_t i = 0; i < cert.topological_order.size(); ++i) {
     pos[cert.topological_order[i]] = i;
   }
   const auto direct_edges_ordered = [&] {
     for (ChannelId u = 0; u < topo.num_channels(); ++u) {
-      for (const graph::Vertex v : ecdg.direct_only.out(u)) {
+      for (const graph::Vertex v : direct.out(u)) {
         if (pos[u] >= pos[v]) return false;
       }
     }
@@ -120,7 +121,7 @@ inline bool swap_indirect_only_edge(const Topology& topo,
   };
   for (ChannelId u = 0; u < topo.num_channels(); ++u) {
     for (const graph::Vertex v : ecdg.graph.out(u)) {
-      if (ecdg.direct_only.has_edge(u, v)) continue;
+      if (ecdg.direct.test(u, v)) continue;
       std::swap(pos[u], pos[v]);
       if (direct_edges_ordered()) {
         std::swap(cert.topological_order[pos[u]],

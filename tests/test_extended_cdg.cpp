@@ -81,14 +81,14 @@ TEST(ExtendedCdg, IndirectSelfDependencyInIncoherentExample) {
   EXPECT_TRUE(sub.connected());
   EXPECT_TRUE(sub.escape_everywhere());
   const ExtendedCdg ecdg = build_extended_cdg(sub);
-  EXPECT_FALSE(ecdg.direct_only.has_cycle())
+  EXPECT_FALSE(ecdg.direct_graph().has_cycle())
       << "direct dependencies alone must be acyclic here";
   EXPECT_TRUE(ecdg.graph.has_cycle())
       << "indirect dependencies must close a cycle";
   EXPECT_GT(ecdg.indirect_edges, 0u);
   // The specific indirect self-dependency: cL2 -> cL2 via cA1.
   EXPECT_TRUE(ecdg.graph.has_edge(ch.cL2, ch.cL2));
-  EXPECT_FALSE(ecdg.direct_only.has_edge(ch.cL2, ch.cL2));
+  EXPECT_FALSE(ecdg.direct.test(ch.cL2, ch.cL2));
 }
 
 TEST(ExtendedCdg, PerDestinationCrossDependencies) {
@@ -292,7 +292,7 @@ int compare_with_reference(const ReferenceStates& states,
     ADD_FAILURE() << name << ": " << field << " differs from the reference";
   };
   expect(same_edges(got.graph, want.edges), "edges");
-  expect(same_edges(got.direct_only, want.direct), "direct_only");
+  expect(same_edges(got.direct_graph(), want.direct), "direct");
   bool same_kinds = true;
   for (const auto& [edge, kind] : want.kinds) {
     if (!got.graph.has_edge(edge.first, edge.second)) continue;  // "edges"
@@ -382,7 +382,7 @@ TEST(ExtendedCdg, PinnedCountsDuatoMeshVc0) {
   EXPECT_EQ(ecdg.indirect_edges, 196u);
   EXPECT_EQ(ecdg.cross_edges, 0u);
   EXPECT_EQ(ecdg.graph.num_edges(), 264u);
-  EXPECT_EQ(ecdg.direct_only.num_edges(), 68u);
+  EXPECT_EQ(ecdg.direct_graph().num_edges(), 68u);
 }
 
 TEST(ExtendedCdg, PinnedCountsPerDestinationDatelineRing) {
@@ -396,7 +396,7 @@ TEST(ExtendedCdg, PinnedCountsPerDestinationDatelineRing) {
   EXPECT_EQ(ecdg.indirect_edges, 18u);
   EXPECT_EQ(ecdg.cross_edges, 10u);
   EXPECT_EQ(ecdg.graph.num_edges(), 40u);
-  EXPECT_EQ(ecdg.direct_only.num_edges(), 22u);
+  EXPECT_EQ(ecdg.direct_graph().num_edges(), 22u);
 }
 
 TEST(ExtendedCdg, PinnedCountsIncoherent) {
@@ -413,7 +413,7 @@ TEST(ExtendedCdg, PinnedCountsIncoherent) {
   EXPECT_EQ(ecdg.indirect_edges, 2u);
   EXPECT_EQ(ecdg.cross_edges, 0u);
   EXPECT_EQ(ecdg.graph.num_edges(), 6u);
-  EXPECT_EQ(ecdg.direct_only.num_edges(), 4u);
+  EXPECT_EQ(ecdg.direct_graph().num_edges(), 4u);
 }
 
 }  // namespace

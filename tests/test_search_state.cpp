@@ -5,7 +5,7 @@
 // cdg::search's greedy stage does.  After every drop and every undo the
 // state must agree with a fresh Subfunction of the same escape set: its
 // gates with connectivity_witness() and escape_witness(), its ECDG with
-// build_extended_cdg() on every edge of `graph` and `direct_only`, the
+// build_extended_cdg() on every edge of `graph`, every `direct` row, the
 // kind of every edge and the three edge counts.
 #include <gtest/gtest.h>
 
@@ -51,15 +51,17 @@ std::string first_difference(SearchState& state, const StateGraph& states) {
   if (actual.graph.num_edges() != expected.graph.num_edges()) {
     return "graph edge count";
   }
+  const std::size_t words = expected.direct.words;
+  if (actual.direct.words != words) return "direct row width";
   for (Vertex u = 0; u < expected.graph.num_vertices(); ++u) {
     std::ostringstream where;
     where << " of channel " << u;
     if (!std::ranges::equal(actual.graph.out(u), expected.graph.out(u))) {
       return "graph row" + where.str();
     }
-    if (!std::ranges::equal(actual.direct_only.out(u),
-                            expected.direct_only.out(u))) {
-      return "direct_only row" + where.str();
+    if (!std::equal(actual.direct.row(u), actual.direct.row(u) + words,
+                    expected.direct.row(u))) {
+      return "direct row" + where.str();
     }
     for (const Vertex v : expected.graph.out(u)) {
       if (actual.kind(u, v) != expected.kind(u, v)) {

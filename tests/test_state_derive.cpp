@@ -8,6 +8,7 @@
 
 #include <sstream>
 
+#include "epoch_masks.hpp"
 #include "test_helpers.hpp"
 
 namespace wormnet::cdg {
@@ -59,37 +60,6 @@ std::string first_difference(const StateGraph& derived,
   return "";
 }
 
-/// Eight seeded masks: single-VC kills, whole-link kills (every VC of a
-/// physical link), kills confined to vc0 (the escape layer of the duato-*
-/// constructions), and mixes of the three.
-std::vector<std::vector<bool>> random_masks(const Topology& topo,
-                                            std::uint64_t seed) {
-  util::Xoshiro256 rng(seed);
-  const std::size_t channels = topo.num_channels();
-  const auto any_channel = [&] {
-    return static_cast<ChannelId>(rng() % channels);
-  };
-  const auto escape_channel = [&] {
-    ChannelId c = any_channel();
-    while (topo.channel(c).vc != 0) c = any_channel();
-    return c;
-  };
-  std::vector<std::vector<bool>> masks;
-  for (int i = 0; i < 8; ++i) {
-    std::vector<bool> mask(channels, false);
-    const int kind = i % 4;
-    if (kind == 0 || kind == 3) mask[any_channel()] = true;
-    if (kind == 1 || kind == 3) {
-      const auto& ch = topo.channel(any_channel());
-      (void)routing::mark_link_faulty(topo, ch.src, ch.dst, mask);
-    }
-    if (kind == 2 || kind == 3) mask[escape_channel()] = true;
-    if (kind == 2) mask[escape_channel()] = true;
-    masks.push_back(std::move(mask));
-  }
-  return masks;
-}
-
 /// Derives `parent`'s epoch under `mask`, builds the same epoch fresh, and
 /// compares the graphs and their certified Duato verdicts.
 void expect_derived_matches_fresh(const Topology& topo,
@@ -131,7 +101,7 @@ TEST(StateGraphDerive, EveryRegistryRelationUnderRandomMasks) {
       expect_derived_matches_fresh(
           topo, parent, parent_states,
           std::vector<bool>(topo.num_channels(), false));
-      for (const auto& mask : random_masks(topo, ++seed)) {
+      for (const auto& mask : test::random_masks(topo, ++seed)) {
         expect_derived_matches_fresh(topo, parent, parent_states, mask);
       }
       ++relations;
@@ -156,7 +126,7 @@ TEST(StateGraphDerive, TransitionUnionsUnderMasks) {
     const RelationExpr parent = RelationExpr::parse(c.relation, topo);
     const auto relation = parent.build(topo);
     const StateGraph parent_states(topo, *relation);
-    for (const auto& mask : random_masks(topo, ++seed)) {
+    for (const auto& mask : test::random_masks(topo, ++seed)) {
       expect_derived_matches_fresh(topo, parent, parent_states, mask);
     }
   }

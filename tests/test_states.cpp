@@ -137,5 +137,51 @@ TEST(StateGraph, InjectionFirstHopsAreReachableStates) {
   EXPECT_GE(relations, 10u);
 }
 
+// relation_minimal reads each destination's distances from a table filled
+// once per destination; the answer must equal the definition's form, two
+// Topology::distance calls per successor of every reachable state.
+bool minimal_per_successor(const StateGraph& states) {
+  const Topology& topo = states.topo();
+  for (NodeId d = 0; d < topo.num_nodes(); ++d) {
+    for (ChannelId c = 0; c < topo.num_channels(); ++c) {
+      if (!states.reachable(c, d)) continue;
+      const NodeId at = topo.channel(c).dst;
+      if (at == d) continue;
+      for (ChannelId next : states.successors(c, d)) {
+        if (topo.distance(topo.channel(next).dst, d) + 1 !=
+            topo.distance(at, d)) {
+          return false;
+        }
+      }
+    }
+  }
+  return true;
+}
+
+TEST(StateGraph, RelationMinimalMatchesPerSuccessorDistances) {
+  std::size_t minimal = 0;
+  std::size_t nonminimal = 0;
+  for (const char* spec :
+       {"mesh:4x4:2", "torus:4x4:3", "hypercube:3:2", "incoherent"}) {
+    const Topology topo = core::make_topology(spec);
+    for (const core::AlgorithmEntry* entry : core::algorithms_for(topo)) {
+      SCOPED_TRACE(std::string(spec) + " " + entry->name);
+      const auto relation = entry->make(topo);
+      const StateGraph states(topo, *relation);
+      const bool want = minimal_per_successor(states);
+      EXPECT_EQ(relation_minimal(states), want);
+      ++(want ? minimal : nonminimal);
+      std::vector<bool> dead(topo.num_channels(), false);
+      dead[(minimal + nonminimal) % topo.num_channels()] = true;
+      const auto masked = reconfig::RelationExpr(entry->name, dead).build(topo);
+      const StateGraph derived(states, *masked, dead);
+      EXPECT_EQ(relation_minimal(derived), minimal_per_successor(derived));
+    }
+  }
+  // negative-first-nonmin on the mesh and both incoherent relations.
+  EXPECT_GE(nonminimal, 3u);
+  EXPECT_GE(minimal, 10u);
+}
+
 }  // namespace
 }  // namespace wormnet::cdg
